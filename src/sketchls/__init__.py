@@ -50,6 +50,7 @@ from .sketches import (
     derive_seed,
     leverage_scores,
     make_operator,
+    sampling_weights,
 )
 
 __version__ = "0.1.0"
@@ -63,8 +64,8 @@ __all__ = [
     "eta_to_b_squared", "evaluate_report", "exact_classical_error", "gen_gaussian_data",
     "general_lower_bound", "js_oracle", "leverage_scores", "load", "load_config",
     "make_operator", "positive_part", "prediction_error", "ratio_r", "replay_cell",
-    "run_experiment", "save_dense_csv", "shrinkage", "shrinkage_alt", "shrinkage_matrix",
-    "snr", "solve_exact", "unbiased_lower_bound", "upper_bound_pred", "upper_bound_sa",
-    "verify_gram_identity", "verify_residual_unbiased", "verify_stein",
+    "run_experiment", "sampling_weights", "save_dense_csv", "shrinkage", "shrinkage_alt",
+    "shrinkage_matrix", "snr", "solve_exact", "unbiased_lower_bound", "upper_bound_pred",
+    "upper_bound_sa", "verify_gram_identity", "verify_residual_unbiased", "verify_stein",
     "write_results_csv",
 ]

@@ -27,6 +27,8 @@ from .errors import (
     ConfigError,
     DataFormatError,
     DegenerateNoiseError,
+    DimensionMismatchError,
+    InvalidInputError,
     InvalidSketchSizeError,
     InvalidWeightsError,
     NotSpdError,
@@ -40,7 +42,7 @@ from .harness import (
     verify_residual_unbiased,
     verify_stein,
 )
-from .sketches import FAMILIES, SketchSpec, apply, derive_seed, make_operator
+from .sketches import FAMILIES, SketchSpec, apply, derive_seed, make_operator, sampling_weights
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,7 +50,8 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 EXIT_TOLERANCE = 4
 
-_DATA_ERRORS = (DataFormatError, ConfigError, OSError)
+_DATA_ERRORS = (DataFormatError, ConfigError, InvalidInputError, DimensionMismatchError,
+                OSError)
 _NUMERICAL_ERRORS = (RankDeficientError, InvalidWeightsError, InvalidSketchSizeError,
                      DegenerateNoiseError, NotSpdError, np.linalg.LinAlgError)
 
@@ -119,8 +122,8 @@ def _cmd_solve(args) -> int:
 def _cmd_sketch_solve(args) -> int:
     instance = load(DatasetFile(path=args.data, format=args.format))
     A, y, n, d, m = instance.A, instance.y, instance.n, instance.d, args.m
-    needs_aux = args.family in ("rownorm", "leverage")
-    op = make_operator(SketchSpec(args.family, m, args.seed), n, aux=A if needs_aux else None)
+    op = make_operator(SketchSpec(args.family, m, args.seed), n,
+                       weights=sampling_weights(args.family, A))
     SA = apply(op, A)
     Sy = apply(op, y)
     rec0 = classical(SA, Sy)

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatchError, RankDeficientError
+from .errors import DimensionMismatchError, InvalidInputError, RankDeficientError
 
 RANK_TOL = 1e-10
 ORTHO_TOL = 1e-9
@@ -25,7 +25,7 @@ FP_TOL = 1e-9
 def _readonly_f64(a, name: str) -> np.ndarray:
     arr = np.array(a, dtype=np.float64, copy=True)
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise InvalidInputError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -60,7 +60,9 @@ class ProblemInstance:
     ``y``, an n-by-k target matrix ``Y``, or both (``Y`` wins as the
     regression target when present; ``y`` then carries raw labels).
     Construction validates shapes, finiteness, and full column rank.
-    The exact solution is computed lazily and cached.
+    A is factored once, by a thin QR of the instance's own read-only
+    copy: the rank check reads the singular values of R (those of A),
+    and the exact solution, computed lazily and cached, reuses R and Q^T b.
     """
 
     def __init__(self, A, y=None, Y=None, rank_tol: float = RANK_TOL):
@@ -80,7 +82,8 @@ class ProblemInstance:
             Y = _readonly_f64(Y, "Y")
             if Y.ndim != 2 or Y.shape[0] != n:
                 raise DimensionMismatchError(f"Y must have shape ({n}, k), got {Y.shape}")
-        svals = np.linalg.svd(A, compute_uv=False)
+        Q, R = np.linalg.qr(A)
+        svals = np.linalg.svd(R, compute_uv=False)
         if svals[-1] <= rank_tol * svals[0]:
             raise RankDeficientError(
                 f"A is rank deficient: s_min/s_max = {svals[-1] / svals[0]:.3e} <= {rank_tol:.1e}"
@@ -92,6 +95,8 @@ class ProblemInstance:
         self.d = d
         self.rank_tol = rank_tol
         self._svals = svals
+        # all `solution` needs of the factor; Q itself is not kept
+        self._r, self._qtb = R, Q.T @ self.target
 
     @property
     def target(self) -> np.ndarray:
@@ -115,9 +120,8 @@ class ProblemInstance:
 
     @cached_property
     def solution(self) -> ExactSolution:
-        Q, R = np.linalg.qr(self.A)
         b = self.target
-        x = scipy.linalg.solve_triangular(R, Q.T @ b)
+        x = scipy.linalg.solve_triangular(self._r, self._qtb)
         fitted = self.A @ x
         y_perp = b - fitted
         x.setflags(write=False)

@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .core import ExactSolution, ProblemInstance, solve_exact
-from .errors import DegenerateNoiseError
+from .errors import DegenerateNoiseError, InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -34,17 +35,35 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if not self.n > self.d >= 1:
-            raise ValueError(f"need n > d >= 1, got n={self.n}, d={self.d}")
+            raise InvalidInputError(f"need n > d >= 1, got n={self.n}, d={self.d}")
         if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+            raise InvalidInputError(f"rho must be positive, got {self.rho}")
         if self.k is not None and self.k < 1:
-            raise ValueError("k must be >= 1 when given")
+            raise InvalidInputError("k must be >= 1 when given")
 
 
 def ar1_covariance(d: int, decay: float = 0.5) -> np.ndarray:
     """Covariance with geometrically decaying off-diagonals: decay^|i-j|."""
     idx = np.arange(d)
     return decay ** np.abs(idx[:, None] - idx[None, :])
+
+
+def _null_space_part(reflectors: np.ndarray, tau: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """V w, with V the last n - d columns of the complete orthogonal factor of A.
+
+    `reflectors` and `tau` are A's Householder QR in LAPACK's raw form.
+    Applying the reflectors to [0_d; w] gives Q_full [0_d; w] = V w
+    without forming the n-by-n Q_full: O(nd) time per column of w.
+    """
+    n, d = reflectors.shape
+    c = np.zeros((n, w.size // (n - d)))
+    c[d:] = w.reshape(n - d, -1)
+    _, work, _ = lapack.dormqr("L", "N", reflectors, tau, c, lwork=-1)
+    out, _, info = lapack.dormqr("L", "N", reflectors, tau, c, lwork=int(work[0]),
+                                 overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dormqr rejected argument {-info}")
+    return out.reshape((n,) + w.shape[1:])
 
 
 def gen_gaussian_data(spec: SyntheticSpec) -> tuple[ProblemInstance, ExactSolution]:
@@ -55,7 +74,9 @@ def gen_gaussian_data(spec: SyntheticSpec) -> tuple[ProblemInstance, ExactSoluti
     (Frobenius for matrix targets).  The target is A x plus null-space
     noise V w scaled by alpha = 1/(sqrt(rho) ||V w||), which makes the
     residual energy exactly 1/rho.  The standard deviation of w cancels
-    in that normalization, so w is drawn with unit variance.
+    in that normalization, so w is drawn with unit variance.  V w comes
+    from A's Householder reflectors, so generation costs O(nd^2) time
+    and O(nd) memory.
 
     Returns the instance together with the planted solution artifacts.
     """
@@ -68,12 +89,15 @@ def gen_gaussian_data(spec: SyntheticSpec) -> tuple[ProblemInstance, ExactSoluti
     x0 = rng.standard_normal(shape)
     x_ls = x0 / np.linalg.norm(A @ x0)
 
-    Q_full, _ = np.linalg.qr(A, mode="complete")
-    V = Q_full[:, d:]
+    # numpy's raw QR, not scipy's (the reflectors are the same): a level-3 call on
+    # scipy's BLAS leaves its threads spinning against numpy's, which doubled the
+    # time of the instance's own QR below with two BLAS threads.
+    h, tau = np.linalg.qr(A, mode="raw")
+    reflectors = h.T
     noise_shape = (n - d,) if spec.k is None else (n - d, spec.k)
     for _ in range(2):
         w = rng.standard_normal(noise_shape)
-        noise = V @ w
+        noise = _null_space_part(reflectors, tau, w)
         noise_norm = np.linalg.norm(noise)
         if noise_norm > 0:
             break

@@ -5,6 +5,13 @@ class SketchLSError(Exception):
     """Base class for all sketchls errors."""
 
 
+class InvalidInputError(SketchLSError, ValueError):
+    """An input value lies outside its domain (a non-finite entry, an impossible shape).
+
+    Also a ValueError, so callers that catch ValueError keep working.
+    """
+
+
 class DimensionMismatchError(SketchLSError):
     """Operand shapes are incompatible."""
 

@@ -26,7 +26,16 @@ from .core import ExactSolution, ProblemInstance, prediction_error, snr, solve_e
 from .datagen import SyntheticSpec, add_noise, gen_gaussian_data
 from .dataio import DatasetFile, load
 from .errors import ConfigError, NotSpdError, SketchLSError
-from .sketches import FAMILIES, SketchSpec, apply, as_matrix, derive_seed, make_operator
+from .sketches import (
+    FAMILIES,
+    WEIGHTED_FAMILIES,
+    SketchSpec,
+    apply,
+    as_matrix,
+    derive_seed,
+    make_operator,
+    sampling_weights,
+)
 
 _MATRIX_KINDS = ("classical", "shrinkage-fro")
 
@@ -147,18 +156,20 @@ def _estimator_records(kind, rec0, SA, St, instance, sol, d, m, aux_residuals):
     raise ConfigError(f"unknown estimator {kind!r}")
 
 
-def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch):
-    """One repetition of one cell: returns {kind: (pred/n, sa/n, factor)}."""
+def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch, weights):
+    """One repetition of one cell: returns {kind: (pred/n, sa/n, factor)}.
+
+    `weights` are the family's sampling weights, `sampling_weights(family, A)`.
+    """
     A, target, n, d = instance.A, instance.target, instance.n, instance.d
-    needs_aux = family in ("rownorm", "leverage")
-    op = make_operator(SketchSpec(family, m, seed), n, aux=A if needs_aux else None)
+    op = make_operator(SketchSpec(family, m, seed), n, weights=weights)
     SA = apply(op, A)
     St = apply(op, target)
     rec0 = est_mod.classical(SA, St)
 
     aux_residuals: dict = {}
     if two_sketch:
-        op2 = make_operator(SketchSpec(family, m, aux_seed), n, aux=A if needs_aux else None)
+        op2 = make_operator(SketchSpec(family, m, aux_seed), n, weights=weights)
         SA2 = apply(op2, A)
         St2 = apply(op2, target)
         rec_aux = est_mod.classical(SA2, St2)
@@ -208,7 +219,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run the full sweep; statistics are invariant to the thread count.
 
     Failed repetitions mark their cell with the failure reason instead of
-    aborting the run.  Requested cells whose (d, m) fall outside an
+    aborting the run, and so do invalid sampling weights, which are
+    computed once per family.  Requested cells whose (d, m) fall outside an
     estimator's domain are recorded as skipped, not failed.
     """
     instance, sol = resolve_instance(cfg)
@@ -220,6 +232,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     pool = ThreadPoolExecutor(max_workers=max(1, threads)) if threads > 1 else None
     try:
         for family in cfg.families:
+            try:
+                weights, weight_error = sampling_weights(family, instance.A), None
+            except SketchLSError as exc:
+                weights, weight_error = None, exc
             for m in cfg.m_values:
                 b_exact, b_lower, b_upper = _bound_columns(d, m, r2, rho, n)
                 seeds = tuple(derive_seed(cfg.master_seed, family, m, r) for r in range(cfg.reps))
@@ -242,14 +258,17 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
                 if not runnable:
                     continue
 
-                def one(r, _family=family, _m=m, _seeds=seeds, _aux=aux_seeds, _run=runnable):
+                def one(r, _family=family, _m=m, _seeds=seeds, _aux=aux_seeds, _run=runnable,
+                        _weights=weights):
                     try:
                         return _run_rep(instance, sol, _family, _m, _seeds[r], _aux[r],
-                                        _run, cfg.two_sketch)
+                                        _run, cfg.two_sketch, _weights)
                     except SketchLSError as exc:
                         return exc
 
-                if pool is not None:
+                if weight_error is not None:
+                    rep_outputs = [weight_error]
+                elif pool is not None:
                     rep_outputs = list(pool.map(one, range(cfg.reps)))
                 else:
                     rep_outputs = [one(r) for r in range(cfg.reps)]
@@ -355,12 +374,12 @@ def verify_residual_unbiased(p: ProblemInstance, sol: ExactSolution, family: str
                              m: int, reps: int, seed: int) -> tuple[float, float]:
     """Monte Carlo means of the two residual-energy estimates; both target sol.r2."""
     A, target, n, d = p.A, p.target, p.n, p.d
-    needs_aux = family in ("rownorm", "leverage")
+    weights = sampling_weights(family, A)
     full = np.empty(reps)
     sketched = np.empty(reps)
     for r in range(reps):
         op = make_operator(SketchSpec(family, m, derive_seed(seed, family, m, r)), n,
-                           aux=A if needs_aux else None)
+                           weights=weights)
         SA = apply(op, A)
         St = apply(op, target)
         rec = est_mod.classical(SA, St)
@@ -376,13 +395,14 @@ def verify_gram_identity(family: str, n: int, m: int, reps: int, seed: int) -> f
     generated internally (n x ceil(3n/4), standard normal) as the weight
     source; the Gram identity holds for any valid weights.
     """
-    aux = None
-    if family in ("rownorm", "leverage"):
+    weights = None
+    if family in WEIGHTED_FAMILIES:
         rng = np.random.default_rng(derive_seed(seed, "gram-aux"))
-        aux = rng.standard_normal((n, max(2, (3 * n) // 4)))
+        weights = sampling_weights(family, rng.standard_normal((n, max(2, (3 * n) // 4))))
     acc = np.zeros((n, n))
     for r in range(reps):
-        op = make_operator(SketchSpec(family, m, derive_seed(seed, family, m, r)), n, aux=aux)
+        op = make_operator(SketchSpec(family, m, derive_seed(seed, family, m, r)), n,
+                           weights=weights)
         S = as_matrix(op)
         acc += S.T @ S
     mean = acc / reps

@@ -28,7 +28,8 @@ FAMILIES = (
     "leverage",
 )
 
-_SAMPLING_FAMILIES = ("uniform", "rownorm", "leverage")
+# Sampling families whose probabilities are computed from the data matrix.
+WEIGHTED_FAMILIES = ("rownorm", "leverage")
 _WEIGHT_SUM_TOL = 1e-12
 _MASK64 = (1 << 64) - 1
 
@@ -127,23 +128,40 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _sampling_probs(family: str, n: int, aux) -> np.ndarray:
+def sampling_weights(family: str, A) -> np.ndarray | None:
+    """Row-sampling probabilities that `family` derives from the data matrix A.
+
+    Row-norm sampling uses squared row norms and leverage sampling the
+    leverage scores, each normalized to sum to one.  Returns None for the
+    families whose law does not depend on the data.  The result depends
+    on A alone, so a sweep computes it once per family and passes it to
+    every `make_operator` call as `weights`.
+    """
+    if family not in WEIGHTED_FAMILIES:
+        return None
+    if A is None:
+        raise InvalidWeightsError(f"{family} sampling needs the data matrix as weight source")
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2:
+        raise DimensionMismatchError(f"weight source must be a matrix, got shape {A.shape}")
+    w = np.sum(A * A, axis=1) if family == "rownorm" else leverage_scores(A)
+    total = w.sum()
+    if total <= 0:
+        raise InvalidWeightsError("all sampling weights are zero")
+    p = w / total
+    p.setflags(write=False)
+    return p
+
+
+def _sampling_probs(family: str, n: int, aux, weights) -> np.ndarray:
+    """Validated sampling probabilities: uniform, the given weights, or weights from aux."""
     if family == "uniform":
         p = np.full(n, 1.0 / n)
     else:
-        if aux is None:
-            raise InvalidWeightsError(f"{family} sampling needs the data matrix as weight source")
-        aux = np.asarray(aux, dtype=np.float64)
-        if aux.ndim != 2 or aux.shape[0] != n:
-            raise DimensionMismatchError(f"weight source must have {n} rows, got {aux.shape}")
-        if family == "rownorm":
-            w = np.sum(aux * aux, axis=1)
-        else:  # leverage
-            w = leverage_scores(aux)
-        total = w.sum()
-        if total <= 0:
-            raise InvalidWeightsError("all sampling weights are zero")
-        p = w / total
+        p = np.asarray(sampling_weights(family, aux) if weights is None else weights,
+                       dtype=np.float64)
+        if p.shape != (n,):
+            raise DimensionMismatchError(f"weights must have shape ({n},), got {p.shape}")
     if np.any(p <= 0):
         raise InvalidWeightsError("sampling probabilities must be strictly positive")
     if abs(p.sum() - 1.0) > _WEIGHT_SUM_TOL:
@@ -160,7 +178,7 @@ def leverage_scores(A) -> np.ndarray:
     return np.sum(Q * Q, axis=1)
 
 
-def make_operator(spec: SketchSpec, n: int, aux=None) -> SketchOperator:
+def make_operator(spec: SketchSpec, n: int, aux=None, weights=None) -> SketchOperator:
     """Realize a sketch operator for inputs of length n.
 
     Conventions: Gaussian and Rademacher entries are scaled by 1/sqrt(m).
@@ -171,8 +189,10 @@ def make_operator(spec: SketchSpec, n: int, aux=None) -> SketchOperator:
     an overall scale sqrt(n_pad / m).  CountSketch gives each of the n
     input coordinates one uniformly random output row and a random sign.
 
-    `aux` supplies the data matrix from which row-norm or leverage
-    sampling weights are computed.
+    Row-norm and leverage sampling take their probabilities from
+    `weights` (see `sampling_weights`) or, when it is None, compute them
+    from the data matrix `aux`.  Either way they are checked on every
+    call: strictly positive and summing to one within 1e-12.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -196,7 +216,7 @@ def make_operator(spec: SketchSpec, n: int, aux=None) -> SketchOperator:
             "signs": 2.0 * rng.integers(0, 2, size=n) - 1.0,
         }
     else:
-        p = _sampling_probs(family, n, aux)
+        p = _sampling_probs(family, n, aux, weights)
         indices = rng.choice(n, size=m, replace=True, p=p)
         payload = {
             "indices": indices,

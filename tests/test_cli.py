@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,3 +181,37 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 1
+
+
+class TestInvalidInputExits2:
+    def test_nonfinite_csv(self, capsys, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("1,2,3\n2,nan,1\n3,1,1\n4,5,2\n5,1,7\n")
+        code, out, err = _run(capsys, "solve", "--data", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: A contains non-finite entries\n"
+
+    def test_datagen_wide(self, capsys, tmp_path):
+        code, out, err = _run(capsys, "datagen", "--n", "5", "--d", "10", "--rho", "1",
+                              "--seed", "0", "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and out == ""
+        assert err == "error: need n > d >= 1, got n=5, d=10\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_more_features_than_rows(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("1,2,3,4\n2,5,1,7\n")
+        code, out, err = _run(capsys, "solve", "--data", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: need n > d >= 1, got A with shape (2, 3)\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "sketchls", "bounds", "--d", "100", "--m",
+                           "300", "--r2", "1", "--rho", "0.1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("exact_classical ")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sketchls import (
     ProblemInstance,
@@ -11,7 +12,12 @@ from sketchls import (
     snr,
     solve_exact,
 )
-from sketchls.errors import DimensionMismatchError, RankDeficientError
+from sketchls.errors import (
+    DimensionMismatchError,
+    InvalidInputError,
+    RankDeficientError,
+    SketchLSError,
+)
 
 
 def _random_instance(n=16, d=4, seed=0):
@@ -152,3 +158,22 @@ class TestSnr:
 
         sol = ExactSolution(x_ls=np.zeros(3), y_perp=np.zeros(5), r2=0.0, pred_energy=1.0)
         assert math.isinf(snr(sol))
+
+
+class TestSingleFactorization:
+    def test_solution_is_bitwise_the_thin_qr_solve(self):
+        p = _random_instance(40, 6, seed=12)
+        Q, R = np.linalg.qr(p.A)
+        x = scipy.linalg.solve_triangular(R, Q.T @ p.y)
+        assert np.array_equal(solve_exact(p).x_ls, x)
+
+    def test_spectrum_matches_svd_of_a(self):
+        p = _random_instance(50, 7, seed=13)
+        svals = np.linalg.svd(p.A, compute_uv=False)
+        assert p.sigma_min == pytest.approx(svals[-1] ** 2, rel=1e-12)
+        assert p.sigma_max == pytest.approx(svals[0] ** 2, rel=1e-12)
+
+    def test_nonfinite_error_is_typed(self):
+        with pytest.raises(InvalidInputError) as exc:
+            ProblemInstance(np.ones((4, 2)), y=np.array([1.0, np.inf, 0.0, 2.0]))
+        assert isinstance(exc.value, SketchLSError) and isinstance(exc.value, ValueError)

@@ -90,3 +90,33 @@ class TestAddNoise:
         p, _ = gen_gaussian_data(SyntheticSpec(n=64, d=8, rho=1.0, seed=39))
         with pytest.raises(ValueError):
             add_noise(p, -0.1, seed=0)
+
+
+class TestReflectorNoise:
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_matches_complete_q_formula_on_the_same_stream(self, k, monkeypatch):
+        # reference: the null-space noise Q_full[:, d:] @ w of an explicit complete QR
+        spec = SyntheticSpec(n=64, d=8, rho=0.5, seed=40, k=k)
+        default_rng = np.random.default_rng
+        generators = []
+
+        def capture(seed):
+            generators.append(default_rng(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", capture)
+        p, sol = gen_gaussian_data(spec)
+        monkeypatch.undo()
+
+        n, d = spec.n, spec.d
+        rng = default_rng(spec.seed)
+        A = 1.0 + rng.standard_normal((n, d)) @ np.linalg.cholesky(ar1_covariance(d)).T
+        rng.standard_normal((d,) if k is None else (d, k))
+        Q_full, _ = np.linalg.qr(A, mode="complete")
+        noise = Q_full[:, d:] @ rng.standard_normal((n - d,) if k is None else (n - d, k))
+        y_perp = noise / (np.sqrt(spec.rho) * np.linalg.norm(noise))
+
+        assert np.array_equal(p.A, A)
+        assert np.max(np.abs(sol.y_perp - y_perp)) / np.max(np.abs(y_perp)) <= 1e-12
+        assert len(generators) == 1
+        assert generators[0].bit_generator.state == rng.bit_generator.state

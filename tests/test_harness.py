@@ -20,6 +20,7 @@ from sketchls import (
 )
 from sketchls.config import load_config, parse_config_text
 from sketchls.errors import ConfigError, NotSpdError
+from sketchls import harness, sketches
 from sketchls.harness import resolve_instance
 from sketchls.sketches import SketchSpec, as_matrix, derive_seed, make_operator
 
@@ -301,3 +302,47 @@ output.path = {out}
         assert not np.array_equal(instance.y, p.y)
         res = run_experiment(cfg)
         assert res.cell("gaussian", 24, "classical").reps == 3
+
+
+class TestSamplingWeightsOncePerSweep:
+    def _cfg(self, **overrides):
+        return _small_cfg(families=("gaussian", "rownorm", "leverage"), m_values=(30, 40),
+                          estimators=("classical", "shrinkage", "shrinkage-alt"), reps=5,
+                          two_sketch=True, **overrides)
+
+    def test_per_rep_logs_match_per_rep_weights(self, monkeypatch):
+        cfg = self._cfg()
+        scores = sketches.leverage_scores
+        calls = []
+        monkeypatch.setattr(sketches, "leverage_scores",
+                            lambda A: calls.append(A.shape) or scores(A))
+        once = run_experiment(cfg)
+        assert len(calls) == 1
+
+        A = resolve_instance(cfg)[0].A
+        make = harness.make_operator
+        monkeypatch.setattr(harness, "make_operator",
+                            lambda spec, n, weights=None: make(spec, n, aux=A))
+        per_rep = run_experiment(cfg)
+        # once per sweep, then once per realization (two sketches per rep)
+        assert len(calls) == 1 + 1 + len(cfg.m_values) * cfg.reps * 2
+        for a, b in zip(once.cells, per_rep.cells, strict=True):
+            assert a.reps == b.reps == cfg.reps
+            assert a.per_rep_pred_err == b.per_rep_pred_err
+            assert a.per_rep_sa_err == b.per_rep_sa_err
+            assert a.per_rep_factor == b.per_rep_factor
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("scores, reason", [
+        (lambda A: np.zeros(A.shape[0]), "all sampling weights are zero"),
+        (lambda A: np.r_[0.0, np.ones(A.shape[0] - 1)], "strictly positive"),
+    ])
+    def test_zero_weight_source_marks_cells_failed(self, monkeypatch, threads, scores, reason):
+        monkeypatch.setattr(sketches, "leverage_scores", scores)
+        cfg = self._cfg()
+        res = run_experiment(cfg, threads=threads)
+        for c in res.cells:
+            if c.family == "leverage":
+                assert c.reps == 0 and c.skipped.startswith("failed: ") and reason in c.skipped
+            else:
+                assert c.reps == cfg.reps and c.skipped is None

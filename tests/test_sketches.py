@@ -12,6 +12,7 @@ from sketchls import (
     derive_seed,
     leverage_scores,
     make_operator,
+    sampling_weights,
 )
 from sketchls.errors import DimensionMismatchError, InvalidWeightsError
 from sketchls.sketches import _fwht
@@ -187,3 +188,33 @@ class TestSubspaceEmbedding:
             x = rng.standard_normal(d)
             ratio = np.sum((SA @ x) ** 2) / np.sum((A @ x) ** 2)
             assert 0.5 <= ratio <= 1.5
+
+
+class TestGivenWeights:
+    @pytest.mark.parametrize("family", ["rownorm", "leverage"])
+    def test_given_weights_realize_the_aux_operator(self, family):
+        A = _aux(32)
+        weights = sampling_weights(family, A)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        for seed in range(3):
+            spec = SketchSpec(family, 16, seed)
+            given = make_operator(spec, 32, weights=weights)
+            computed = make_operator(spec, 32, aux=A)
+            assert np.array_equal(given.indices, computed.indices)
+            assert np.array_equal(given.row_scale, computed.row_scale)
+
+    def test_data_free_families_have_no_weights(self):
+        for family in ("gaussian", "srht", "countsketch", "uniform"):
+            assert sampling_weights(family, _aux(8)) is None
+
+    @pytest.mark.parametrize("weights", [
+        np.r_[0.0, np.full(7, 1 / 7)],      # a zero probability
+        np.full(8, 0.2),                    # sums to 1.6
+    ])
+    def test_given_weights_are_validated(self, weights):
+        with pytest.raises(InvalidWeightsError):
+            make_operator(SketchSpec("leverage", 4, 0), 8, weights=weights)
+
+    def test_given_weights_length_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            make_operator(SketchSpec("rownorm", 4, 0), 8, weights=np.full(4, 0.25))
