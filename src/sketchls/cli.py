@@ -87,7 +87,12 @@ def _threads(args) -> int:
     if getattr(args, "threads", None):
         return args.threads
     env = os.environ.get("SKETCHLS_THREADS")
-    return int(env) if env else 1
+    if not env:
+        return 1
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"SKETCHLS_THREADS must be an integer, got {env!r}") from None
 
 
 def _cmd_datagen(args) -> int:

@@ -108,12 +108,10 @@ def load_config(path) -> ExperimentConfig:
             seed=derive_seed(seed, "datagen"),
         )
     elif has_data:
-        source = DatasetFile(
-            path=_get(values, "data.path", str, required=True),
-            format=_get(values, "data.format", str, default="csv"),
-        )
-        if source.format not in FORMATS:
-            raise ConfigError(f"bad value for 'data.format': {source.format!r}")
+        fmt = _get(values, "data.format", str, default="csv")
+        if fmt not in FORMATS:
+            raise ConfigError(f"bad value for 'data.format': {fmt!r}")
+        source = DatasetFile(path=_get(values, "data.path", str, required=True), format=fmt)
     else:
         raise ConfigError("config needs a synthetic.* or data.* source")
 

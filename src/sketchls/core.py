@@ -63,6 +63,8 @@ class ProblemInstance:
     A is factored once, by a thin QR of the instance's own read-only
     copy: the rank check reads the singular values of R (those of A),
     and the exact solution, computed lazily and cached, reuses R and Q^T b.
+    Both stay readable as ``R`` (d x d, upper triangular) and ``qtb``
+    (Q^T times the target); Q itself is not kept.
     """
 
     def __init__(self, A, y=None, Y=None, rank_tol: float = RANK_TOL):
@@ -95,8 +97,11 @@ class ProblemInstance:
         self.d = d
         self.rank_tol = rank_tol
         self._svals = svals
-        # all `solution` needs of the factor; Q itself is not kept
-        self._r, self._qtb = R, Q.T @ self.target
+        qtb = Q.T @ self.target
+        R.setflags(write=False)
+        qtb.setflags(write=False)
+        self.R = R
+        self.qtb = qtb
 
     @property
     def target(self) -> np.ndarray:
@@ -121,7 +126,7 @@ class ProblemInstance:
     @cached_property
     def solution(self) -> ExactSolution:
         b = self.target
-        x = scipy.linalg.solve_triangular(self._r, self._qtb)
+        x = scipy.linalg.solve_triangular(self.R, self.qtb)
         fitted = self.A @ x
         y_perp = b - fitted
         x.setflags(write=False)
@@ -142,6 +147,25 @@ def solve_exact(p: ProblemInstance) -> ExactSolution:
     yield bitwise-identical outputs within one build.
     """
     return p.solution
+
+
+def augmented_factor(p: ProblemInstance, sol: ExactSolution) -> np.ndarray:
+    """Triangular factor of [A | b]: R~ with R~^T R~ = [A | b]^T [A | b].
+
+    R~ = [[R, Q^T b], [0, R_perp]], where R_perp is the k' x k' triangular
+    factor of the residual ``sol.y_perp`` (k' = 1 for a vector target).
+    The blocks line up because the residual is orthogonal to range(A).
+    Costs one QR of the n x k' residual.
+    """
+    y_perp = sol.y_perp.reshape(p.n, -1)
+    k = y_perp.shape[1]
+    r_perp = np.linalg.qr(y_perp, mode="r")  # min(n, k') x k'
+    out = np.zeros((p.d + k, p.d + k))
+    out[:p.d, :p.d] = p.R
+    out[:p.d, p.d:] = p.qtb.reshape(p.d, k)
+    out[p.d:p.d + r_perp.shape[0], p.d:] = r_perp
+    out.setflags(write=False)
+    return out
 
 
 def prediction_error(A, x_hat, x_ls) -> float:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ProblemInstance
-from .errors import DataFormatError, LabelOutOfRangeError
+from .errors import DataFormatError, InvalidInputError, LabelOutOfRangeError
 
 FORMAT_SPARSE = "sparse"
 FORMAT_DENSE = "csv"
@@ -37,9 +37,9 @@ class DatasetFile:
 
     def __post_init__(self):
         if self.format not in FORMATS:
-            raise ValueError(f"unknown format {self.format!r}; choose from {FORMATS}")
+            raise InvalidInputError(f"unknown format {self.format!r}; choose from {FORMATS}")
         if self.onehot is not None and self.onehot < 2:
-            raise ValueError("onehot class count must be >= 2")
+            raise InvalidInputError(f"onehot class count must be >= 2, got {self.onehot}")
 
 
 def _parse_float(token: str, line: int, column: int) -> float:

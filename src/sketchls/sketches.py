@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidWeightsError
+from .errors import DimensionMismatchError, InvalidInputError, InvalidWeightsError
 
 FAMILIES = (
     "gaussian",
@@ -73,11 +73,12 @@ class SketchSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown sketch family {self.family!r}; choose from {FAMILIES}")
+            raise InvalidInputError(
+                f"unknown sketch family {self.family!r}; choose from {FAMILIES}")
         if self.m < 1:
-            raise ValueError(f"sketch size m must be >= 1, got {self.m}")
+            raise InvalidInputError(f"sketch size m must be >= 1, got {self.m}")
         if not 0 <= self.seed <= _MASK64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise InvalidInputError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
 
 class SketchOperator:
@@ -199,10 +200,18 @@ def make_operator(spec: SketchSpec, n: int, aux=None, weights=None) -> SketchOpe
     rng = np.random.default_rng(spec.seed)
     m, family = spec.m, spec.family
 
+    # Dense families scale in place: one m x n float buffer each.  The
+    # Rademacher form bits * 2s - s is exact, so it equals (2 bits - 1) / sqrt(m)
+    # bitwise.
     if family == "gaussian":
-        payload = {"dense": rng.standard_normal((m, n)) / math.sqrt(m)}
+        dense = rng.standard_normal((m, n))
+        dense /= math.sqrt(m)
+        payload = {"dense": dense}
     elif family == "rademacher":
-        payload = {"dense": (2.0 * rng.integers(0, 2, size=(m, n)) - 1.0) / math.sqrt(m)}
+        s = 1.0 / math.sqrt(m)
+        dense = np.multiply(rng.integers(0, 2, size=(m, n)), 2.0 * s)
+        dense -= s
+        payload = {"dense": dense}
     elif family == "srht":
         n_pad = _next_pow2(n)
         payload = {

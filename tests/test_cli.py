@@ -205,6 +205,40 @@ class TestInvalidInputExits2:
         assert code == 2 and out == ""
         assert err == "error: need n > d >= 1, got A with shape (2, 3)\n"
 
+    def test_sketch_size_zero(self, capsys, dataset):
+        code, out, err = _run(capsys, "sketch-solve", "--data", dataset, "--family",
+                              "gaussian", "--m", "0", "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == "error: sketch size m must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits(self, capsys, dataset, seed):
+        code, out, err = _run(capsys, "sketch-solve", "--data", dataset, "--family",
+                              "srht", "--m", "20", "--seed", seed)
+        assert code == 2 and out == ""
+        assert err == f"error: seed must fit in 64 unsigned bits, got {seed}\n"
+
+    def test_unknown_data_format_in_config(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("data.path = x.csv\ndata.format = xml\nsketch.families = gaussian\n"
+                       "sketch.m_values = 40\nexperiment.estimators = classical\n"
+                       f"output.path = {tmp_path / 'res.csv'}\n")
+        code, out, err = _run(capsys, "experiment", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: bad value for 'data.format': 'xml'\n"
+
+
+def test_non_integer_threads_env_exits_1(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("synthetic.n = 64\nsynthetic.d = 4\nsynthetic.rho = 1\n"
+                   "sketch.families = gaussian\nsketch.m_values = 20\n"
+                   f"experiment.estimators = classical\noutput.path = {tmp_path / 'res.csv'}\n")
+    monkeypatch.setenv("SKETCHLS_THREADS", "abc")
+    code, out, err = _run(capsys, "experiment", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == "usage error: SKETCHLS_THREADS must be an integer, got 'abc'\n"
+    assert not (tmp_path / "res.csv").exists()
+
 
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -4,7 +4,7 @@ import pytest
 from sketchls import DatasetFile, load, save_dense_csv
 from sketchls.dataio import CSV_HEADER, _load_dense, _load_sparse, _one_hot, write_results_csv
 from sketchls.datagen import SyntheticSpec, gen_gaussian_data
-from sketchls.errors import DataFormatError, LabelOutOfRangeError
+from sketchls.errors import DataFormatError, InvalidInputError, LabelOutOfRangeError
 from sketchls.harness import CellResult
 
 
@@ -99,6 +99,11 @@ class TestOneHot:
         assert p.Y.shape == (12, 3)
         assert np.all(p.Y.sum(axis=1) == 1.0)
         assert p.target is p.Y
+
+    @pytest.mark.parametrize("kwargs", [dict(onehot=1), dict(format="xml")])
+    def test_descriptor_errors_are_typed(self, kwargs):
+        with pytest.raises(InvalidInputError):
+            DatasetFile(path="f.csv", **kwargs)
 
 
 def _cell(family, m, estimator, value=1.0):

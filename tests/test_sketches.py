@@ -14,7 +14,7 @@ from sketchls import (
     make_operator,
     sampling_weights,
 )
-from sketchls.errors import DimensionMismatchError, InvalidWeightsError
+from sketchls.errors import DimensionMismatchError, InvalidInputError, InvalidWeightsError
 from sketchls.sketches import _fwht
 
 
@@ -54,6 +54,25 @@ class TestSpecValidation:
     def test_bad_m(self):
         with pytest.raises(ValueError):
             SketchSpec("gaussian", 0, 0)
+
+    @pytest.mark.parametrize("m, seed", [(0, 0), (4, -1), (4, 2**64)])
+    def test_errors_are_typed(self, m, seed):
+        with pytest.raises(InvalidInputError):
+            SketchSpec("gaussian", m, seed)
+
+
+class TestDenseRealization:
+    @pytest.mark.parametrize("m, n, seed", [(1, 1, 0), (3, 17, 5), (16, 64, 2**64 - 1),
+                                            (300, 257, 41)])
+    def test_bitwise_equal_to_the_reference_formulas(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        gaussian = rng.standard_normal((m, n)) / math.sqrt(m)
+        rng = np.random.default_rng(seed)
+        rademacher = (2.0 * rng.integers(0, 2, size=(m, n)) - 1.0) / math.sqrt(m)
+        for family, reference in (("gaussian", gaussian), ("rademacher", rademacher)):
+            dense = make_operator(SketchSpec(family, m, seed), n).dense
+            assert dense.dtype == np.float64
+            assert dense.tobytes() == reference.tobytes()
 
 
 class TestFwht:
