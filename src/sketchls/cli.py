@@ -84,15 +84,19 @@ def _emit(args, pairs: dict) -> None:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("SKETCHLS_THREADS")
-    if not env:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"SKETCHLS_THREADS must be an integer, got {env!r}") from None
+    threads, source = getattr(args, "threads", None), "--threads"
+    if threads is None:
+        env = os.environ.get("SKETCHLS_THREADS")
+        if not env:
+            return 1
+        source = "SKETCHLS_THREADS"
+        try:
+            threads = int(env)
+        except ValueError:
+            raise UsageError(f"SKETCHLS_THREADS must be an integer, got {env!r}") from None
+    if threads < 1:
+        raise UsageError(f"{source} must be >= 1, got {threads}")
+    return threads
 
 
 def _cmd_datagen(args) -> int:

@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise ConfigError("families, m_values, and estimators must be nonempty")
         if list(self.m_values) != sorted(self.m_values):
             raise ConfigError("m_values must be ascending")
+        if self.m_values[0] < 1:
+            raise ConfigError(f"sketch sizes must be >= 1, got m = {self.m_values[0]}")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
         if self.kappa < 0 or self.eps_for_bounds < 0:

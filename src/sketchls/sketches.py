@@ -93,8 +93,9 @@ class SketchOperator:
         self.spec = spec
         self.n = n
         for key, value in payload.items():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
             setattr(self, key, value)
 
     @property
@@ -111,20 +112,26 @@ def _next_pow2(n: int) -> int:
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform along axis 0.
+    """Unnormalized fast Walsh-Hadamard transform along axis 0, in place.
 
-    `a` must have a power-of-two number of rows.  Equivalent to H @ a
-    with H the Sylvester-ordered Hadamard matrix, in O(n log n) per
-    column.
+    `a` must be a C-contiguous array with a power-of-two number of rows;
+    it is overwritten with H @ a (H the Sylvester-ordered Hadamard
+    matrix) and returned.  O(n log n) per column, with one half-size
+    scratch array for the whole transform.
     """
     n, c = a.shape
     if n & (n - 1):
         raise ValueError("row count must be a power of two")
+    if not a.flags.c_contiguous:
+        raise ValueError("the transform runs in place on a C-contiguous array")
+    t = np.empty((n // 2) * c)
     h = 1
     while h < n:
-        a = a.reshape(n // (2 * h), 2, h, c)
-        a = np.stack((a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]), axis=1)
-        a = a.reshape(n, c)
+        v = a.reshape(n // (2 * h), 2, h, c)
+        tv = t.reshape(n // (2 * h), h, c)
+        np.subtract(v[:, 0], v[:, 1], out=tv)
+        v[:, 0] += v[:, 1]
+        v[:, 1] = tv
         h *= 2
     return a
 
@@ -168,6 +175,24 @@ def _sampling_probs(family: str, n: int, aux, weights) -> np.ndarray:
     if abs(p.sum() - 1.0) > _WEIGHT_SUM_TOL:
         raise InvalidWeightsError(f"probabilities sum to {p.sum()!r}, not 1")
     return p
+
+
+def _countsketch_rounds(buckets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Split coordinates into rounds in which no bucket repeats.
+
+    Round r holds, in input order, every coordinate that is the r-th (in
+    input order) to hit its bucket, so adding round after round sums
+    each bucket's inputs in input order.
+    """
+    n = buckets.size
+    pos = np.arange(n)
+    # keys `group * n + pos` are distinct, so any sort orders ties by position
+    order = np.argsort(buckets * n + pos)
+    counts = np.bincount(buckets)
+    rank = np.empty_like(order)
+    rank[order] = pos - (np.cumsum(counts) - counts)[buckets[order]]
+    by_round = np.argsort(rank * n + pos)
+    return tuple(np.split(by_round, np.cumsum(np.bincount(rank))[:-1]))
 
 
 def leverage_scores(A) -> np.ndarray:
@@ -220,9 +245,11 @@ def make_operator(spec: SketchSpec, n: int, aux=None, weights=None) -> SketchOpe
             "indices": rng.integers(0, n_pad, size=m),
         }
     elif family == "countsketch":
+        buckets = rng.integers(0, m, size=n)
         payload = {
-            "buckets": rng.integers(0, m, size=n),
+            "buckets": buckets,
             "signs": 2.0 * rng.integers(0, 2, size=n) - 1.0,
+            "rounds": _countsketch_rounds(buckets),
         }
     else:
         p = _sampling_probs(family, n, aux, weights)
@@ -247,14 +274,17 @@ def apply(op: SketchOperator, M) -> np.ndarray:
         out = op.dense @ M
     elif family == "srht":
         z = np.zeros((op.n_pad, M.shape[1]))
-        z[: op.n] = M
-        z *= op.signs[:, None]
-        z = _fwht(z)
+        np.multiply(M, op.signs[: op.n, None], out=z[: op.n])
+        _fwht(z)
         # sqrt(n_pad/m) * (H/sqrt(n_pad)) collapses to 1/sqrt(m) on the raw transform
-        out = z[op.indices] / math.sqrt(op.m)
+        out = z[op.indices]
+        out /= math.sqrt(op.m)
     elif family == "countsketch":
+        # No bucket repeats within a round, so each bucket sums its inputs
+        # in input order, exactly as np.add.at(out, buckets, M * signs) would.
         out = np.zeros((op.m, M.shape[1]))
-        np.add.at(out, op.buckets, M * op.signs[:, None])
+        for idx in op.rounds:
+            out[op.buckets[idx]] += M[idx] * op.signs[idx, None]
     else:
         out = M[op.indices] * op.row_scale[:, None]
     return out[:, 0] if vector else out

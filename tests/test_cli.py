@@ -228,15 +228,54 @@ class TestInvalidInputExits2:
         assert err == "error: bad value for 'data.format': 'xml'\n"
 
 
-def test_non_integer_threads_env_exits_1(capsys, tmp_path, monkeypatch):
+def _small_config(tmp_path, m_values="20"):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("synthetic.n = 64\nsynthetic.d = 4\nsynthetic.rho = 1\n"
-                   "sketch.families = gaussian\nsketch.m_values = 20\n"
+                   f"sketch.families = gaussian\nsketch.m_values = {m_values}\n"
                    f"experiment.estimators = classical\noutput.path = {tmp_path / 'res.csv'}\n")
+    return cfg
+
+
+def test_non_integer_threads_env_exits_1(capsys, tmp_path, monkeypatch):
+    cfg = _small_config(tmp_path)
     monkeypatch.setenv("SKETCHLS_THREADS", "abc")
     code, out, err = _run(capsys, "experiment", "--config", str(cfg))
     assert code == 1 and out == ""
     assert err == "usage error: SKETCHLS_THREADS must be an integer, got 'abc'\n"
+    assert not (tmp_path / "res.csv").exists()
+
+
+@pytest.mark.parametrize("flag, env, message", [
+    ("-3", None, "--threads must be >= 1, got -3"),
+    ("0", "2", "--threads must be >= 1, got 0"),
+    (None, "-2", "SKETCHLS_THREADS must be >= 1, got -2"),
+    (None, "0", "SKETCHLS_THREADS must be >= 1, got 0"),
+])
+def test_thread_count_below_one_exits_1(capsys, tmp_path, monkeypatch, flag, env, message):
+    cfg = _small_config(tmp_path)
+    if env is None:
+        monkeypatch.delenv("SKETCHLS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SKETCHLS_THREADS", env)
+    argv = ["experiment", "--config", str(cfg)] + (["--threads", flag] if flag else [])
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"usage error: {message}\n"
+    assert not (tmp_path / "res.csv").exists()
+
+
+def test_threads_flag_wins_over_env(capsys, tmp_path, monkeypatch):
+    cfg = _small_config(tmp_path)
+    monkeypatch.setenv("SKETCHLS_THREADS", "abc")
+    code, _, err = _run(capsys, "experiment", "--config", str(cfg), "--threads", "2")
+    assert code == 0, err
+
+
+def test_sketch_size_below_one_in_config_exits_2(capsys, tmp_path):
+    cfg = _small_config(tmp_path, m_values="-3, 20")
+    code, out, err = _run(capsys, "experiment", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: sketch sizes must be >= 1, got m = -3\n"
     assert not (tmp_path / "res.csv").exists()
 
 

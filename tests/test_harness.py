@@ -51,6 +51,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             _small_cfg(m_values=(60, 40))
 
+    @pytest.mark.parametrize("m_values", [(-3, 20), (0, 40), (-1,)])
+    def test_sketch_size_below_one(self, m_values):
+        with pytest.raises(ConfigError, match=f"got m = {m_values[0]}"):
+            _small_cfg(m_values=m_values)
+
 
 class TestRunExperiment:
     def test_single_rep_has_no_std(self, tmp_path):

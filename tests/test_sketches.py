@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
 from sketchls import (
@@ -158,6 +160,127 @@ class TestOperators:
         assert op.n_pad == 32
         M = np.random.default_rng(5).standard_normal((20, 2))
         np.testing.assert_allclose(apply(op, M), as_matrix(op) @ M, atol=1e-10)
+
+
+def _reference_fwht(a):
+    # the stack-based transform that preceded the in-place kernel, kept frozen
+    n, c = a.shape
+    h = 1
+    while h < n:
+        a = a.reshape(n // (2 * h), 2, h, c)
+        a = np.stack((a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]), axis=1)
+        a = a.reshape(n, c)
+        h *= 2
+    return a
+
+
+def _reference_apply(op, M):
+    # the SRHT and CountSketch products that preceded the in-place kernels, kept frozen
+    M = np.asarray(M, dtype=np.float64)
+    vector = M.ndim == 1
+    if vector:
+        M = M[:, None]
+    if op.family == "srht":
+        z = np.zeros((op.n_pad, M.shape[1]))
+        z[: op.n] = M
+        z *= op.signs[:, None]
+        out = _reference_fwht(z)[op.indices] / math.sqrt(op.m)
+    else:
+        out = np.zeros((op.m, M.shape[1]))
+        np.add.at(out, op.buckets, M * op.signs[:, None])
+    return out[:, 0] if vector else out
+
+
+class TestStructuredKernels:
+    @pytest.mark.parametrize("family", ["srht", "countsketch"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 20, 64, 100, 257, 1024])
+    def test_bitwise_equal_to_the_frozen_reference(self, family, n):
+        for m in (1, 7, 40, 300):
+            for cols in (None, 3, 101):
+                for seed in (0, 5, 2**64 - 1):
+                    op = make_operator(SketchSpec(family, m, seed), n)
+                    shape = n if cols is None else (n, cols)
+                    M = np.random.default_rng(seed % 1000 + n).standard_normal(shape)
+                    out = apply(op, M)
+                    assert out.shape == ((m,) if cols is None else (m, cols))
+                    assert np.array_equal(out, _reference_apply(op, M))
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_fwht_in_place_matches_reference(self, n):
+        X = np.random.default_rng(n).standard_normal((n, 4))
+        reference = _reference_fwht(X.copy())
+        assert _fwht(X) is X
+        assert np.array_equal(X, reference)
+
+    def test_fwht_rejects_non_contiguous_input(self):
+        with pytest.raises(ValueError):
+            _fwht(np.ones((8, 2))[:, :1])
+
+    @pytest.mark.parametrize("n, m, seed", [(1, 3, 0), (20, 8, 1), (64, 64, 2), (100, 300, 3)])
+    def test_srht_matrix_from_its_ingredients(self, n, m, seed):
+        op = make_operator(SketchSpec("srht", m, seed), n)
+        explicit = hadamard(op.n_pad)[op.indices][:, :n] * op.signs[:n] / math.sqrt(m)
+        assert np.array_equal(as_matrix(op), explicit)
+
+    @pytest.mark.parametrize("n, m, seed", [(1, 3, 0), (20, 8, 1), (64, 64, 2), (100, 300, 3)])
+    def test_countsketch_matrix_from_its_ingredients(self, n, m, seed):
+        op = make_operator(SketchSpec("countsketch", m, seed), n)
+        explicit = np.zeros((m, n))
+        explicit[op.buckets, np.arange(n)] = op.signs
+        assert np.array_equal(as_matrix(op), explicit)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (50, 1), (50, 7), (3000, 150)])
+    def test_countsketch_rounds_partition_the_input(self, n, m):
+        op = make_operator(SketchSpec("countsketch", m, 11), n)
+        assert np.array_equal(np.sort(np.concatenate(op.rounds)), np.arange(n))
+        arrivals, rank = {}, []
+        for b in op.buckets.tolist():
+            rank.append(arrivals.get(b, 0))
+            arrivals[b] = rank[-1] + 1
+        for r, idx in enumerate(op.rounds):
+            # round r holds, in input order, the r-th arrival at each bucket it touches
+            assert np.all(np.diff(idx) > 0)
+            assert np.unique(op.buckets[idx]).size == idx.size
+            assert all(rank[i] == r for i in idx.tolist())
+        assert len(op.rounds) == max(arrivals.values())
+
+    def test_operator_state_is_read_only(self):
+        op = make_operator(SketchSpec("countsketch", 4, 0), 32)
+        assert isinstance(op.rounds, tuple) and op.rounds
+        for array in (op.buckets, op.signs, *op.rounds):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
+@st.composite
+def _operator_cases(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    n = draw(st.integers(1, 70))
+    m = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**64 - 1))
+    cols = draw(st.one_of(st.none(), st.integers(1, 5)))
+    return family, n, m, seed, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operator_cases())
+def test_apply_is_the_linear_map_of_its_matrix(case):
+    family, n, m, seed, cols = case
+    rng = np.random.default_rng(seed)
+    aux = rng.standard_normal((n, min(n, 3))) if family in ("rownorm", "leverage") else None
+    op = make_operator(SketchSpec(family, m, seed), n, aux=aux)
+    shape = n if cols is None else (n, cols)
+    M1, M2 = rng.standard_normal(shape), rng.standard_normal(shape)
+    S = as_matrix(op)
+    assert S.shape == (m, n)
+    out = apply(op, M1)
+    assert out.shape == ((m,) if cols is None else (m, cols))
+    scale = np.max(np.abs(S)) * np.max(np.abs(M1)) * n
+    np.testing.assert_allclose(out, S @ M1, rtol=1e-12, atol=1e-12 * scale)
+    lhs = apply(op, 2.5 * M1 - M2)
+    rhs = 2.5 * apply(op, M1) - apply(op, M2)
+    scale = np.max(np.abs(S)) * (2.5 * np.max(np.abs(M1)) + np.max(np.abs(M2))) * n
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestSamplingWeights:
