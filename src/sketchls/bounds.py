@@ -178,46 +178,37 @@ class BoundReport:
 
 def evaluate_report(inputs: BoundInputs) -> BoundReport:
     """Evaluate every bound, recording reasons for undefined entries."""
+    d, m, r2, rho = inputs.d, inputs.m, inputs.r2, inputs.rho
     values: dict = {}
     reasons: dict = {}
 
-    def attempt(name, fn):
+    def attempt(name, fn, needs_rho=False):
         try:
+            if needs_rho and rho is None:
+                raise UndefinedBoundError("rho not supplied")
             values[name] = fn()
         except UndefinedBoundError as exc:
             values[name] = None
             reasons[name] = exc.reason
 
-    attempt("exact_classical", lambda: exact_classical_error(inputs.d, inputs.m, inputs.r2))
-    attempt("unbiased_lower", lambda: unbiased_lower_bound(inputs.d, inputs.m, inputs.r2))
-    attempt("eps_prime", lambda: epsilon_prime(inputs.d, inputs.m))
-
-    B = inputs.B
-    if math.isinf(B) and inputs.eta2 is not None:
-        if inputs.sigma_max is None:
-            values["general_lower"] = None
-            reasons["general_lower"] = "eta2 given without sigma_max"
-            B = None
-        else:
-            B = math.sqrt(eta_to_b_squared(inputs.eta2, inputs.r2, inputs.d, inputs.sigma_max))
-    if B is not None:
+    def general_lower():
+        B = inputs.B
+        if math.isinf(B) and inputs.eta2 is not None:
+            if inputs.sigma_max is None:
+                raise UndefinedBoundError("eta2 given without sigma_max")
+            B = math.sqrt(eta_to_b_squared(inputs.eta2, r2, d, inputs.sigma_max))
         if not math.isinf(B) and inputs.sigma_min is None:
-            values["general_lower"] = None
-            reasons["general_lower"] = "finite B requires sigma_min"
-        else:
-            value, vacuous = general_lower_bound(inputs.d, inputs.m, inputs.r2, B, inputs.sigma_min)
-            values["general_lower"] = value
-            if vacuous:
-                reasons["general_lower"] = "vacuous: floored at zero"
+            raise UndefinedBoundError("finite B requires sigma_min")
+        value, vacuous = general_lower_bound(d, m, r2, B, inputs.sigma_min)
+        if vacuous:
+            reasons["general_lower"] = "vacuous: floored at zero"
+        return value
 
-    if inputs.rho is None:
-        for name in ("upper_sa", "upper_pred", "ratio_R"):
-            values[name] = None
-            reasons[name] = "rho not supplied"
-    else:
-        attempt("upper_sa", lambda: upper_bound_sa(inputs.d, inputs.m, inputs.r2, inputs.rho))
-        attempt("upper_pred",
-                lambda: upper_bound_pred(inputs.d, inputs.m, inputs.r2, inputs.rho, inputs.eps))
-        attempt("ratio_R", lambda: ratio_r(inputs.d, inputs.m, inputs.rho, inputs.eps))
-
+    attempt("exact_classical", lambda: exact_classical_error(d, m, r2))
+    attempt("unbiased_lower", lambda: unbiased_lower_bound(d, m, r2))
+    attempt("eps_prime", lambda: epsilon_prime(d, m))
+    attempt("general_lower", general_lower)
+    attempt("upper_sa", lambda: upper_bound_sa(d, m, r2, rho), needs_rho=True)
+    attempt("upper_pred", lambda: upper_bound_pred(d, m, r2, rho, inputs.eps), needs_rho=True)
+    attempt("ratio_R", lambda: ratio_r(d, m, rho, inputs.eps), needs_rho=True)
     return BoundReport(reasons=reasons, **values)

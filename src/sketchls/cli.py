@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .bounds import BoundInputs, BoundReport, evaluate_report
 from .config import load_config
-from .core import ProblemInstance, snr, solve_exact
+from .core import snr, solve_exact
 from .dataio import FORMATS, DatasetFile, load, save_dense_csv, write_results_csv
 from .datagen import SyntheticSpec, gen_gaussian_data
 from .errors import (
@@ -34,7 +34,7 @@ from .errors import (
     NotSpdError,
     RankDeficientError,
 )
-from .estimators import classical, js_oracle, positive_part, shrinkage, shrinkage_alt
+from .estimators import ESTIMATORS, SHRINKAGE, classical, estimate
 from .harness import (
     SteinInstance,
     run_experiment,
@@ -58,8 +58,6 @@ _NUMERICAL_ERRORS = (RankDeficientError, InvalidWeightsError, InvalidSketchSizeE
 
 class UsageError(Exception):
     """Flag combination rejected after argparse accepted the syntax."""
-
-_VECTOR_ESTIMATORS = ("classical", "js-oracle", "shrinkage", "shrinkage-alt", "positive-part")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,19 +105,14 @@ def _cmd_datagen(args) -> int:
     return EXIT_OK
 
 
-def _solution_pairs(instance: ProblemInstance) -> dict:
-    sol = solve_exact(instance)
+def _cmd_solve(args) -> int:
+    sol = solve_exact(load(DatasetFile(path=args.data, format=args.format)))
     rho = snr(sol)
-    return {
+    pairs = {
         "x_ls": [float(v) for v in np.ravel(sol.x_ls)],
         "r2": sol.r2,
         "snr": rho if math.isfinite(rho) else "inf",
     }
-
-
-def _cmd_solve(args) -> int:
-    instance = load(DatasetFile(path=args.data, format=args.format))
-    pairs = _solution_pairs(instance)
     _emit(args, pairs)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -133,20 +126,10 @@ def _cmd_sketch_solve(args) -> int:
     A, y, n, d, m = instance.A, instance.y, instance.n, instance.d, args.m
     op = make_operator(SketchSpec(args.family, m, args.seed), n,
                        weights=sampling_weights(args.family, A))
-    SA = apply(op, A)
-    Sy = apply(op, y)
+    SA, Sy = apply(op, A), apply(op, y)
     rec0 = classical(SA, Sy)
     sol = solve_exact(instance)
-    if args.estimator == "classical":
-        rec = rec0
-    elif args.estimator == "js-oracle":
-        rec = js_oracle(rec0.x_hat, SA, sol.r2, d, m)
-    elif args.estimator == "shrinkage":
-        rec = shrinkage(rec0.x_hat, SA, A, y, d, m)
-    elif args.estimator == "shrinkage-alt":
-        rec = shrinkage_alt(rec0.x_hat, SA, Sy, d, m)
-    else:
-        rec = positive_part(rec0.x_hat, SA, A, y, d, m)
+    rec = estimate(args.estimator, rec0, SA, Sy, A, y, sol.r2, d, m)
     diff = A @ (rec.x_hat - sol.x_ls)
     pairs = {
         "estimator": rec.kind,
@@ -252,42 +235,40 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"sketchls {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(parent, name, fn, summary):
+        """A subcommand that runs `fn` and, like every subcommand, takes --json."""
+        p = parent.add_parser(name, help=summary)
         p.add_argument("--json", action="store_true", help="emit one JSON object")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("datagen", help="write a synthetic instance as dense CSV")
+    p = command(sub, "datagen", _cmd_datagen, "write a synthetic instance as dense CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_datagen)
 
-    p = sub.add_parser("solve", help="exact least-squares solution of a dataset")
+    p = command(sub, "solve", _cmd_solve, "exact least-squares solution of a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--out", help="also write the solution as JSON to this path")
-    common(p)
-    p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("sketch-solve", help="sketch the data and run one estimator")
+    p = command(sub, "sketch-solve", _cmd_sketch_solve, "sketch the data and run one estimator")
     p.add_argument("--data", required=True)
     p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--estimator", choices=_VECTOR_ESTIMATORS, default="shrinkage")
-    common(p)
-    p.set_defaults(fn=_cmd_sketch_solve)
+    # a matrix kind equals its vector counterpart on the vector target read here
+    p.add_argument("--estimator", default=SHRINKAGE,
+                   choices=[k for k, e in ESTIMATORS.items() if e.targets != "matrix"])
 
-    p = sub.add_parser("experiment", help="run a Monte Carlo sweep from a config file")
+    p = command(sub, "experiment", _cmd_experiment, "run a Monte Carlo sweep from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--threads", type=int, help="worker cap (default: SKETCHLS_THREADS or 1)")
-    common(p)
-    p.set_defaults(fn=_cmd_experiment)
 
-    p = sub.add_parser("bounds", help="evaluate every closed-form bound")
+    p = command(sub, "bounds", _cmd_bounds, "evaluate every closed-form bound")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r2", type=float, required=True)
@@ -297,23 +278,19 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma-min", dest="sigma_min", type=float)
     p.add_argument("--sigma-max", dest="sigma_max", type=float)
     p.add_argument("--eps", type=float, default=0.0)
-    common(p)
-    p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("verify", help="Monte Carlo verification gates")
     vsub = p.add_subparsers(dest="check", required=True)
 
-    v = vsub.add_parser("stein", help="shrinkage error identity")
+    v = command(vsub, "stein", _cmd_verify_stein, "shrinkage error identity")
     v.add_argument("--d", type=int, default=10)
     v.add_argument("--samples", type=int, default=100_000)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--theta-norm", dest="theta_norm", type=float, default=0.0)
     v.add_argument("--cond", type=float, default=100.0)
     v.add_argument("--tol", type=float, default=0.02)
-    common(v)
-    v.set_defaults(fn=_cmd_verify_stein)
 
-    v = vsub.add_parser("residual", help="residual-estimate unbiasedness")
+    v = command(vsub, "residual", _cmd_verify_residual, "residual-estimate unbiasedness")
     v.add_argument("--n", type=int, default=256)
     v.add_argument("--d", type=int, default=20)
     v.add_argument("--rho", type=float, default=1.0)
@@ -322,18 +299,14 @@ def build_parser() -> _Parser:
     v.add_argument("--reps", type=int, default=500)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tol", type=float, default=0.02)
-    common(v)
-    v.set_defaults(fn=_cmd_verify_residual)
 
-    v = vsub.add_parser("gram", help="Gram identity E[S^T S] = I")
+    v = command(vsub, "gram", _cmd_verify_gram, "Gram identity E[S^T S] = I")
     v.add_argument("--family", choices=FAMILIES, required=True)
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--m", type=int, required=True)
     v.add_argument("--reps", type=int, default=10_000)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tol", type=float, default=0.05)
-    common(v)
-    v.set_defaults(fn=_cmd_verify_gram)
 
     return parser
 

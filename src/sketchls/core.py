@@ -52,6 +52,14 @@ class ExactSolution:
     r2: float
     pred_energy: float
 
+    @classmethod
+    def from_fit(cls, x_ls: np.ndarray, fitted: np.ndarray, y_perp: np.ndarray) -> ExactSolution:
+        """Freeze x_ls and y_perp and derive r2 and pred_energy from the fit."""
+        x_ls.setflags(write=False)
+        y_perp.setflags(write=False)
+        return cls(x_ls=x_ls, y_perp=y_perp, r2=float(np.sum(y_perp * y_perp)),
+                   pred_energy=float(np.sum(fitted * fitted)))
+
 
 class ProblemInstance:
     """A dense overdetermined least-squares instance.
@@ -125,18 +133,9 @@ class ProblemInstance:
 
     @cached_property
     def solution(self) -> ExactSolution:
-        b = self.target
         x = scipy.linalg.solve_triangular(self.R, self.qtb)
         fitted = self.A @ x
-        y_perp = b - fitted
-        x.setflags(write=False)
-        y_perp.setflags(write=False)
-        return ExactSolution(
-            x_ls=x,
-            y_perp=y_perp,
-            r2=float(np.sum(y_perp * y_perp)),
-            pred_energy=float(np.sum(fitted * fitted)),
-        )
+        return ExactSolution.from_fit(x, fitted, self.target - fitted)
 
 
 def solve_exact(p: ProblemInstance) -> ExactSolution:

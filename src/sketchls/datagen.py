@@ -109,19 +109,8 @@ def gen_gaussian_data(spec: SyntheticSpec) -> tuple[ProblemInstance, ExactSoluti
     fitted = A @ x_ls
     target = fitted + y_perp
 
-    if spec.k is None:
-        instance = ProblemInstance(A, y=target)
-    else:
-        instance = ProblemInstance(A, Y=target)
-    x_ls.setflags(write=False)
-    y_perp.setflags(write=False)
-    planted = ExactSolution(
-        x_ls=x_ls,
-        y_perp=y_perp,
-        r2=float(np.sum(y_perp * y_perp)),
-        pred_energy=float(np.sum(fitted * fitted)),
-    )
-    return instance, planted
+    instance = ProblemInstance(A, y=target) if spec.k is None else ProblemInstance(A, Y=target)
+    return instance, ExactSolution.from_fit(x_ls, fitted, y_perp)
 
 
 def add_noise(p: ProblemInstance, kappa: float, seed: int) -> ProblemInstance:

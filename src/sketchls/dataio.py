@@ -125,10 +125,7 @@ def load(file: DatasetFile) -> ProblemInstance:
     path = Path(file.path)
     if not path.is_file():
         raise DataFormatError(f"no such file: {path}")
-    if file.format == FORMAT_SPARSE:
-        A, y = _load_sparse(path)
-    else:
-        A, y = _load_dense(path)
+    A, y = (_load_sparse if file.format == FORMAT_SPARSE else _load_dense)(path)
     if file.onehot is not None:
         return ProblemInstance(A, y=y, Y=_one_hot(y, file.onehot))
     return ProblemInstance(A, y=y)
@@ -145,8 +142,11 @@ def save_dense_csv(p: ProblemInstance, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-CSV_HEADER = ("family,m,estimator,reps,mean_pred_err,std_pred_err,mean_sa_err,std_sa_err,"
-              "mean_shrink_factor,bound_exact_classical,bound_lower_general,bound_upper_sa")
+# CellResult fields written after family, m, estimator and reps, in column order
+_STAT_COLUMNS = ("mean_pred_err", "std_pred_err", "mean_sa_err", "std_sa_err",
+                 "mean_shrink_factor", "bound_exact_classical", "bound_lower_general",
+                 "bound_upper_sa")
+CSV_HEADER = ",".join(("family", "m", "estimator", "reps") + _STAT_COLUMNS)
 
 
 def _fmt(value) -> str:
@@ -164,19 +164,7 @@ def write_results_csv(cells, path) -> None:
         raise ValueError("no results to write")
     lines = [CSV_HEADER]
     for c in cells:
-        lines.append(",".join([
-            c.family,
-            str(c.m),
-            c.estimator,
-            str(c.reps),
-            _fmt(c.mean_pred_err),
-            _fmt(c.std_pred_err),
-            _fmt(c.mean_sa_err),
-            _fmt(c.std_sa_err),
-            _fmt(c.mean_shrink_factor),
-            _fmt(c.bound_exact_classical),
-            _fmt(c.bound_lower_general),
-            _fmt(c.bound_upper_sa),
-        ]))
+        stats = [_fmt(getattr(c, name)) for name in _STAT_COLUMNS]
+        lines.append(",".join([c.family, str(c.m), c.estimator, str(c.reps)] + stats))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

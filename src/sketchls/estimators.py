@@ -18,25 +18,46 @@ shrinking cannot help.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import RANK_TOL
-from .errors import (
-    DimensionMismatchError,
-    InvalidSketchSizeError,
-    RankDeficientSketchError,
-)
+from .errors import DimensionMismatchError, InvalidSketchSizeError, RankDeficientSketchError
 
-KINDS = (
-    "classical",
-    "js-oracle",
-    "shrinkage",
-    "shrinkage-alt",
-    "positive-part",
-    "shrinkage-fro",
-)
+
+def _rank_gate(d: int, m: int) -> str | None:
+    return f"m={m} < d={d}: sketched problem is rank deficient" if m < d else None
+
+
+def _shrinkage_gate(d: int, m: int) -> str | None:
+    # the shrinkage family shares the m > d+3 domain of its bound formulas
+    return (f"m={m} <= d+3={d + 3}: shrinkage domain (and its bounds) undefined"
+            if m <= d + 3 else None)
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """How one estimator kind is computed and where it is defined."""
+
+    function: str  # module function, looked up per call so a wrapper on it sees every call
+    residual: str  # where r^2 in the factor comes from: "none", "true", "full" or "sketched"
+    targets: str  # "vector", "any", or "matrix" (on a vector, equal to the vector kind)
+    gate: Callable[[int, int], str | None]  # (d, m) -> why m is outside the domain, or None
+
+
+ESTIMATORS = {
+    "classical": Estimator("classical", "none", "any", _rank_gate),
+    "js-oracle": Estimator("js_oracle", "true", "vector", _shrinkage_gate),
+    "shrinkage": Estimator("shrinkage", "full", "vector", _shrinkage_gate),
+    "shrinkage-alt": Estimator("shrinkage_alt", "sketched", "vector", _shrinkage_gate),
+    "positive-part": Estimator("positive_part", "full", "vector", _shrinkage_gate),
+    "shrinkage-fro": Estimator("shrinkage_matrix", "full", "matrix", _shrinkage_gate),
+}
+KINDS = tuple(ESTIMATORS)
+# the labels the functions below put on their records
+CLASSICAL, JS_ORACLE, SHRINKAGE, SHRINKAGE_ALT, POSITIVE_PART, SHRINKAGE_FRO = KINDS
 
 
 @dataclass(frozen=True)
@@ -84,7 +105,7 @@ def classical(SA, Sy, rank_tol: float = RANK_TOL) -> EstimateRecord:
         raise RankDeficientSketchError(
             f"SA is rank deficient: s_min/s_max = {svals[-1] / svals[0]:.3e}"
         )
-    return EstimateRecord(x_hat=x, kind="classical", shrink_factor=1.0)
+    return EstimateRecord(x_hat=x, kind=CLASSICAL, shrink_factor=1.0)
 
 
 def estimate_residual_full(A, y, x_hat, d: int, m: int) -> float:
@@ -109,24 +130,37 @@ def estimate_residual_sketched(SA, Sy, x_hat, d: int, m: int) -> float:
 
 
 def _shrink(x_hat, SA, r2_value: float, d: int, m: int, kind: str,
-            r2_estimate: float | None, snr_estimate: float | None) -> EstimateRecord:
-    """Common James-Stein style rescaling: factor = 1 - (d-2) r2 / (m ||SA x_hat||^2)."""
+            r2_estimate: float | None, residual_sq: float | None = None) -> EstimateRecord:
+    """Common James-Stein style rescaling: factor = 1 - (d-2) r2 / (m ||SA x_hat||^2).
+
+    With `residual_sq` = ||A x_hat - y||^2 the record also carries the SNR proxy.
+    """
     x_hat = np.asarray(x_hat, dtype=np.float64)
-    if d <= 2:
-        return EstimateRecord(x_hat=x_hat, kind=kind, shrink_factor=1.0,
-                              r2_estimate=r2_estimate, degenerate=True)
     energy = _sq(np.asarray(SA) @ x_hat)
-    if energy == 0.0:
+    if d <= 2 or energy == 0.0:
         return EstimateRecord(x_hat=x_hat, kind=kind, shrink_factor=1.0,
                               r2_estimate=r2_estimate, degenerate=True)
     factor = 1.0 - (d - 2) * r2_value / (m * energy)
+    proxy = None if residual_sq is None else (
+        energy / residual_sq if residual_sq > 0 else math.inf)
     return EstimateRecord(x_hat=factor * x_hat, kind=kind, shrink_factor=factor,
-                          r2_estimate=r2_estimate, snr_estimate=snr_estimate)
+                          r2_estimate=r2_estimate, snr_estimate=proxy)
 
 
 def js_oracle(x_hat, SA, r2_true: float, d: int, m: int) -> EstimateRecord:
     """Shrink with the true residual energy (oracle reference)."""
-    return _shrink(x_hat, SA, r2_true, d, m, "js-oracle", None, None)
+    return _shrink(x_hat, SA, r2_true, d, m, JS_ORACLE, None)
+
+
+def _shrink_full(x_hat, SA, A, y, d: int, m: int, residual_sq: float | None,
+                 kind: str) -> EstimateRecord:
+    """The body of `shrinkage` and `shrinkage_matrix`, which differ only in `kind`."""
+    if m <= d + 1:
+        raise InvalidSketchSizeError(f"{kind} needs m > d+1, got m={m}, d={d}")
+    if residual_sq is None:
+        residual_sq = _sq(np.asarray(A) @ np.asarray(x_hat) - np.asarray(y))
+    r2_est = (m - d - 1) / (m - 1) * residual_sq
+    return _shrink(x_hat, SA, r2_est, d, m, kind, r2_est, residual_sq)
 
 
 def shrinkage(x_hat, SA, A, y, d: int, m: int, residual_sq: float | None = None) -> EstimateRecord:
@@ -137,14 +171,7 @@ def shrinkage(x_hat, SA, A, y, d: int, m: int, residual_sq: float | None = None)
     overrides ||A x_hat - y||^2, e.g. with a value computed from an
     independent second sketch.
     """
-    if m <= d + 1:
-        raise InvalidSketchSizeError(f"shrinkage needs m > d+1, got m={m}, d={d}")
-    if residual_sq is None:
-        residual_sq = _sq(np.asarray(A) @ np.asarray(x_hat) - np.asarray(y))
-    r2_est = (m - d - 1) / (m - 1) * residual_sq
-    energy = _sq(np.asarray(SA) @ np.asarray(x_hat))
-    proxy = energy / residual_sq if residual_sq > 0 else math.inf
-    return _shrink(x_hat, SA, r2_est, d, m, "shrinkage", r2_est, proxy)
+    return _shrink_full(x_hat, SA, A, y, d, m, residual_sq, SHRINKAGE)
 
 
 def shrinkage_alt(x_hat, SA, Sy, d: int, m: int, residual_sq: float | None = None) -> EstimateRecord:
@@ -158,19 +185,15 @@ def shrinkage_alt(x_hat, SA, Sy, d: int, m: int, residual_sq: float | None = Non
     if residual_sq is None:
         residual_sq = _sq(np.asarray(SA) @ np.asarray(x_hat) - np.asarray(Sy))
     r2_est = m / (m - d) * residual_sq
-    return _shrink(x_hat, SA, r2_est, d, m, "shrinkage-alt", r2_est, None)
+    return _shrink(x_hat, SA, r2_est, d, m, SHRINKAGE_ALT, r2_est)
 
 
 def positive_part(x_hat, SA, A, y, d: int, m: int, residual_sq: float | None = None) -> EstimateRecord:
     """Shrinkage with the factor clamped at zero (never flips sign)."""
-    rec = shrinkage(x_hat, SA, A, y, d, m, residual_sq=residual_sq)
+    rec = replace(shrinkage(x_hat, SA, A, y, d, m, residual_sq=residual_sq), kind=POSITIVE_PART)
     if rec.shrink_factor >= 0.0:
-        return EstimateRecord(x_hat=rec.x_hat, kind="positive-part",
-                              shrink_factor=rec.shrink_factor, r2_estimate=rec.r2_estimate,
-                              degenerate=rec.degenerate, snr_estimate=rec.snr_estimate)
-    zero = np.zeros_like(np.asarray(x_hat, dtype=np.float64))
-    return EstimateRecord(x_hat=zero, kind="positive-part", shrink_factor=0.0,
-                          r2_estimate=rec.r2_estimate, snr_estimate=rec.snr_estimate)
+        return rec
+    return replace(rec, x_hat=np.zeros_like(rec.x_hat), shrink_factor=0.0)
 
 
 def shrinkage_matrix(X_hat, SA, A, Y, d: int, m: int, residual_sq: float | None = None) -> EstimateRecord:
@@ -180,11 +203,29 @@ def shrinkage_matrix(X_hat, SA, A, Y, d: int, m: int, residual_sq: float | None 
     norms; with a single target column it reduces exactly to the vector
     estimator.
     """
-    if m <= d + 1:
-        raise InvalidSketchSizeError(f"shrinkage-fro needs m > d+1, got m={m}, d={d}")
-    if residual_sq is None:
-        residual_sq = _sq(np.asarray(A) @ np.asarray(X_hat) - np.asarray(Y))
-    r2_est = (m - d - 1) / (m - 1) * residual_sq
-    proxy_energy = _sq(np.asarray(SA) @ np.asarray(X_hat))
-    proxy = proxy_energy / residual_sq if residual_sq > 0 else math.inf
-    return _shrink(X_hat, SA, r2_est, d, m, "shrinkage-fro", r2_est, proxy)
+    return _shrink_full(X_hat, SA, A, Y, d, m, residual_sq, SHRINKAGE_FRO)
+
+
+def skip_reason(kind: str, d: int, m: int, matrix_target: bool) -> str | None:
+    """Why `kind` cannot run at (d, m) on this target, or None when it can."""
+    entry = ESTIMATORS[kind]
+    if matrix_target and entry.targets == "vector":
+        return f"{kind} is undefined for matrix targets"
+    return entry.gate(d, m)
+
+
+def estimate(kind: str, rec0: EstimateRecord, SA, Sy, A, y, r2_true: float, d: int, m: int,
+             residual_sq: dict | None = None) -> EstimateRecord:
+    """The `kind` record on one realization, built on its classical record `rec0`.
+
+    `residual_sq` maps a residual source ("full" or "sketched") to a precomputed
+    residual energy that replaces the one the estimator computes from (A, y) or Sy.
+    """
+    entry = ESTIMATORS[kind]
+    if entry.residual == "none":
+        return rec0
+    fn = globals()[entry.function]
+    if entry.residual == "true":
+        return fn(rec0.x_hat, SA, r2_true, d, m)
+    data = (A, y) if entry.residual == "full" else (Sy,)
+    return fn(rec0.x_hat, SA, *data, d, m, residual_sq=(residual_sq or {}).get(entry.residual))

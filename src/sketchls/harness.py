@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,8 +46,6 @@ from .sketches import (
     make_operator,
     sampling_weights,
 )
-
-_MATRIX_KINDS = ("classical", "shrinkage-fro")
 
 
 @dataclass(frozen=True)
@@ -74,8 +72,12 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown estimator {e!r}")
         if not self.families or not self.m_values or not self.estimators:
             raise ConfigError("families, m_values, and estimators must be nonempty")
-        if list(self.m_values) != sorted(self.m_values):
-            raise ConfigError("m_values must be ascending")
+        for name in ("families", "estimators"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must not repeat, got {values}")
+        if any(a >= b for a, b in zip(self.m_values, self.m_values[1:])):
+            raise ConfigError(f"m_values must be strictly ascending, got {self.m_values}")
         if self.m_values[0] < 1:
             raise ConfigError(f"sketch sizes must be >= 1, got m = {self.m_values[0]}")
         if self.reps < 1:
@@ -146,33 +148,6 @@ def resolve_instance(cfg: ExperimentConfig) -> tuple[ProblemInstance, ExactSolut
     return instance, sol
 
 
-def _estimator_records(kind, rec0, SA, St, instance, sol, d, m, residuals):
-    """Build the record for one estimator kind on a shared realization.
-
-    `residuals["full"]` is ||A x_hat - b||^2 of the classical (or, with two
-    sketches, the auxiliary) solution; `residuals["sketched"]`, present
-    only with two sketches, is the auxiliary sketched residual.
-    """
-    A, target = instance.A, instance.target
-    if kind == "classical":
-        return rec0
-    if kind == "js-oracle":
-        return est_mod.js_oracle(rec0.x_hat, SA, sol.r2, d, m)
-    if kind == "shrinkage":
-        return est_mod.shrinkage(rec0.x_hat, SA, A, target, d, m,
-                                 residual_sq=residuals["full"])
-    if kind == "shrinkage-alt":
-        return est_mod.shrinkage_alt(rec0.x_hat, SA, St, d, m,
-                                     residual_sq=residuals.get("sketched"))
-    if kind == "positive-part":
-        return est_mod.positive_part(rec0.x_hat, SA, A, target, d, m,
-                                     residual_sq=residuals["full"])
-    if kind == "shrinkage-fro":
-        return est_mod.shrinkage_matrix(rec0.x_hat, SA, A, target, d, m,
-                                        residual_sq=residuals["full"])
-    raise ConfigError(f"unknown estimator {kind!r}")
-
-
 def _fit_error(R, x_hat, x_ls) -> float:
     """||A(x_hat - x_ls)||^2 computed as ||R(x_hat - x_ls)||^2, with A = QR: O(d^2).
 
@@ -211,36 +186,25 @@ def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch, w
     SA, St = _sketched_data(instance, family, m, seed, weights, r_tilde)
     rec0 = est_mod.classical(SA, St)
 
+    # residual energies by source, of the classical or (two sketches) the auxiliary solution
     residuals: dict = {}
     x_res = rec0.x_hat
     if two_sketch:
         SA2, St2 = _sketched_data(instance, family, m, aux_seed, weights, r_tilde)
-        rec_aux = est_mod.classical(SA2, St2)
-        x_res = rec_aux.x_hat
+        x_res = est_mod.classical(SA2, St2).x_hat
         diff_skt = SA2 @ x_res - St2
         residuals["sketched"] = float(np.sum(diff_skt * diff_skt))
     residuals["full"] = _fit_error(R, x_res, sol.x_ls) + sol.r2
 
     out = {}
     for kind in estimators:
-        rec = _estimator_records(kind, rec0, SA, St, instance, sol, d, m, residuals)
+        rec = est_mod.estimate(kind, rec0, SA, St, instance.A, instance.target, sol.r2, d, m,
+                               residuals)
         pred = _fit_error(R, rec.x_hat, sol.x_ls) / n
         sa_diff = SA @ (rec.x_hat - sol.x_ls)
         sa = float(np.sum(sa_diff * sa_diff)) / n
         out[kind] = (pred, sa, rec.shrink_factor)
     return out
-
-
-def _cell_gate(kind: str, d: int, m: int, is_matrix: bool) -> str | None:
-    """Reason the cell must be skipped, or None when it is runnable."""
-    if is_matrix and kind not in _MATRIX_KINDS:
-        return f"{kind} is undefined for matrix targets"
-    if kind == "classical":
-        return f"m={m} < d={d}: sketched problem is rank deficient" if m < d else None
-    # shrinkage-family cells share the m > d+3 domain of their bound formulas
-    if m <= d + 3:
-        return f"m={m} <= d+3={d + 3}: shrinkage domain (and its bounds) undefined"
-    return None
 
 
 def _bound_columns(d, m, r2, rho, n):
@@ -249,13 +213,17 @@ def _bound_columns(d, m, r2, rho, n):
         exact = bounds_mod.exact_classical_error(d, m, r2) / n
     except SketchLSError:
         exact = None
-    lower, _ = bounds_mod.general_lower_bound(d, m, r2)
-    lower /= n
+    lower = bounds_mod.general_lower_bound(d, m, r2)[0] / n
     try:
         upper = bounds_mod.upper_bound_sa(d, m, r2, rho) / n
     except SketchLSError:
         upper = None
     return exact, lower, upper
+
+
+def _empty_cell(family: str, m: int, kind: str, bounds: tuple, reason: str) -> CellResult:
+    """A cell with no statistics: skipped outside its domain, or failed."""
+    return CellResult(family, m, kind, 0, None, None, None, None, None, *bounds, skipped=reason)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -266,6 +234,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     computed once per family.  Requested cells whose (d, m) fall outside an
     estimator's domain are recorded as skipped, not failed.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     instance, sol = resolve_instance(cfg)
     r_tilde = augmented_factor(instance, sol) if "gaussian" in cfg.families else None
     n, d = instance.n, instance.d
@@ -273,7 +243,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     is_matrix = instance.Y is not None
 
     cells: list[CellResult] = []
-    pool = ThreadPoolExecutor(max_workers=max(1, threads)) if threads > 1 else None
+    # one thread runs serially: a one-worker pool costs peak memory and buys nothing
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         for family in cfg.families:
             try:
@@ -281,24 +252,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             except SketchLSError as exc:
                 weights, weight_error = None, exc
             for m in cfg.m_values:
-                b_exact, b_lower, b_upper = _bound_columns(d, m, r2, rho, n)
+                bounds = _bound_columns(d, m, r2, rho, n)
                 seeds = tuple(derive_seed(cfg.master_seed, family, m, r) for r in range(cfg.reps))
                 aux_seeds = tuple(derive_seed(cfg.master_seed, family, m, r, "aux")
                                   for r in range(cfg.reps))
-                runnable = [k for k in cfg.estimators
-                            if _cell_gate(k, d, m, is_matrix) is None]
-                for kind in cfg.estimators:
-                    reason = _cell_gate(kind, d, m, is_matrix)
-                    if reason is not None:
-                        cells.append(CellResult(
-                            family=family, m=m, estimator=kind, reps=0,
-                            mean_pred_err=None, std_pred_err=None,
-                            mean_sa_err=None, std_sa_err=None,
-                            mean_shrink_factor=None,
-                            bound_exact_classical=b_exact,
-                            bound_lower_general=b_lower,
-                            bound_upper_sa=b_upper,
-                            skipped=reason))
+                reasons = {k: est_mod.skip_reason(k, d, m, is_matrix) for k in cfg.estimators}
+                cells += [_empty_cell(family, m, k, bounds, reason)
+                          for k, reason in reasons.items() if reason is not None]
+                runnable = [k for k, reason in reasons.items() if reason is None]
                 if not runnable:
                     continue
 
@@ -312,37 +273,20 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
 
                 if weight_error is not None:
                     rep_outputs = [weight_error]
-                elif pool is not None:
-                    rep_outputs = list(pool.map(one, range(cfg.reps)))
                 else:
-                    rep_outputs = [one(r) for r in range(cfg.reps)]
+                    rep_outputs = list((map if pool is None else pool.map)(one, range(cfg.reps)))
 
                 failure = next((o for o in rep_outputs if isinstance(o, SketchLSError)), None)
                 for kind in runnable:
                     if failure is not None:
-                        cells.append(CellResult(
-                            family=family, m=m, estimator=kind, reps=0,
-                            mean_pred_err=None, std_pred_err=None,
-                            mean_sa_err=None, std_sa_err=None,
-                            mean_shrink_factor=None,
-                            bound_exact_classical=b_exact,
-                            bound_lower_general=b_lower,
-                            bound_upper_sa=b_upper,
-                            skipped=f"failed: {failure}"))
+                        cells.append(_empty_cell(family, m, kind, bounds, f"failed: {failure}"))
                         continue
-                    pred = np.array([o[kind][0] for o in rep_outputs])
-                    sa = np.array([o[kind][1] for o in rep_outputs])
-                    fac = np.array([o[kind][2] for o in rep_outputs])
+                    pred, sa, fac = (np.array(col) for col in zip(*(o[kind] for o in rep_outputs)))
                     std_pred = float(np.std(pred, ddof=1)) if cfg.reps >= 2 else None
                     std_sa = float(np.std(sa, ddof=1)) if cfg.reps >= 2 else None
                     cells.append(CellResult(
-                        family=family, m=m, estimator=kind, reps=cfg.reps,
-                        mean_pred_err=float(pred.mean()), std_pred_err=std_pred,
-                        mean_sa_err=float(sa.mean()), std_sa_err=std_sa,
-                        mean_shrink_factor=float(fac.mean()),
-                        bound_exact_classical=b_exact,
-                        bound_lower_general=b_lower,
-                        bound_upper_sa=b_upper,
+                        family, m, kind, cfg.reps, float(pred.mean()), std_pred,
+                        float(sa.mean()), std_sa, float(fac.mean()), *bounds,
                         rep_seeds=seeds,
                         per_rep_pred_err=tuple(pred.tolist()),
                         per_rep_sa_err=tuple(sa.tolist()),
@@ -357,11 +301,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
 def replay_cell(cfg: ExperimentConfig, family: str, m: int) -> ExperimentResult:
     """Re-run a single cell of a sweep; seeds depend only on the cell key,
     so the per-rep logs reproduce the original run bitwise."""
-    sub = ExperimentConfig(source=cfg.source, families=(family,), m_values=(m,),
-                           estimators=cfg.estimators, reps=cfg.reps,
-                           master_seed=cfg.master_seed, kappa=cfg.kappa,
-                           two_sketch=cfg.two_sketch, eps_for_bounds=cfg.eps_for_bounds)
-    return run_experiment(sub)
+    return run_experiment(replace(cfg, families=(family,), m_values=(m,), out_path=None))
 
 
 @dataclass(frozen=True)
@@ -424,8 +364,7 @@ def verify_residual_unbiased(p: ProblemInstance, sol: ExactSolution, family: str
     for r in range(reps):
         op = make_operator(SketchSpec(family, m, derive_seed(seed, family, m, r)), n,
                            weights=weights)
-        SA = apply(op, A)
-        St = apply(op, target)
+        SA, St = apply(op, A), apply(op, target)
         rec = est_mod.classical(SA, St)
         full[r] = est_mod.estimate_residual_full(A, target, rec.x_hat, d, m)
         sketched[r] = est_mod.estimate_residual_sketched(SA, St, rec.x_hat, d, m)
@@ -449,5 +388,4 @@ def verify_gram_identity(family: str, n: int, m: int, reps: int, seed: int) -> f
                            weights=weights)
         S = as_matrix(op)
         acc += S.T @ S
-    mean = acc / reps
-    return float(np.max(np.abs(mean - np.eye(n))))
+    return float(np.max(np.abs(acc / reps - np.eye(n))))

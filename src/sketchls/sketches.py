@@ -18,18 +18,14 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError, InvalidWeightsError
 
-FAMILIES = (
-    "gaussian",
-    "rademacher",
-    "srht",
-    "countsketch",
-    "uniform",
-    "rownorm",
-    "leverage",
-)
-
-# Sampling families whose probabilities are computed from the data matrix.
-WEIGHTED_FAMILIES = ("rownorm", "leverage")
+# Sampling families whose probabilities are computed from the data matrix,
+# with the unnormalized row weights each takes from it.  `leverage_scores`
+# is looked up per call, so a wrapper installed on it sees every call.
+_ROW_WEIGHTS = {
+    "rownorm": lambda A: np.sum(A * A, axis=1),
+    "leverage": lambda A: leverage_scores(A),
+}
+WEIGHTED_FAMILIES = tuple(_ROW_WEIGHTS)
 _WEIGHT_SUM_TOL = 1e-12
 _MASK64 = (1 << 64) - 1
 
@@ -81,22 +77,24 @@ class SketchSpec:
             raise InvalidInputError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 class SketchOperator:
     """A realized random linear map from R^n to R^m.
 
-    Construction draws every random ingredient (dense block, sign table,
-    sampled indices) once; `apply` is then a pure function.  Instances
-    are immutable and safe to share across threads.
+    Each kernel is a subclass: `_realize(rng, aux, weights)` draws every
+    random ingredient once, at construction, and `_apply(M)` computes S @ M
+    for an n-by-c float64 matrix M.  Instances are immutable and safe to
+    share across threads.
     """
 
-    def __init__(self, spec: SketchSpec, n: int, payload: dict):
+    def __init__(self, spec: SketchSpec, n: int, aux=None, weights=None):
         self.spec = spec
         self.n = n
-        for key, value in payload.items():
-            for array in value if isinstance(value, tuple) else (value,):
-                if isinstance(array, np.ndarray):
-                    array.setflags(write=False)
-            setattr(self, key, value)
+        self._realize(np.random.default_rng(spec.seed), aux, weights)
 
     @property
     def m(self) -> int:
@@ -105,10 +103,6 @@ class SketchOperator:
     @property
     def family(self) -> str:
         return self.spec.family
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << (n - 1).bit_length()
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
@@ -145,36 +139,19 @@ def sampling_weights(family: str, A) -> np.ndarray | None:
     on A alone, so a sweep computes it once per family and passes it to
     every `make_operator` call as `weights`.
     """
-    if family not in WEIGHTED_FAMILIES:
+    row_weights = _ROW_WEIGHTS.get(family)
+    if row_weights is None:
         return None
     if A is None:
         raise InvalidWeightsError(f"{family} sampling needs the data matrix as weight source")
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise DimensionMismatchError(f"weight source must be a matrix, got shape {A.shape}")
-    w = np.sum(A * A, axis=1) if family == "rownorm" else leverage_scores(A)
+    w = row_weights(A)
     total = w.sum()
     if total <= 0:
         raise InvalidWeightsError("all sampling weights are zero")
-    p = w / total
-    p.setflags(write=False)
-    return p
-
-
-def _sampling_probs(family: str, n: int, aux, weights) -> np.ndarray:
-    """Validated sampling probabilities: uniform, the given weights, or weights from aux."""
-    if family == "uniform":
-        p = np.full(n, 1.0 / n)
-    else:
-        p = np.asarray(sampling_weights(family, aux) if weights is None else weights,
-                       dtype=np.float64)
-        if p.shape != (n,):
-            raise DimensionMismatchError(f"weights must have shape ({n},), got {p.shape}")
-    if np.any(p <= 0):
-        raise InvalidWeightsError("sampling probabilities must be strictly positive")
-    if abs(p.sum() - 1.0) > _WEIGHT_SUM_TOL:
-        raise InvalidWeightsError(f"probabilities sum to {p.sum()!r}, not 1")
-    return p
+    return _frozen(w / total)
 
 
 def _countsketch_rounds(buckets: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -204,6 +181,104 @@ def leverage_scores(A) -> np.ndarray:
     return np.sum(Q * Q, axis=1)
 
 
+class _Dense(SketchOperator):
+    """An explicit m x n block, scaled in place: one float buffer."""
+
+    def _apply(self, M):
+        return self.dense @ M
+
+
+class _Gaussian(_Dense):
+    def _realize(self, rng, aux, weights):
+        dense = rng.standard_normal((self.m, self.n))
+        dense /= math.sqrt(self.m)
+        self.dense = _frozen(dense)
+
+
+class _Rademacher(_Dense):
+    def _realize(self, rng, aux, weights):
+        # bits * 2s - s is exact, so it equals (2 bits - 1) / sqrt(m) bitwise
+        s = 1.0 / math.sqrt(self.m)
+        dense = np.multiply(rng.integers(0, 2, size=(self.m, self.n)), 2.0 * s)
+        dense -= s
+        self.dense = _frozen(dense)
+
+
+class _Srht(SketchOperator):
+    """Sign flips, the Hadamard transform of the zero-padded input, and sampled rows."""
+
+    def _realize(self, rng, aux, weights):
+        self.n_pad = 1 << (self.n - 1).bit_length()  # the next power of two
+        self.signs = _frozen(2.0 * rng.integers(0, 2, size=self.n_pad) - 1.0)
+        self.indices = _frozen(rng.integers(0, self.n_pad, size=self.m))
+
+    def _apply(self, M):
+        z = np.zeros((self.n_pad, M.shape[1]))
+        np.multiply(M, self.signs[: self.n, None], out=z[: self.n])
+        _fwht(z)
+        # sqrt(n_pad/m) * (H/sqrt(n_pad)) collapses to 1/sqrt(m) on the raw transform
+        out = z[self.indices]
+        out /= math.sqrt(self.m)
+        return out
+
+
+class _CountSketch(SketchOperator):
+    """One random output row and one random sign per input coordinate."""
+
+    def _realize(self, rng, aux, weights):
+        self.buckets = _frozen(rng.integers(0, self.m, size=self.n))
+        self.signs = _frozen(2.0 * rng.integers(0, 2, size=self.n) - 1.0)
+        self.rounds = tuple(_frozen(r) for r in _countsketch_rounds(self.buckets))
+
+    def _apply(self, M):
+        # No bucket repeats within a round, so each bucket sums its inputs
+        # in input order, exactly as np.add.at(out, buckets, M * signs) would.
+        out = np.zeros((self.m, M.shape[1]))
+        for idx in self.rounds:
+            out[self.buckets[idx]] += M[idx] * self.signs[idx, None]
+        return out
+
+
+class _SampledRows(SketchOperator):
+    """m rows drawn i.i.d. with replacement from the probabilities p."""
+
+    def _probabilities(self, aux, weights) -> np.ndarray:
+        p = np.asarray(sampling_weights(self.family, aux) if weights is None else weights,
+                       dtype=np.float64)
+        if p.shape != (self.n,):
+            raise DimensionMismatchError(f"weights must have shape ({self.n},), got {p.shape}")
+        return p
+
+    def _realize(self, rng, aux, weights):
+        p = self._probabilities(aux, weights)
+        if np.any(p <= 0):
+            raise InvalidWeightsError("sampling probabilities must be strictly positive")
+        if abs(p.sum() - 1.0) > _WEIGHT_SUM_TOL:
+            raise InvalidWeightsError(f"probabilities sum to {p.sum()!r}, not 1")
+        self.indices = _frozen(rng.choice(self.n, size=self.m, replace=True, p=p))
+        self.row_scale = _frozen(1.0 / np.sqrt(self.m * p[self.indices]))
+
+    def _apply(self, M):
+        return M[self.indices] * self.row_scale[:, None]
+
+
+class _UniformRows(_SampledRows):
+    def _probabilities(self, aux, weights) -> np.ndarray:
+        return np.full(self.n, 1.0 / self.n)
+
+
+_KERNELS = {
+    "gaussian": _Gaussian,
+    "rademacher": _Rademacher,
+    "srht": _Srht,
+    "countsketch": _CountSketch,
+    "uniform": _UniformRows,
+    "rownorm": _SampledRows,
+    "leverage": _SampledRows,
+}
+FAMILIES = tuple(_KERNELS)
+
+
 def make_operator(spec: SketchSpec, n: int, aux=None, weights=None) -> SketchOperator:
     """Realize a sketch operator for inputs of length n.
 
@@ -222,43 +297,7 @@ def make_operator(spec: SketchSpec, n: int, aux=None, weights=None) -> SketchOpe
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(spec.seed)
-    m, family = spec.m, spec.family
-
-    # Dense families scale in place: one m x n float buffer each.  The
-    # Rademacher form bits * 2s - s is exact, so it equals (2 bits - 1) / sqrt(m)
-    # bitwise.
-    if family == "gaussian":
-        dense = rng.standard_normal((m, n))
-        dense /= math.sqrt(m)
-        payload = {"dense": dense}
-    elif family == "rademacher":
-        s = 1.0 / math.sqrt(m)
-        dense = np.multiply(rng.integers(0, 2, size=(m, n)), 2.0 * s)
-        dense -= s
-        payload = {"dense": dense}
-    elif family == "srht":
-        n_pad = _next_pow2(n)
-        payload = {
-            "n_pad": n_pad,
-            "signs": 2.0 * rng.integers(0, 2, size=n_pad) - 1.0,
-            "indices": rng.integers(0, n_pad, size=m),
-        }
-    elif family == "countsketch":
-        buckets = rng.integers(0, m, size=n)
-        payload = {
-            "buckets": buckets,
-            "signs": 2.0 * rng.integers(0, 2, size=n) - 1.0,
-            "rounds": _countsketch_rounds(buckets),
-        }
-    else:
-        p = _sampling_probs(family, n, aux, weights)
-        indices = rng.choice(n, size=m, replace=True, p=p)
-        payload = {
-            "indices": indices,
-            "row_scale": 1.0 / np.sqrt(m * p[indices]),
-        }
-    return SketchOperator(spec, n, payload)
+    return _KERNELS[spec.family](spec, n, aux, weights)
 
 
 def apply(op: SketchOperator, M) -> np.ndarray:
@@ -269,29 +308,10 @@ def apply(op: SketchOperator, M) -> np.ndarray:
         M = M[:, None]
     if M.ndim != 2 or M.shape[0] != op.n:
         raise DimensionMismatchError(f"expected {op.n} rows, got shape {M.shape}")
-    family = op.family
-    if family in ("gaussian", "rademacher"):
-        out = op.dense @ M
-    elif family == "srht":
-        z = np.zeros((op.n_pad, M.shape[1]))
-        np.multiply(M, op.signs[: op.n, None], out=z[: op.n])
-        _fwht(z)
-        # sqrt(n_pad/m) * (H/sqrt(n_pad)) collapses to 1/sqrt(m) on the raw transform
-        out = z[op.indices]
-        out /= math.sqrt(op.m)
-    elif family == "countsketch":
-        # No bucket repeats within a round, so each bucket sums its inputs
-        # in input order, exactly as np.add.at(out, buckets, M * signs) would.
-        out = np.zeros((op.m, M.shape[1]))
-        for idx in op.rounds:
-            out[op.buckets[idx]] += M[idx] * op.signs[idx, None]
-    else:
-        out = M[op.indices] * op.row_scale[:, None]
+    out = op._apply(M)
     return out[:, 0] if vector else out
 
 
 def as_matrix(op: SketchOperator) -> np.ndarray:
     """Materialize the m-by-n matrix of the operator."""
-    if op.family in ("gaussian", "rademacher"):
-        return op.dense.copy()
     return apply(op, np.eye(op.n))

@@ -8,8 +8,18 @@ import numpy as np
 import pytest
 
 from sketchls.cli import main
+from sketchls.core import solve_exact
 from sketchls.datagen import SyntheticSpec, gen_gaussian_data
-from sketchls.dataio import save_dense_csv
+from sketchls.dataio import DatasetFile, load, save_dense_csv
+from sketchls.estimators import (
+    ESTIMATORS,
+    classical,
+    js_oracle,
+    positive_part,
+    shrinkage,
+    shrinkage_alt,
+)
+from sketchls.sketches import SketchSpec, apply, make_operator, sampling_weights
 
 
 def _run(capsys, *argv):
@@ -277,6 +287,68 @@ def test_sketch_size_below_one_in_config_exits_2(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err == "error: sketch sizes must be >= 1, got m = -3\n"
     assert not (tmp_path / "res.csv").exists()
+
+
+def test_repeated_sketch_size_in_config_exits_2(capsys, tmp_path):
+    cfg = _small_config(tmp_path, m_values="20, 20")
+    code, out, err = _run(capsys, "experiment", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: m_values must be strictly ascending, got (20, 20)\n"
+    assert not (tmp_path / "res.csv").exists()
+
+
+def _reference_sketch_solve(data, family, m, seed, estimator):
+    """The sketch-solve dispatch as an explicit if-chain, kept frozen as a reference."""
+    instance = load(DatasetFile(path=data))
+    A, y, n, d = instance.A, instance.y, instance.n, instance.d
+    op = make_operator(SketchSpec(family, m, seed), n, weights=sampling_weights(family, A))
+    SA = apply(op, A)
+    Sy = apply(op, y)
+    rec0 = classical(SA, Sy)
+    sol = solve_exact(instance)
+    if estimator == "classical":
+        return rec0
+    if estimator == "js-oracle":
+        return js_oracle(rec0.x_hat, SA, sol.r2, d, m)
+    if estimator == "shrinkage":
+        return shrinkage(rec0.x_hat, SA, A, y, d, m)
+    if estimator == "shrinkage-alt":
+        return shrinkage_alt(rec0.x_hat, SA, Sy, d, m)
+    if estimator == "positive-part":
+        return positive_part(rec0.x_hat, SA, A, y, d, m)
+    raise AssertionError(f"no reference for {estimator!r}")
+
+
+_VECTOR_KINDS = [k for k, e in ESTIMATORS.items() if e.targets != "matrix"]
+
+
+def test_vector_kinds_are_the_reference_kinds():
+    assert _VECTOR_KINDS == ["classical", "js-oracle", "shrinkage", "shrinkage-alt",
+                             "positive-part"]
+
+
+@pytest.mark.parametrize("family, m, seed", [("gaussian", 24, 3), ("srht", 30, 4),
+                                              ("leverage", 40, 5), ("countsketch", 12, 6)])
+@pytest.mark.parametrize("kind", _VECTOR_KINDS)
+def test_sketch_solve_matches_the_reference_dispatch(capsys, dataset, family, m, seed, kind):
+    code, out, err = _run(capsys, "sketch-solve", "--data", dataset, "--family", family,
+                          "--m", str(m), "--seed", str(seed), "--estimator", kind, "--json")
+    assert code == 0, err
+    payload = json.loads(out)
+    ref = _reference_sketch_solve(dataset, family, m, seed, kind)
+    assert payload["estimator"] == ref.kind == kind
+    assert payload["x_hat"] == [float(v) for v in ref.x_hat]
+    assert payload["shrink_factor"] == ref.shrink_factor
+    assert payload["r2_estimate"] == (ref.r2_estimate if ref.r2_estimate is not None else "NA")
+    assert payload["degenerate"] == str(ref.degenerate).lower()
+
+
+def test_sketch_solve_rejects_the_matrix_estimator(capsys, dataset):
+    with pytest.raises(SystemExit) as exc:
+        main(["sketch-solve", "--data", dataset, "--family", "gaussian", "--m", "24",
+              "--seed", "3", "--estimator", "shrinkage-fro"])
+    assert exc.value.code == 1
+    assert "invalid choice: 'shrinkage-fro'" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -56,6 +56,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"got m = {m_values[0]}"):
             _small_cfg(m_values=m_values)
 
+    # a repeated entry would yield a second, identical cell that `cell` never returns
+    def test_repeated_family(self):
+        with pytest.raises(ConfigError, match="families must not repeat"):
+            _small_cfg(families=("srht", "srht"))
+
+    def test_repeated_estimator(self):
+        with pytest.raises(ConfigError, match="estimators must not repeat"):
+            _small_cfg(estimators=("classical", "classical"))
+
+    @pytest.mark.parametrize("m_values", [(20, 20), (20, 40, 40)])
+    def test_repeated_sketch_size(self, m_values):
+        with pytest.raises(ConfigError, match="strictly ascending"):
+            _small_cfg(m_values=m_values)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_run_experiment_rejects_thread_counts_below_one(threads):
+    with pytest.raises(ConfigError, match=f"threads must be >= 1, got {threads}"):
+        run_experiment(_small_cfg(reps=2), threads=threads)
+
 
 class TestRunExperiment:
     def test_single_rep_has_no_std(self, tmp_path):

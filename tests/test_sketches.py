@@ -47,6 +47,20 @@ class TestSeedDerivation:
         s = derive_seed(2**64 - 1, "x", 2**63)
         assert 0 <= s < 2**64
 
+    # Every sweep seed is derived this way, so a change to the mixing would
+    # silently change every results CSV; these values pin it.
+    @pytest.mark.parametrize("master, parts, expected", [
+        (0, (), 0),
+        (0, (0,), 16294208416658607535),
+        (7, ("datagen",), 5254741270293065391),
+        (2**64 - 1, (3, "aux"), 15224718436466474437),
+        (12345, (2**63 + 5, "gaussian", 300, 17), 4383692743615579813),
+        (99, ("σκέτς", -1), 1440004853451197698),
+        (5, ("leverage", 40, 3, "aux"), 12172499721567368509),
+    ])
+    def test_values_are_stable(self, master, parts, expected):
+        assert derive_seed(master, *parts) == expected
+
 
 class TestSpecValidation:
     def test_unknown_family(self):
