@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import UndefinedBoundError
+from .errors import InvalidInputError, UndefinedBoundError
 
 
 def exact_classical_error(d: int, m: int, r2: float) -> float:
@@ -24,7 +24,7 @@ def exact_classical_error(d: int, m: int, r2: float) -> float:
     Equals d/(m-d-1) * r2 for m > d+1.
     """
     if r2 < 0:
-        raise ValueError("r2 must be nonnegative")
+        raise InvalidInputError("r2 must be nonnegative")
     if m <= d + 1:
         raise UndefinedBoundError(f"requires m > d+1 (d={d}, m={m})")
     return d / (m - d - 1) * r2
@@ -50,14 +50,14 @@ def general_lower_bound(d: int, m: int, r2: float, B: float = math.inf,
     is floored at zero and flagged vacuous.
     """
     if r2 < 0:
-        raise ValueError("r2 must be nonnegative")
+        raise InvalidInputError("r2 must be nonnegative")
     if B <= 0:
-        raise ValueError("B must be positive")
+        raise InvalidInputError("B must be positive")
     base = d / m * r2
     if math.isinf(B):
         return base, False
     if sigma_min is None or sigma_min <= 0:
-        raise ValueError("finite B requires sigma_min > 0")
+        raise InvalidInputError("finite B requires sigma_min > 0")
     value = base * (1.0 - math.pi**2 * r2 / (m * B**2 * sigma_min))
     if value < 0.0:
         return 0.0, True
@@ -70,7 +70,7 @@ def eta_to_b_squared(eta2: float, r2: float, d: int, sigma_max: float) -> float:
     B^2 = eta^2 * r2 / (d * sigma_max).
     """
     if eta2 <= 0 or r2 <= 0 or d < 1 or sigma_max <= 0:
-        raise ValueError("all inputs must be positive")
+        raise InvalidInputError("all inputs must be positive")
     return eta2 * r2 / (d * sigma_max)
 
 
@@ -80,7 +80,7 @@ def epsilon_prime(d: int, m: int) -> float:
     4(d-1)/d^2 + 2(d-2)^2 / (d (m-1)(m-d-3)), defined for m > d+3.
     """
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise InvalidInputError("d must be >= 1")
     if m <= d + 3:
         raise UndefinedBoundError(f"requires m > d+3 (d={d}, m={m})")
     return 4 * (d - 1) / d**2 + 2 * (d - 2) ** 2 / (d * (m - 1) * (m - d - 3))
@@ -95,7 +95,7 @@ def upper_bound_sa(d: int, m: int, r2: float, rho: float) -> float:
     if d <= 2:
         raise UndefinedBoundError(f"requires d > 2 (d={d})")
     if rho < 0:
-        raise ValueError("rho must be nonnegative")
+        raise InvalidInputError("rho must be nonnegative")
     eps_p = epsilon_prime(d, m)
     return d / m * r2 * (1.0 - (1.0 - eps_p) / (1.0 + m / d * rho))
 
@@ -109,7 +109,7 @@ def upper_bound_pred(d: int, m: int, r2: float, rho: float, eps: float) -> float
     this function does not itself assert.
     """
     if eps < 0:
-        raise ValueError("eps must be nonnegative")
+        raise InvalidInputError("eps must be nonnegative")
     return (1.0 + eps) * upper_bound_sa(d, m, r2, rho)
 
 
@@ -122,9 +122,9 @@ def ratio_r(d: int, m: int, rho: float, eps: float = 0.0) -> float:
     if d <= 2:
         raise UndefinedBoundError(f"requires d > 2 (d={d})")
     if rho < 0:
-        raise ValueError("rho must be nonnegative")
+        raise InvalidInputError("rho must be nonnegative")
     if eps < 0:
-        raise ValueError("eps must be nonnegative")
+        raise InvalidInputError("eps must be nonnegative")
     eps_p = epsilon_prime(d, m)
     return (1.0 + eps) * (m - d - 1) / m * (1.0 - (1.0 - eps_p) / (1.0 + m / d * rho))
 
@@ -136,7 +136,7 @@ class BoundInputs:
     rho may be None (unknown), in which case the SNR-dependent bounds
     are reported undefined.  B defaults to infinity (no prior knowledge);
     when eta2 and sigma_max are given instead, B is derived from the SNR
-    cap.  delta is recorded for report metadata only.
+    cap.
     """
 
     d: int
@@ -148,14 +148,13 @@ class BoundInputs:
     B: float = math.inf
     eta2: float | None = None
     eps: float = 0.0
-    delta: float | None = None
 
     def __post_init__(self):
         if self.d < 1 or self.m < 1:
-            raise ValueError("d and m must be >= 1")
+            raise InvalidInputError("d and m must be >= 1")
         if self.sigma_min is not None and self.sigma_max is not None:
             if self.sigma_min > self.sigma_max:
-                raise ValueError("sigma_min must not exceed sigma_max")
+                raise InvalidInputError("sigma_min must not exceed sigma_max")
 
 
 @dataclass(frozen=True)

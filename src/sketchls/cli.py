@@ -3,8 +3,8 @@
 Subcommands: datagen, solve, sketch-solve, experiment, bounds, verify.
 Outputs are line-oriented `name value` pairs; --json switches every
 subcommand to a single JSON object.  Exit codes: 0 success, 1 usage
-error, 2 data or parse error, 3 numerical failure, 4 verification
-tolerance failure.
+error, 2 invalid input, 3 numerical failure, 4 verification tolerance
+failure.  `main` picks 2 or 3 from the exception's class alone.
 """
 
 from __future__ import annotations
@@ -23,17 +23,7 @@ from .config import load_config
 from .core import snr, solve_exact
 from .dataio import FORMATS, DatasetFile, load, save_dense_csv, write_results_csv
 from .datagen import SyntheticSpec, gen_gaussian_data
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    DegenerateNoiseError,
-    DimensionMismatchError,
-    InvalidInputError,
-    InvalidSketchSizeError,
-    InvalidWeightsError,
-    NotSpdError,
-    RankDeficientError,
-)
+from .errors import InvalidInputError, SketchLSError
 from .estimators import ESTIMATORS, SHRINKAGE, classical, estimate
 from .harness import (
     SteinInstance,
@@ -42,7 +32,15 @@ from .harness import (
     verify_residual_unbiased,
     verify_stein,
 )
-from .sketches import FAMILIES, SketchSpec, apply, derive_seed, make_operator, sampling_weights
+from .sketches import (
+    FAMILIES,
+    SketchSpec,
+    apply,
+    check_seed,
+    derive_seed,
+    make_operator,
+    sampling_weights,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,22 +48,16 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 EXIT_TOLERANCE = 4
 
-_DATA_ERRORS = (DataFormatError, ConfigError, InvalidInputError, DimensionMismatchError,
-                OSError)
-_NUMERICAL_ERRORS = (RankDeficientError, InvalidWeightsError, InvalidSketchSizeError,
-                     DegenerateNoiseError, NotSpdError, np.linalg.LinAlgError)
-
 
 class UsageError(Exception):
     """Flag combination rejected after argparse accepted the syntax."""
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1 and one stderr line."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message} (see {self.prog} --help)\n")
 
 
 def _emit(args, pairs: dict) -> None:
@@ -196,6 +188,10 @@ def _verify_result(args, pairs: dict, passed: bool) -> int:
 
 
 def _cmd_verify_stein(args) -> int:
+    # the spectrum and the seed are used before SteinInstance can check its inputs
+    if not (args.d > 2 and 0 < args.cond < math.inf):
+        raise InvalidInputError(f"need --d > 2 and 0 < --cond < inf, got {args.d}, {args.cond}")
+    check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     eigvals = np.geomspace(1.0, args.cond, args.d)
     Q, _ = np.linalg.qr(rng.standard_normal((args.d, args.d)))
@@ -212,7 +208,7 @@ def _cmd_verify_residual(args) -> int:
     instance, sol = gen_gaussian_data(SyntheticSpec(n=args.n, d=args.d, rho=args.rho,
                                                     seed=derive_seed(args.seed, "datagen")))
     mean_full, mean_sketched = verify_residual_unbiased(
-        instance, sol, args.family, args.m, args.reps, args.seed)
+        instance, args.family, args.m, args.reps, args.seed)
     rel_full = abs(mean_full - sol.r2) / sol.r2
     rel_sketched = abs(mean_sketched - sol.r2) / sol.r2
     passed = rel_full <= args.tol and rel_sketched <= args.tol
@@ -318,10 +314,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DATA_ERRORS as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except _NUMERICAL_ERRORS as exc:
+    except (SketchLSError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

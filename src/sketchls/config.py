@@ -34,7 +34,6 @@ _KNOWN_KEYS = {
     "noise.kappa",
     "sketch.families", "sketch.m_values",
     "experiment.reps", "experiment.seed", "experiment.estimators", "experiment.two_sketch",
-    "bounds.eps",
     "output.path",
 }
 
@@ -115,18 +114,15 @@ def load_config(path) -> ExperimentConfig:
     else:
         raise ConfigError("config needs a synthetic.* or data.* source")
 
-    try:
-        return ExperimentConfig(
-            source=source,
-            families=_get(values, "sketch.families", _csv_list, required=True),
-            m_values=tuple(int(v) for v in _get(values, "sketch.m_values", _csv_list, required=True)),
-            estimators=_get(values, "experiment.estimators", _csv_list, required=True),
-            reps=_get(values, "experiment.reps", int, default=100),
-            master_seed=seed,
-            kappa=_get(values, "noise.kappa", float, default=0.0),
-            two_sketch=_get(values, "experiment.two_sketch", _bool, default=False),
-            eps_for_bounds=_get(values, "bounds.eps", float, default=0.0),
-            out_path=_get(values, "output.path", str, required=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(
+        source=source,
+        families=_get(values, "sketch.families", _csv_list, required=True),
+        m_values=_get(values, "sketch.m_values", lambda v: tuple(map(int, _csv_list(v))),
+                      required=True),
+        estimators=_get(values, "experiment.estimators", _csv_list, required=True),
+        reps=_get(values, "experiment.reps", int, default=100),
+        master_seed=seed,
+        kappa=_get(values, "noise.kappa", float, default=0.0),
+        two_sketch=_get(values, "experiment.two_sketch", _bool, default=False),
+        out_path=_get(values, "output.path", str, required=True),
+    )

@@ -18,8 +18,6 @@ import scipy.linalg
 from .errors import DimensionMismatchError, InvalidInputError, RankDeficientError
 
 RANK_TOL = 1e-10
-ORTHO_TOL = 1e-9
-FP_TOL = 1e-9
 
 
 def _readonly_f64(a, name: str) -> np.ndarray:

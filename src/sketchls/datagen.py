@@ -17,6 +17,7 @@ from scipy.linalg import lapack
 
 from .core import ExactSolution, ProblemInstance, solve_exact
 from .errors import DegenerateNoiseError, InvalidInputError
+from .sketches import check_seed
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,7 @@ class SyntheticSpec:
             raise InvalidInputError(f"rho must be positive, got {self.rho}")
         if self.k is not None and self.k < 1:
             raise InvalidInputError("k must be >= 1 when given")
+        check_seed(self.seed)
 
 
 def ar1_covariance(d: int, decay: float = 0.5) -> np.ndarray:
@@ -123,7 +125,7 @@ def add_noise(p: ProblemInstance, kappa: float, seed: int) -> ProblemInstance:
     unchanged.
     """
     if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+        raise InvalidInputError(f"kappa must be nonnegative, got {kappa}")
     r2 = solve_exact(p).r2
     rng = np.random.default_rng(seed)
     noise = math.sqrt(kappa * r2) * rng.standard_normal(p.target.shape)

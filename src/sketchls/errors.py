@@ -12,7 +12,7 @@ class InvalidInputError(SketchLSError, ValueError):
     """
 
 
-class DimensionMismatchError(SketchLSError):
+class DimensionMismatchError(InvalidInputError):
     """Operand shapes are incompatible."""
 
 
@@ -48,7 +48,7 @@ class UndefinedBoundError(SketchLSError):
         self.reason = reason
 
 
-class DataFormatError(SketchLSError):
+class DataFormatError(InvalidInputError):
     """Parse failure in a dataset or config file, with location info."""
 
     def __init__(self, reason: str, line: int | None = None, column: int | None = None):
@@ -65,5 +65,5 @@ class LabelOutOfRangeError(DataFormatError):
     """A one-hot label falls outside [0, k)."""
 
 
-class ConfigError(SketchLSError):
+class ConfigError(InvalidInputError):
     """Invalid or incomplete experiment configuration."""

@@ -35,13 +35,14 @@ from .core import ExactSolution, ProblemInstance, augmented_factor, snr, solve_e
 from .core import prediction_error  # noqa: F401
 from .datagen import SyntheticSpec, add_noise, gen_gaussian_data
 from .dataio import DatasetFile, load
-from .errors import ConfigError, NotSpdError, SketchLSError
+from .errors import ConfigError, InvalidInputError, NotSpdError, SketchLSError
 from .sketches import (
     FAMILIES,
     WEIGHTED_FAMILIES,
     SketchSpec,
     apply,
     as_matrix,
+    check_seed,
     derive_seed,
     make_operator,
     sampling_weights,
@@ -60,7 +61,6 @@ class ExperimentConfig:
     master_seed: int = 0
     kappa: float = 0.0
     two_sketch: bool = False
-    eps_for_bounds: float = 0.0
     out_path: str | None = None
 
     def __post_init__(self):
@@ -82,8 +82,9 @@ class ExperimentConfig:
             raise ConfigError(f"sketch sizes must be >= 1, got m = {self.m_values[0]}")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
-        if self.kappa < 0 or self.eps_for_bounds < 0:
-            raise ConfigError("kappa and bounds eps must be nonnegative")
+        if self.kappa < 0:
+            raise ConfigError(f"kappa must be nonnegative, got {self.kappa}")
+        check_seed(self.master_seed, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,6 @@ class ExperimentResult:
     d: int
     r2: float
     rho: float
-    master_seed: int
 
     def cell(self, family: str, m: int, estimator: str) -> CellResult:
         for c in self.cells:
@@ -208,17 +208,10 @@ def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch, w
 
 
 def _bound_columns(d, m, r2, rho, n):
-    """Bound values on the same 1/n scale as the error columns."""
-    try:
-        exact = bounds_mod.exact_classical_error(d, m, r2) / n
-    except SketchLSError:
-        exact = None
-    lower = bounds_mod.general_lower_bound(d, m, r2)[0] / n
-    try:
-        upper = bounds_mod.upper_bound_sa(d, m, r2, rho) / n
-    except SketchLSError:
-        upper = None
-    return exact, lower, upper
+    """Bound values on the same 1/n scale as the error columns, None where undefined."""
+    report = bounds_mod.evaluate_report(bounds_mod.BoundInputs(d, m, r2, rho))
+    return tuple(None if v is None else v / n
+                 for v in (report.exact_classical, report.general_lower, report.upper_sa))
 
 
 def _empty_cell(family: str, m: int, kind: str, bounds: tuple, reason: str) -> CellResult:
@@ -294,8 +287,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     finally:
         if pool is not None:
             pool.shutdown()
-    return ExperimentResult(cells=tuple(cells), n=n, d=d, r2=r2, rho=rho,
-                            master_seed=cfg.master_seed)
+    return ExperimentResult(cells=tuple(cells), n=n, d=d, r2=r2, rho=rho)
 
 
 def replay_cell(cfg: ExperimentConfig, family: str, m: int) -> ExperimentResult:
@@ -318,9 +310,9 @@ class SteinInstance:
         sigma = np.asarray(self.sigma, dtype=np.float64)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "sigma", sigma)
-        d = theta.shape[0]
+        d = theta.size
         if theta.ndim != 1 or d <= 2:
-            raise ValueError("theta must be a vector with d > 2")
+            raise InvalidInputError(f"theta must be a vector with d > 2, got shape {theta.shape}")
         if sigma.shape != (d, d) or not np.allclose(sigma, sigma.T, atol=1e-12):
             raise NotSpdError("covariance must be symmetric d x d")
         try:
@@ -328,7 +320,8 @@ class SteinInstance:
         except np.linalg.LinAlgError:
             raise NotSpdError("covariance is not positive definite") from None
         if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+            raise InvalidInputError(f"samples must be >= 1, got {self.samples}")
+        check_seed(self.seed)
 
 
 def verify_stein(inst: SteinInstance) -> tuple[float, float]:
@@ -354,9 +347,11 @@ def verify_stein(inst: SteinInstance) -> tuple[float, float]:
     return lhs, rhs
 
 
-def verify_residual_unbiased(p: ProblemInstance, sol: ExactSolution, family: str,
-                             m: int, reps: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo means of the two residual-energy estimates; both target sol.r2."""
+def verify_residual_unbiased(p: ProblemInstance, family: str, m: int, reps: int,
+                             seed: int) -> tuple[float, float]:
+    """Monte Carlo means of the two residual-energy estimates, which both target r2."""
+    if reps < 1:
+        raise InvalidInputError(f"reps must be >= 1, got {reps}")
     A, target, n, d = p.A, p.target, p.n, p.d
     weights = sampling_weights(family, A)
     full = np.empty(reps)
@@ -378,6 +373,8 @@ def verify_gram_identity(family: str, n: int, m: int, reps: int, seed: int) -> f
     generated internally (n x ceil(3n/4), standard normal) as the weight
     source; the Gram identity holds for any valid weights.
     """
+    if n < 1 or reps < 1:
+        raise InvalidInputError(f"n and reps must be >= 1, got n={n}, reps={reps}")
     weights = None
     if family in WEIGHTED_FAMILIES:
         rng = np.random.default_rng(derive_seed(seed, "gram-aux"))

@@ -30,6 +30,12 @@ _WEIGHT_SUM_TOL = 1e-12
 _MASK64 = (1 << 64) - 1
 
 
+def check_seed(seed: int, error: type[Exception] = InvalidInputError) -> None:
+    """Raise `error` unless seed fits in 64 unsigned bits, the range every seed shares."""
+    if not 0 <= seed <= _MASK64:
+        raise error(f"seed must fit in 64 unsigned bits, got {seed}")
+
+
 def _splitmix64(z: int) -> int:
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -48,11 +54,13 @@ def derive_seed(master: int, *parts: int | str) -> int:
     """Mix a master seed with context parts into a fresh 64-bit seed.
 
     One splitmix64 round per part, applied to the running state xor'd
-    with the part value; strings are first reduced with FNV-1a.  The
-    mixing is fixed and platform independent, so derived seeds do not
-    depend on scheduling or iteration order.
+    with the part value (strings reduced with FNV-1a, integers modulo
+    2**64).  The master must fit in 64 unsigned bits.  The mixing is
+    fixed and platform independent, so derived seeds do not depend on
+    scheduling or iteration order.
     """
-    state = master & _MASK64
+    check_seed(master)
+    state = master
     for part in parts:
         value = _fnv1a64(part) if isinstance(part, str) else part & _MASK64
         state = _splitmix64(state ^ value)
@@ -73,8 +81,7 @@ class SketchSpec:
                 f"unknown sketch family {self.family!r}; choose from {FAMILIES}")
         if self.m < 1:
             raise InvalidInputError(f"sketch size m must be >= 1, got {self.m}")
-        if not 0 <= self.seed <= _MASK64:
-            raise InvalidInputError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        check_seed(self.seed)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -85,16 +92,16 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class SketchOperator:
     """A realized random linear map from R^n to R^m.
 
-    Each kernel is a subclass: `_realize(rng, aux, weights)` draws every
+    Each kernel is a subclass: `_realize(rng, weights)` draws every
     random ingredient once, at construction, and `_apply(M)` computes S @ M
     for an n-by-c float64 matrix M.  Instances are immutable and safe to
     share across threads.
     """
 
-    def __init__(self, spec: SketchSpec, n: int, aux=None, weights=None):
+    def __init__(self, spec: SketchSpec, n: int, weights=None):
         self.spec = spec
         self.n = n
-        self._realize(np.random.default_rng(spec.seed), aux, weights)
+        self._realize(np.random.default_rng(spec.seed), weights)
 
     @property
     def m(self) -> int:
@@ -142,8 +149,6 @@ def sampling_weights(family: str, A) -> np.ndarray | None:
     row_weights = _ROW_WEIGHTS.get(family)
     if row_weights is None:
         return None
-    if A is None:
-        raise InvalidWeightsError(f"{family} sampling needs the data matrix as weight source")
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise DimensionMismatchError(f"weight source must be a matrix, got shape {A.shape}")
@@ -189,14 +194,14 @@ class _Dense(SketchOperator):
 
 
 class _Gaussian(_Dense):
-    def _realize(self, rng, aux, weights):
+    def _realize(self, rng, weights):
         dense = rng.standard_normal((self.m, self.n))
         dense /= math.sqrt(self.m)
         self.dense = _frozen(dense)
 
 
 class _Rademacher(_Dense):
-    def _realize(self, rng, aux, weights):
+    def _realize(self, rng, weights):
         # bits * 2s - s is exact, so it equals (2 bits - 1) / sqrt(m) bitwise
         s = 1.0 / math.sqrt(self.m)
         dense = np.multiply(rng.integers(0, 2, size=(self.m, self.n)), 2.0 * s)
@@ -207,7 +212,7 @@ class _Rademacher(_Dense):
 class _Srht(SketchOperator):
     """Sign flips, the Hadamard transform of the zero-padded input, and sampled rows."""
 
-    def _realize(self, rng, aux, weights):
+    def _realize(self, rng, weights):
         self.n_pad = 1 << (self.n - 1).bit_length()  # the next power of two
         self.signs = _frozen(2.0 * rng.integers(0, 2, size=self.n_pad) - 1.0)
         self.indices = _frozen(rng.integers(0, self.n_pad, size=self.m))
@@ -225,7 +230,7 @@ class _Srht(SketchOperator):
 class _CountSketch(SketchOperator):
     """One random output row and one random sign per input coordinate."""
 
-    def _realize(self, rng, aux, weights):
+    def _realize(self, rng, weights):
         self.buckets = _frozen(rng.integers(0, self.m, size=self.n))
         self.signs = _frozen(2.0 * rng.integers(0, 2, size=self.n) - 1.0)
         self.rounds = tuple(_frozen(r) for r in _countsketch_rounds(self.buckets))
@@ -242,15 +247,16 @@ class _CountSketch(SketchOperator):
 class _SampledRows(SketchOperator):
     """m rows drawn i.i.d. with replacement from the probabilities p."""
 
-    def _probabilities(self, aux, weights) -> np.ndarray:
-        p = np.asarray(sampling_weights(self.family, aux) if weights is None else weights,
-                       dtype=np.float64)
+    def _probabilities(self, weights) -> np.ndarray:
+        if weights is None:
+            raise InvalidWeightsError(f"{self.family} sampling needs weights from sampling_weights")
+        p = np.asarray(weights, dtype=np.float64)
         if p.shape != (self.n,):
             raise DimensionMismatchError(f"weights must have shape ({self.n},), got {p.shape}")
         return p
 
-    def _realize(self, rng, aux, weights):
-        p = self._probabilities(aux, weights)
+    def _realize(self, rng, weights):
+        p = self._probabilities(weights)
         if np.any(p <= 0):
             raise InvalidWeightsError("sampling probabilities must be strictly positive")
         if abs(p.sum() - 1.0) > _WEIGHT_SUM_TOL:
@@ -263,7 +269,7 @@ class _SampledRows(SketchOperator):
 
 
 class _UniformRows(_SampledRows):
-    def _probabilities(self, aux, weights) -> np.ndarray:
+    def _probabilities(self, weights) -> np.ndarray:
         return np.full(self.n, 1.0 / self.n)
 
 
@@ -279,7 +285,7 @@ _KERNELS = {
 FAMILIES = tuple(_KERNELS)
 
 
-def make_operator(spec: SketchSpec, n: int, aux=None, weights=None) -> SketchOperator:
+def make_operator(spec: SketchSpec, n: int, weights=None) -> SketchOperator:
     """Realize a sketch operator for inputs of length n.
 
     Conventions: Gaussian and Rademacher entries are scaled by 1/sqrt(m).
@@ -291,13 +297,13 @@ def make_operator(spec: SketchSpec, n: int, aux=None, weights=None) -> SketchOpe
     input coordinates one uniformly random output row and a random sign.
 
     Row-norm and leverage sampling take their probabilities from
-    `weights` (see `sampling_weights`) or, when it is None, compute them
-    from the data matrix `aux`.  Either way they are checked on every
-    call: strictly positive and summing to one within 1e-12.
+    `weights`, as returned by `sampling_weights(family, A)`.  They are
+    checked on every call: strictly positive and summing to one within
+    1e-12.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
-    return _KERNELS[spec.family](spec, n, aux, weights)
+        raise InvalidInputError(f"n must be >= 1, got {n}")
+    return _KERNELS[spec.family](spec, n, weights)
 
 
 def apply(op: SketchOperator, M) -> np.ndarray:

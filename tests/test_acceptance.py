@@ -83,7 +83,7 @@ def test_criterion_01_classical_error_closed_form(closed_form_run):
 def test_criterion_02_residual_estimates_unbiased(closed_form_run):
     spec, res, _ = closed_form_run
     p, sol = gen_gaussian_data(spec)
-    mean_full, mean_sketched = verify_residual_unbiased(p, sol, "gaussian", 60, 500, seed=11)
+    mean_full, mean_sketched = verify_residual_unbiased(p, "gaussian", 60, 500, seed=11)
     rel_full = abs(mean_full - sol.r2) / sol.r2
     rel_sketched = abs(mean_sketched - sol.r2) / sol.r2
     _report(2, rel_full <= 0.02 and rel_sketched <= 0.02,

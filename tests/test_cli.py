@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sketchls import cli, errors
 from sketchls.cli import main
 from sketchls.core import solve_exact
 from sketchls.datagen import SyntheticSpec, gen_gaussian_data
@@ -360,3 +361,157 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("exact_classical ")
+
+
+@pytest.fixture()
+def inputs(tmp_path, dataset):
+    """Files the exit-code table names in braces."""
+    rank = tmp_path / "rank.csv"
+    rank.write_text("1,1,1\n2,2,2\n3,3,3\n4,4,4\n")  # duplicate feature columns
+    features = np.random.default_rng(5).standard_normal((20, 3))
+    features[0] = 0.0  # a zero row has row-norm sampling probability 0
+    zero_row = tmp_path / "zero_row.csv"
+    zero_row.write_text("".join(f"1,{','.join(map(repr, row.tolist()))}\n" for row in features))
+    base = _small_config(tmp_path).read_text()
+
+    def config(name, text):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        return str(path)
+
+    return {
+        "data": dataset,
+        "rank": str(rank),
+        "zero_row": str(zero_row),
+        "missing": str(tmp_path / "missing.csv"),
+        "out": str(tmp_path / "out.csv"),
+        "nodir": str(tmp_path / "no" / "out.csv"),
+        "cfg": config("ok", base),
+        "cfg_seed": config("seed", base + "experiment.seed = -1\n"),
+        "cfg_eps": config("eps", base + "bounds.eps = 0.0\n"),
+        "cfg_rank": config("rank", f"data.path = {rank}\n" + "".join(
+            line for line in base.splitlines(True) if not line.startswith("synthetic."))),
+    }
+
+
+_BOUNDS = "bounds --d 10 --m 40 --r2 1"
+_SKETCH = "sketch-solve --data {data} --family srht --m 24 --seed 3"
+_DATAGEN = "datagen --n 64 --d 4 --rho 1"
+_RESIDUAL = "verify residual --n 64 --d 4 --m 20 --reps 50"
+_GRAM = "verify gram --family countsketch --n 8 --m 4"
+
+# Every exit code each subcommand can reach.  Not reachable: 3 from datagen (null-space
+# noise vanishing twice), bounds (undefined bounds are reported as NA), verify stein (the
+# covariance is built positive definite) and verify gram (its weight source is Gaussian).
+_EXIT_TABLE = [
+    (f"{_DATAGEN} --seed 1 --out {{out}}", 0),
+    (f"{_DATAGEN} --seed 1", 1),
+    (f"{_DATAGEN} --seed -1 --out {{out}}", 2),
+    (f"{_DATAGEN} --seed {2**64} --out {{out}}", 2),
+    ("datagen --n 64 --d 4 --rho 0 --seed 1 --out {out}", 2),
+    (f"{_DATAGEN} --seed 1 --out {{nodir}}", 2),
+    ("solve --data {data}", 0),
+    ("solve", 1),
+    ("solve --data {missing}", 2),
+    ("solve --data {rank}", 3),
+    (_SKETCH, 0),
+    (f"{_SKETCH} --estimator shrinkage-fro", 1),
+    ("sketch-solve --data {data} --family srht --m 0 --seed 3", 2),
+    ("sketch-solve --data {data} --family srht --m 24 --seed -1", 2),
+    ("sketch-solve --data {data} --family gaussian --m 3 --seed 3", 3),
+    ("sketch-solve --data {zero_row} --family rownorm --m 8 --seed 1", 3),
+    ("experiment --config {cfg}", 0),
+    ("experiment", 1),
+    ("experiment --config {cfg} --threads 0", 1),
+    ("experiment --config {missing}", 2),
+    ("experiment --config {cfg_seed}", 2),
+    ("experiment --config {cfg_eps}", 2),
+    ("experiment --config {cfg_rank}", 3),
+    (_BOUNDS, 0),
+    ("bounds --d 10 --m 40", 1),
+    (f"{_BOUNDS} --B 2", 1),
+    ("bounds --d 0 --m 10 --r2 1", 2),
+    ("bounds --d 10 --m 40 --r2 -1", 2),
+    (f"{_BOUNDS} --rho -1", 2),
+    (f"{_BOUNDS} --rho 1 --eps -1", 2),
+    (f"{_BOUNDS} --B -1 --sigma-min 1", 2),
+    (f"{_BOUNDS} --sigma-min 2 --sigma-max 1", 2),
+    (f"{_BOUNDS} --eta2 -1 --sigma-min 1 --sigma-max 2", 2),
+    ("verify stein --samples 2000 --tol 1", 0),
+    ("verify stein --bogus", 1),
+    ("verify stein --samples 0", 2),
+    ("verify stein --d 2", 2),
+    ("verify stein --seed -1", 2),
+    ("verify stein --cond 0", 2),
+    ("verify stein --cond -1", 2),
+    ("verify stein --samples 2000 --tol 0", 4),
+    (f"{_RESIDUAL} --tol 1", 0),
+    ("verify residual --family fourier", 1),
+    ("verify residual --reps 0", 2),
+    ("verify residual --seed -1", 2),
+    ("verify residual --n 4 --d 4", 2),
+    ("verify residual --n 64 --d 4 --m 3 --reps 5", 3),
+    (f"{_RESIDUAL} --tol 0", 4),
+    (f"{_GRAM} --reps 20 --tol 10", 0),
+    ("verify gram --n 8 --m 4", 1),
+    ("verify gram --family gaussian --n 0 --m 4", 2),
+    ("verify gram --family gaussian --n 8 --m 0", 2),
+    (f"{_GRAM} --reps 0", 2),
+    (f"{_GRAM} --seed -1", 2),
+    (f"{_GRAM} --reps 20 --tol 0", 4),
+]
+_STDERR_PREFIX = {1: ("usage error: ", "sketchls"), 2: ("error: ",),
+                  3: ("numerical failure: ",)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, expected", _EXIT_TABLE, ids=[a for a, _ in _EXIT_TABLE])
+def test_exit_code_table(capsys, inputs, argv, expected):
+    try:
+        code = main(argv.format(**inputs).split())
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert "Traceback" not in err
+    if expected in (0, 4):
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith(_STDERR_PREFIX[expected]), err
+
+
+_DOCUMENTED_EXIT = {
+    errors.InvalidInputError: 2,
+    errors.DimensionMismatchError: 2,
+    errors.DataFormatError: 2,
+    errors.LabelOutOfRangeError: 2,
+    errors.ConfigError: 2,
+    OSError: 2,
+    errors.SketchLSError: 3,
+    errors.RankDeficientError: 3,
+    errors.RankDeficientSketchError: 3,
+    errors.InvalidWeightsError: 3,
+    errors.InvalidSketchSizeError: 3,
+    errors.DegenerateNoiseError: 3,
+    errors.NotSpdError: 3,
+    errors.UndefinedBoundError: 3,
+    np.linalg.LinAlgError: 3,
+}
+
+
+def test_every_error_class_has_a_documented_exit_code():
+    defined = {v for v in vars(errors).values()
+               if isinstance(v, type) and issubclass(v, errors.SketchLSError)}
+    assert defined == {c for c in _DOCUMENTED_EXIT if issubclass(c, errors.SketchLSError)}
+
+
+@pytest.mark.parametrize("cls", _DOCUMENTED_EXIT, ids=lambda c: c.__name__)
+def test_main_maps_each_error_class_to_its_exit_code(capsys, monkeypatch, cls):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "_cmd_bounds", fail)
+    code = main(_BOUNDS.split())
+    assert code == _DOCUMENTED_EXIT[cls]
+    prefix = "error" if code == 2 else "numerical failure"
+    assert capsys.readouterr().err == f"{prefix}: boom\n"

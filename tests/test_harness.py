@@ -19,10 +19,10 @@ from sketchls import (
     write_results_csv,
 )
 from sketchls.config import load_config, parse_config_text
-from sketchls.errors import ConfigError, NotSpdError
+from sketchls.errors import ConfigError, InvalidInputError, NotSpdError
 from sketchls import harness, sketches
 from sketchls.harness import resolve_instance
-from sketchls.sketches import SketchSpec, as_matrix, derive_seed, make_operator
+from sketchls.sketches import SketchSpec, as_matrix, derive_seed, make_operator, sampling_weights
 
 
 def _small_cfg(**overrides):
@@ -69,6 +69,34 @@ class TestConfigValidation:
     def test_repeated_sketch_size(self, m_values):
         with pytest.raises(ConfigError, match="strictly ascending"):
             _small_cfg(m_values=m_values)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_every_seed_follows_the_64_bit_rule(seed):
+    with pytest.raises(ConfigError, match="64 unsigned bits"):
+        _small_cfg(master_seed=seed)
+    with pytest.raises(InvalidInputError, match="64 unsigned bits"):
+        derive_seed(seed, "datagen")
+    with pytest.raises(InvalidInputError, match="64 unsigned bits"):
+        SyntheticSpec(n=8, d=2, rho=1.0, seed=seed)
+    with pytest.raises(InvalidInputError, match="64 unsigned bits"):
+        SteinInstance(theta=np.ones(3), sigma=np.eye(3), samples=1, seed=seed)
+
+
+def test_largest_seed_is_accepted():
+    assert _small_cfg(master_seed=2**64 - 1).master_seed == 2**64 - 1
+    assert SteinInstance(np.ones(3), np.eye(3), samples=1, seed=2**64 - 1).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("check", [
+    lambda: verify_gram_identity("gaussian", 8, 4, 0, seed=1),
+    lambda: verify_gram_identity("rownorm", 0, 4, 10, seed=1),
+    lambda: verify_residual_unbiased(gen_gaussian_data(SyntheticSpec(64, 4, 1.0, 3))[0],
+                                     "gaussian", 20, 0, seed=1),
+])
+def test_verification_runs_need_a_repetition_and_a_row(check):
+    with pytest.raises(InvalidInputError, match="must be >= 1"):
+        check()
 
 
 @pytest.mark.parametrize("threads", [0, -3])
@@ -245,7 +273,7 @@ class TestResidualCheck:
 
     def test_means_target_r2(self):
         p, sol = gen_gaussian_data(SyntheticSpec(n=128, d=10, rho=0.5, seed=66))
-        mean_full, mean_sketched = verify_residual_unbiased(p, sol, "gaussian", 40, 400, seed=66)
+        mean_full, mean_sketched = verify_residual_unbiased(p, "gaussian", 40, 400, seed=66)
         assert mean_full == pytest.approx(sol.r2, rel=0.05)
         assert mean_sketched == pytest.approx(sol.r2, rel=0.05)
 
@@ -349,8 +377,8 @@ class TestSamplingWeightsOncePerSweep:
 
         A = resolve_instance(cfg)[0].A
         make = harness.make_operator
-        monkeypatch.setattr(harness, "make_operator",
-                            lambda spec, n, weights=None: make(spec, n, aux=A))
+        monkeypatch.setattr(harness, "make_operator", lambda spec, n, weights=None: make(
+            spec, n, weights=sampling_weights(spec.family, A)))
         per_rep = run_experiment(cfg)
         # once per sweep, then once per realization (two sketches per rep)
         assert len(calls) == 1 + 1 + len(cfg.m_values) * cfg.reps * 2

@@ -25,8 +25,7 @@ def _aux(n, d=8, seed=0):
 
 
 def _op(family, n=32, m=16, seed=5):
-    aux = _aux(n) if family in ("rownorm", "leverage") else None
-    return make_operator(SketchSpec(family, m, seed), n, aux=aux)
+    return make_operator(SketchSpec(family, m, seed), n, weights=sampling_weights(family, _aux(n)))
 
 
 class TestSeedDerivation:
@@ -281,8 +280,8 @@ def _operator_cases(draw):
 def test_apply_is_the_linear_map_of_its_matrix(case):
     family, n, m, seed, cols = case
     rng = np.random.default_rng(seed)
-    aux = rng.standard_normal((n, min(n, 3))) if family in ("rownorm", "leverage") else None
-    op = make_operator(SketchSpec(family, m, seed), n, aux=aux)
+    A = rng.standard_normal((n, min(n, 3))) if family in ("rownorm", "leverage") else None
+    op = make_operator(SketchSpec(family, m, seed), n, weights=sampling_weights(family, A))
     shape = n if cols is None else (n, cols)
     M1, M2 = rng.standard_normal(shape), rng.standard_normal(shape)
     S = as_matrix(op)
@@ -310,11 +309,12 @@ class TestSamplingWeights:
         A = np.random.default_rng(7).standard_normal((16, 4))
         A[3] = 0.0
         with pytest.raises(InvalidWeightsError):
-            make_operator(SketchSpec("rownorm", 4, 0), 16, aux=A)
+            make_operator(SketchSpec("rownorm", 4, 0), 16, weights=sampling_weights("rownorm", A))
 
     def test_aux_row_count_checked(self):
         with pytest.raises(DimensionMismatchError):
-            make_operator(SketchSpec("leverage", 4, 0), 16, aux=np.ones((8, 2)))
+            make_operator(SketchSpec("leverage", 4, 0), 16,
+                          weights=sampling_weights("leverage", np.ones((8, 2))))
 
 
 class TestGramIdentity:
@@ -323,10 +323,11 @@ class TestGramIdentity:
     def test_mean_gram_close_to_identity(self, family):
         reps = 2000
         n, m = 32, 16
-        aux = _aux(n) if family in ("rownorm", "leverage") else None
+        weights = sampling_weights(family, _aux(n))
         acc = np.zeros((n, n))
         for r in range(reps):
-            op = make_operator(SketchSpec(family, m, derive_seed(1, family, r)), n, aux=aux)
+            op = make_operator(SketchSpec(family, m, derive_seed(1, family, r)), n,
+                               weights=weights)
             S = as_matrix(op)
             acc += S.T @ S
         dev = np.max(np.abs(acc / reps - np.eye(n)))
@@ -347,18 +348,6 @@ class TestSubspaceEmbedding:
 
 
 class TestGivenWeights:
-    @pytest.mark.parametrize("family", ["rownorm", "leverage"])
-    def test_given_weights_realize_the_aux_operator(self, family):
-        A = _aux(32)
-        weights = sampling_weights(family, A)
-        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-        for seed in range(3):
-            spec = SketchSpec(family, 16, seed)
-            given = make_operator(spec, 32, weights=weights)
-            computed = make_operator(spec, 32, aux=A)
-            assert np.array_equal(given.indices, computed.indices)
-            assert np.array_equal(given.row_scale, computed.row_scale)
-
     def test_data_free_families_have_no_weights(self):
         for family in ("gaussian", "srht", "countsketch", "uniform"):
             assert sampling_weights(family, _aux(8)) is None
