@@ -7,7 +7,10 @@ subspace-embedding distortion eps).  Parameter regions where a formula
 is not defined raise UndefinedBoundError with the reason;
 ``evaluate_report`` instead collects every quantity into a BoundReport
 with explicit "undefined" markers so that curves over an m-grid can
-distinguish "not applicable" from numerical failure.
+distinguish "not applicable" from numerical failure.  Invalid inputs
+raise InvalidInputError.  Each domain check is written `not x >= 0`, so
+NaN fails it too; r2 and eps must also be finite, while rho = inf (a
+zero residual) and B = inf (no prior knowledge) are valid.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ def exact_classical_error(d: int, m: int, r2: float) -> float:
 
     Equals d/(m-d-1) * r2 for m > d+1.
     """
-    if r2 < 0:
-        raise InvalidInputError("r2 must be nonnegative")
+    if not 0 <= r2 < math.inf:
+        raise InvalidInputError("r2 must be finite and nonnegative")
     if m <= d + 1:
         raise UndefinedBoundError(f"requires m > d+1 (d={d}, m={m})")
     return d / (m - d - 1) * r2
@@ -49,14 +52,14 @@ def general_lower_bound(d: int, m: int, r2: float, B: float = math.inf,
     B = inf gives (d/m) r2.  Returns (value, vacuous): a negative value
     is floored at zero and flagged vacuous.
     """
-    if r2 < 0:
-        raise InvalidInputError("r2 must be nonnegative")
-    if B <= 0:
+    if not 0 <= r2 < math.inf:
+        raise InvalidInputError("r2 must be finite and nonnegative")
+    if not B > 0:
         raise InvalidInputError("B must be positive")
     base = d / m * r2
     if math.isinf(B):
         return base, False
-    if sigma_min is None or sigma_min <= 0:
+    if sigma_min is None or not sigma_min > 0:
         raise InvalidInputError("finite B requires sigma_min > 0")
     value = base * (1.0 - math.pi**2 * r2 / (m * B**2 * sigma_min))
     if value < 0.0:
@@ -69,7 +72,7 @@ def eta_to_b_squared(eta2: float, r2: float, d: int, sigma_max: float) -> float:
 
     B^2 = eta^2 * r2 / (d * sigma_max).
     """
-    if eta2 <= 0 or r2 <= 0 or d < 1 or sigma_max <= 0:
+    if not (eta2 > 0 and r2 > 0 and d >= 1 and sigma_max > 0):
         raise InvalidInputError("all inputs must be positive")
     return eta2 * r2 / (d * sigma_max)
 
@@ -94,7 +97,7 @@ def upper_bound_sa(d: int, m: int, r2: float, rho: float) -> float:
     """
     if d <= 2:
         raise UndefinedBoundError(f"requires d > 2 (d={d})")
-    if rho < 0:
+    if not rho >= 0:
         raise InvalidInputError("rho must be nonnegative")
     eps_p = epsilon_prime(d, m)
     return d / m * r2 * (1.0 - (1.0 - eps_p) / (1.0 + m / d * rho))
@@ -108,8 +111,8 @@ def upper_bound_pred(d: int, m: int, r2: float, rho: float, eps: float) -> float
     enough relative to d, a threshold with an unspecified constant that
     this function does not itself assert.
     """
-    if eps < 0:
-        raise InvalidInputError("eps must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise InvalidInputError("eps must be finite and nonnegative")
     return (1.0 + eps) * upper_bound_sa(d, m, r2, rho)
 
 
@@ -121,10 +124,10 @@ def ratio_r(d: int, m: int, rho: float, eps: float = 0.0) -> float:
     """
     if d <= 2:
         raise UndefinedBoundError(f"requires d > 2 (d={d})")
-    if rho < 0:
+    if not rho >= 0:
         raise InvalidInputError("rho must be nonnegative")
-    if eps < 0:
-        raise InvalidInputError("eps must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise InvalidInputError("eps must be finite and nonnegative")
     eps_p = epsilon_prime(d, m)
     return (1.0 + eps) * (m - d - 1) / m * (1.0 - (1.0 - eps_p) / (1.0 + m / d * rho))
 
@@ -152,6 +155,12 @@ class BoundInputs:
     def __post_init__(self):
         if self.d < 1 or self.m < 1:
             raise InvalidInputError("d and m must be >= 1")
+        # a NaN fails the domain check of every formula that reads it; these
+        # catch one that no defined formula reads
+        for name in ("r2", "rho", "sigma_min", "sigma_max", "B", "eta2", "eps"):
+            value = getattr(self, name)
+            if value is not None and math.isnan(value):
+                raise InvalidInputError(f"{name} must be a number, got nan")
         if self.sigma_min is not None and self.sigma_max is not None:
             if self.sigma_min > self.sigma_max:
                 raise InvalidInputError("sigma_min must not exceed sigma_max")

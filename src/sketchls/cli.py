@@ -180,6 +180,12 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _check_tol(args) -> None:
+    """Reject a tolerance no check can be held to, before anything is drawn."""
+    if not 0 < args.tol < math.inf:
+        raise InvalidInputError(f"--tol must be finite and positive, got {args.tol}")
+
+
 def _verify_result(args, pairs: dict, passed: bool) -> int:
     pairs["tolerance"] = pairs.get("tolerance", args.tol)
     pairs["status"] = "PASS" if passed else "FAIL"
@@ -188,9 +194,12 @@ def _verify_result(args, pairs: dict, passed: bool) -> int:
 
 
 def _cmd_verify_stein(args) -> int:
-    # the spectrum and the seed are used before SteinInstance can check its inputs
+    # the spectrum, theta and the seed are used before SteinInstance can check its inputs
+    _check_tol(args)
     if not (args.d > 2 and 0 < args.cond < math.inf):
         raise InvalidInputError(f"need --d > 2 and 0 < --cond < inf, got {args.d}, {args.cond}")
+    if not math.isfinite(args.theta_norm):
+        raise InvalidInputError(f"--theta-norm must be finite, got {args.theta_norm}")
     check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     eigvals = np.geomspace(1.0, args.cond, args.d)
@@ -205,6 +214,7 @@ def _cmd_verify_stein(args) -> int:
 
 
 def _cmd_verify_residual(args) -> int:
+    _check_tol(args)
     instance, sol = gen_gaussian_data(SyntheticSpec(n=args.n, d=args.d, rho=args.rho,
                                                     seed=derive_seed(args.seed, "datagen")))
     mean_full, mean_sketched = verify_residual_unbiased(
@@ -222,6 +232,7 @@ def _cmd_verify_residual(args) -> int:
 
 
 def _cmd_verify_gram(args) -> int:
+    _check_tol(args)
     deviation = verify_gram_identity(args.family, args.n, args.m, args.reps, args.seed)
     return _verify_result(args, {"max_deviation": deviation}, deviation <= args.tol)
 

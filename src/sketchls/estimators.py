@@ -22,6 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from .core import RANK_TOL
 from .errors import DimensionMismatchError, InvalidSketchSizeError, RankDeficientSketchError
@@ -92,19 +93,28 @@ def _sq(a) -> float:
 
 
 def classical(SA, Sy, rank_tol: float = RANK_TOL) -> EstimateRecord:
-    """Solve the compressed problem min ||SA x - Sy||^2 by orthogonal factorization."""
+    """Solve the compressed problem min ||SA x - Sy||^2 by orthogonal factorization.
+
+    One QR of [SA | Sy] gives its triangular factor U; then x solves
+    U[:d, :d] x = U[:d, d:].  U[:d, :d] is the R factor of SA, so its
+    singular values are those of SA, and SA counts as rank deficient when
+    s_min <= rank_tol * s_max.
+    """
     SA = np.asarray(SA, dtype=np.float64)
     Sy = np.asarray(Sy, dtype=np.float64)
-    if SA.ndim != 2 or Sy.shape[0] != SA.shape[0]:
+    if SA.ndim != 2 or Sy.ndim not in (1, 2) or Sy.shape[0] != SA.shape[0]:
         raise DimensionMismatchError(f"incompatible shapes SA={SA.shape}, Sy={Sy.shape}")
     m, d = SA.shape
     if m < d:
         raise RankDeficientSketchError(f"sketch size m={m} below column count d={d}")
-    x, _, _, svals = np.linalg.lstsq(SA, Sy, rcond=None)
+    U = np.linalg.qr(np.column_stack((SA, Sy)), mode="r")
+    svals = np.linalg.svd(U[:d, :d], compute_uv=False)
     if svals[-1] <= rank_tol * svals[0]:
         raise RankDeficientSketchError(
             f"SA is rank deficient: s_min/s_max = {svals[-1] / svals[0]:.3e}"
         )
+    rhs = U[:d, d] if Sy.ndim == 1 else U[:d, d:]
+    x = scipy.linalg.solve_triangular(U[:d, :d], rhs, check_finite=False)
     return EstimateRecord(x_hat=x, kind=CLASSICAL, shrink_factor=1.0)
 
 

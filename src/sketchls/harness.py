@@ -11,7 +11,8 @@ Gaussian cells never realize their m x n operator.  A Gaussian S is
 rotation invariant, so S[A | b] has the law of G R~ / sqrt(m), with G an
 m x (d+k') standard normal matrix and R~ the triangular factor of [A | b]
 (`augmented_factor`); a repetition draws G and costs O(m (d+k')^2),
-independent of n.  Every other family realizes its operator explicitly.
+independent of n.  Every other family realizes its operator explicitly
+and applies it once per realization, to [A | b] built once per sweep.
 Error metrics come from A's R factor for every family (see `_fit_error`).
 
 The verify_* functions are direct Monte Carlo checks of the identities
@@ -158,39 +159,39 @@ def _fit_error(R, x_hat, x_ls) -> float:
     return float(np.sum(diff * diff))
 
 
-def _sketched_data(instance, family, m, seed, weights, r_tilde):
-    """(SA, S b) of one realization.
+def _sketched_data(instance, family, m, seed, weights, B):
+    """(SA, S b) of one realization: views of one m x (d+k') array SB.
 
-    For Gaussian cells (`r_tilde` given) the pair is drawn from its exact
-    law: SB = G R~ / sqrt(m) with G = default_rng(seed).standard_normal,
-    m x (d+k'); SA is its first d columns and S b the rest.
+    For Gaussian cells `B` is R~ and SB is drawn from its exact law,
+    G R~ / sqrt(m) with G = default_rng(seed).standard_normal, m x (d+k').
+    For every other family `B` is [A | b] and SB = S B, one application of
+    the realized operator.  SA is the first d columns of SB and S b the rest.
     """
-    if r_tilde is not None:
-        SB = np.random.default_rng(seed).standard_normal((m, r_tilde.shape[0])) @ r_tilde
+    if family == "gaussian":
+        SB = np.random.default_rng(seed).standard_normal((m, B.shape[0])) @ B
         SB /= math.sqrt(m)
-        d = instance.d
-        return SB[:, :d], (SB[:, d] if instance.Y is None else SB[:, d:])
-    op = make_operator(SketchSpec(family, m, seed), instance.n, weights=weights)
-    return apply(op, instance.A), apply(op, instance.target)
+    else:
+        SB = apply(make_operator(SketchSpec(family, m, seed), instance.n, weights=weights), B)
+    d = instance.d
+    return SB[:, :d], (SB[:, d] if instance.Y is None else SB[:, d:])
 
 
-def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch, weights,
-             r_tilde):
+def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch, weights, B):
     """One repetition of one cell: returns {kind: (pred/n, sa/n, factor)}.
 
     `weights` are the family's sampling weights, `sampling_weights(family, A)`;
-    `r_tilde` is `augmented_factor(instance, sol)` for Gaussian cells and
-    None otherwise.
+    `B` is `augmented_factor(instance, sol)` for Gaussian cells and the
+    read-only [A | b] of the sweep otherwise.
     """
     n, d, R = instance.n, instance.d, instance.R
-    SA, St = _sketched_data(instance, family, m, seed, weights, r_tilde)
+    SA, St = _sketched_data(instance, family, m, seed, weights, B)
     rec0 = est_mod.classical(SA, St)
 
     # residual energies by source, of the classical or (two sketches) the auxiliary solution
     residuals: dict = {}
     x_res = rec0.x_hat
     if two_sketch:
-        SA2, St2 = _sketched_data(instance, family, m, aux_seed, weights, r_tilde)
+        SA2, St2 = _sketched_data(instance, family, m, aux_seed, weights, B)
         x_res = est_mod.classical(SA2, St2).x_hat
         diff_skt = SA2 @ x_res - St2
         residuals["sketched"] = float(np.sum(diff_skt * diff_skt))
@@ -231,6 +232,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     instance, sol = resolve_instance(cfg)
     r_tilde = augmented_factor(instance, sol) if "gaussian" in cfg.families else None
+    data = None
+    if any(family != "gaussian" for family in cfg.families):
+        data = np.column_stack((instance.A, instance.target))
+        data.setflags(write=False)
     n, d = instance.n, instance.d
     r2, rho = sol.r2, snr(sol)
     is_matrix = instance.Y is not None
@@ -257,10 +262,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
                     continue
 
                 def one(r, _family=family, _m=m, _seeds=seeds, _aux=aux_seeds, _run=runnable,
-                        _weights=weights, _r_tilde=r_tilde if family == "gaussian" else None):
+                        _weights=weights, _B=r_tilde if family == "gaussian" else data):
                     try:
                         return _run_rep(instance, sol, _family, _m, _seeds[r], _aux[r],
-                                        _run, cfg.two_sketch, _weights, _r_tilde)
+                                        _run, cfg.two_sketch, _weights, _B)
                     except SketchLSError as exc:
                         return exc
 

@@ -202,9 +202,12 @@ class _Gaussian(_Dense):
 
 class _Rademacher(_Dense):
     def _realize(self, rng, weights):
+        # eight signs per random byte; the packed draw needs n/8 bytes per row, not 8n
+        packed = rng.integers(0, 256, size=(self.m, -(-self.n // 8)), dtype=np.uint8)
+        bits = np.unpackbits(packed, axis=1, count=self.n)
         # bits * 2s - s is exact, so it equals (2 bits - 1) / sqrt(m) bitwise
         s = 1.0 / math.sqrt(self.m)
-        dense = np.multiply(rng.integers(0, 2, size=(self.m, self.n)), 2.0 * s)
+        dense = np.multiply(bits, 2.0 * s)
         dense -= s
         self.dense = _frozen(dense)
 

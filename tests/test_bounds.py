@@ -15,7 +15,7 @@ from sketchls.bounds import (
     upper_bound_pred,
     upper_bound_sa,
 )
-from sketchls.errors import UndefinedBoundError
+from sketchls.errors import InvalidInputError, UndefinedBoundError
 
 
 class TestExactClassical:
@@ -174,3 +174,44 @@ class TestReport:
         report = evaluate_report(BoundInputs(d=5, m=40, r2=2.0, B=1e-6, sigma_min=0.7))
         assert report.general_lower == 0.0
         assert "vacuous" in report.reasons["general_lower"]
+
+
+NAN, INF = math.nan, math.inf
+
+
+class TestNonFiniteInputs:
+    """Every domain check rejects NaN; r2 and eps must also be finite."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: exact_classical_error(10, 40, NAN),
+        lambda: exact_classical_error(10, 40, INF),
+        lambda: unbiased_lower_bound(10, 40, NAN),
+        lambda: general_lower_bound(10, 40, NAN),
+        lambda: general_lower_bound(10, 40, INF),
+        lambda: general_lower_bound(10, 40, 1.0, B=NAN, sigma_min=1.0),
+        lambda: general_lower_bound(10, 40, 1.0, B=2.0, sigma_min=NAN),
+        lambda: eta_to_b_squared(NAN, 1.0, 10, 2.0),
+        lambda: eta_to_b_squared(4.0, NAN, 10, 2.0),
+        lambda: eta_to_b_squared(4.0, 1.0, 10, NAN),
+        lambda: upper_bound_sa(10, 40, 1.0, NAN),
+        lambda: upper_bound_pred(10, 40, 1.0, 1.0, NAN),
+        lambda: upper_bound_pred(10, 40, 1.0, 1.0, INF),
+        lambda: ratio_r(10, 40, NAN),
+        lambda: ratio_r(10, 40, 1.0, eps=NAN),
+        lambda: ratio_r(10, 40, 1.0, eps=INF),
+    ])
+    def test_rejected(self, call):
+        with pytest.raises(InvalidInputError):
+            call()
+
+    @pytest.mark.parametrize("field", ["r2", "rho", "sigma_min", "sigma_max", "B", "eta2",
+                                       "eps"])
+    def test_report_inputs_reject_nan(self, field):
+        with pytest.raises(InvalidInputError, match=field):
+            BoundInputs(**{"d": 10, "m": 40, "r2": 1.0, field: NAN})
+
+    def test_infinite_rho_and_b_stay_valid(self):
+        report = evaluate_report(BoundInputs(d=10, m=40, r2=1.0, rho=INF))
+        assert report.upper_sa == pytest.approx(10 / 40)
+        assert report.general_lower == pytest.approx(10 / 40)
+        assert not report.reasons

@@ -437,6 +437,16 @@ _EXIT_TABLE = [
     (f"{_BOUNDS} --B -1 --sigma-min 1", 2),
     (f"{_BOUNDS} --sigma-min 2 --sigma-max 1", 2),
     (f"{_BOUNDS} --eta2 -1 --sigma-min 1 --sigma-max 2", 2),
+    (f"{_BOUNDS} --rho inf", 0),
+    ("bounds --d 10 --m 40 --r2 nan --rho 1", 2),
+    ("bounds --d 10 --m 40 --r2 inf --rho 1", 2),
+    (f"{_BOUNDS} --rho nan", 2),
+    ("bounds --d 2 --m 40 --r2 1 --rho nan", 2),
+    (f"{_BOUNDS} --rho 1 --eps nan", 2),
+    (f"{_BOUNDS} --rho 1 --eps inf", 2),
+    (f"{_BOUNDS} --B nan --sigma-min 1", 2),
+    (f"{_BOUNDS} --sigma-min nan", 2),
+    (f"{_BOUNDS} --eta2 nan --sigma-min 1 --sigma-max 2", 2),
     ("verify stein --samples 2000 --tol 1", 0),
     ("verify stein --bogus", 1),
     ("verify stein --samples 0", 2),
@@ -444,21 +454,31 @@ _EXIT_TABLE = [
     ("verify stein --seed -1", 2),
     ("verify stein --cond 0", 2),
     ("verify stein --cond -1", 2),
-    ("verify stein --samples 2000 --tol 0", 4),
+    ("verify stein --theta-norm nan", 2),
+    ("verify stein --theta-norm inf", 2),
+    ("verify stein --tol nan", 2),
+    ("verify stein --tol inf", 2),
+    ("verify stein --samples 2000 --tol 0", 2),
+    ("verify stein --samples 2000 --tol 1e-12", 4),
     (f"{_RESIDUAL} --tol 1", 0),
     ("verify residual --family fourier", 1),
     ("verify residual --reps 0", 2),
     ("verify residual --seed -1", 2),
     ("verify residual --n 4 --d 4", 2),
     ("verify residual --n 64 --d 4 --m 3 --reps 5", 3),
-    (f"{_RESIDUAL} --tol 0", 4),
+    (f"{_RESIDUAL} --tol nan", 2),
+    (f"{_RESIDUAL} --tol 0", 2),
+    (f"{_RESIDUAL} --tol 1e-12", 4),
     (f"{_GRAM} --reps 20 --tol 10", 0),
     ("verify gram --n 8 --m 4", 1),
     ("verify gram --family gaussian --n 0 --m 4", 2),
     ("verify gram --family gaussian --n 8 --m 0", 2),
     (f"{_GRAM} --reps 0", 2),
     (f"{_GRAM} --seed -1", 2),
-    (f"{_GRAM} --reps 20 --tol 0", 4),
+    (f"{_GRAM} --tol nan", 2),
+    (f"{_GRAM} --tol=-inf", 2),
+    (f"{_GRAM} --reps 20 --tol 0", 2),
+    (f"{_GRAM} --reps 20 --tol 1e-12", 4),
 ]
 _STDERR_PREFIX = {1: ("usage error: ", "sketchls"), 2: ("error: ",),
                   3: ("numerical failure: ",)}

@@ -63,6 +63,38 @@ class TestClassical:
         assert abs(errs.mean() - target) <= 0.05 * target
 
 
+class TestClassicalByQr:
+    """`classical` solves by QR of [SA | Sy] and keeps the SVD rank rule."""
+
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("extra", [0, 1, "3d"])
+    def test_matches_the_lstsq_reference(self, k, extra):
+        d = 12
+        m = 3 * d if extra == "3d" else d + extra
+        rng = np.random.default_rng(d + m + (k or 0))
+        SA = rng.standard_normal((m, d))
+        Sy = rng.standard_normal(m if k is None else (m, k))
+        x = classical(SA, Sy).x_hat
+        reference = np.linalg.lstsq(SA, Sy, rcond=None)[0]
+        assert x.shape == reference.shape
+        np.testing.assert_allclose(x, reference, rtol=1e-10, atol=0)
+
+    @staticmethod
+    def _with_condition(ratio, d=8, m=20):
+        # SA = U diag(s) V^T with s_max = 1 and s_min = ratio
+        rng = np.random.default_rng(31)
+        U, _ = np.linalg.qr(rng.standard_normal((m, d)))
+        V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        return (U * np.geomspace(1.0, ratio, d)) @ V.T, rng.standard_normal(m)
+
+    def test_rank_rule_threshold(self):
+        SA, Sy = self._with_condition(1e-9)
+        assert np.all(np.isfinite(classical(SA, Sy).x_hat))
+        SA, Sy = self._with_condition(1e-11)
+        with pytest.raises(RankDeficientSketchError, match="s_min/s_max"):
+            classical(SA, Sy)
+
+
 class TestResidualEstimates:
     def test_full_plug_in_at_exact_solution(self):
         p, sol = gen_gaussian_data(SyntheticSpec(n=64, d=6, rho=1.0, seed=4))

@@ -22,7 +22,14 @@ from sketchls.config import load_config, parse_config_text
 from sketchls.errors import ConfigError, InvalidInputError, NotSpdError
 from sketchls import harness, sketches
 from sketchls.harness import resolve_instance
-from sketchls.sketches import SketchSpec, as_matrix, derive_seed, make_operator, sampling_weights
+from sketchls.sketches import (
+    FAMILIES,
+    SketchSpec,
+    as_matrix,
+    derive_seed,
+    make_operator,
+    sampling_weights,
+)
 
 
 def _small_cfg(**overrides):
@@ -402,3 +409,38 @@ class TestSamplingWeightsOncePerSweep:
                 assert c.reps == 0 and c.skipped.startswith("failed: ") and reason in c.skipped
             else:
                 assert c.reps == cfg.reps and c.skipped is None
+
+
+class TestOneApplyPerRealization:
+    """Every non-Gaussian realization is applied once, to the sweep's read-only [A | b]."""
+
+    @pytest.mark.parametrize("two_sketch", [False, True])
+    def test_one_apply_per_non_gaussian_realization(self, monkeypatch, two_sketch):
+        cfg = _small_cfg(families=FAMILIES, m_values=(30, 40), reps=3, two_sketch=two_sketch)
+        operators, applied = [], []
+        make, apply_ = harness.make_operator, harness.apply
+
+        def counting_make(spec, n, weights=None):
+            op = make(spec, n, weights=weights)
+            operators.append(op)
+            return op
+
+        def counting_apply(op, M):
+            applied.append((op, M))
+            return apply_(op, M)
+
+        monkeypatch.setattr(harness, "make_operator", counting_make)
+        monkeypatch.setattr(harness, "apply", counting_apply)
+        res = run_experiment(cfg)
+        assert all(c.reps == cfg.reps for c in res.cells)
+        realizations = (len(FAMILIES) - 1) * len(cfg.m_values) * cfg.reps * (1 + two_sketch)
+        assert len(operators) == len(applied) == realizations
+        assert [op for op, _ in applied] == operators
+        assert "gaussian" not in {op.family for op in operators}
+
+        p = resolve_instance(cfg)[0]
+        B = applied[0][1]
+        assert all(M is B for _, M in applied)
+        assert B.shape == (p.n, p.d + 1) and B.flags.c_contiguous
+        assert not B.flags.writeable
+        np.testing.assert_array_equal(B, np.column_stack((p.A, p.y)))

@@ -83,11 +83,15 @@ class TestDenseRealization:
         rng = np.random.default_rng(seed)
         gaussian = rng.standard_normal((m, n)) / math.sqrt(m)
         rng = np.random.default_rng(seed)
-        rademacher = (2.0 * rng.integers(0, 2, size=(m, n)) - 1.0) / math.sqrt(m)
+        packed = rng.integers(0, 256, size=(m, math.ceil(n / 8)), dtype=np.uint8)
+        bits = np.unpackbits(packed, axis=1, count=n)
+        rademacher = (2.0 * bits - 1.0) / math.sqrt(m)
         for family, reference in (("gaussian", gaussian), ("rademacher", rademacher)):
             dense = make_operator(SketchSpec(family, m, seed), n).dense
             assert dense.dtype == np.float64
             assert dense.tobytes() == reference.tobytes()
+        # `dense` is now the Rademacher block: every entry is exactly +-1/sqrt(m)
+        assert np.all(np.abs(dense) == 1.0 / math.sqrt(m))
 
 
 class TestFwht:
