@@ -92,7 +92,12 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"no such config file: {path}")
-    values = parse_config_text(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"line {line}: byte {exc.object[exc.start]:#04x} is not UTF-8") from None
+    values = parse_config_text(text)
 
     seed = _get(values, "experiment.seed", int, default=0)
     has_synth = any(k.startswith("synthetic.") for k in values)

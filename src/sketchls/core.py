@@ -66,11 +66,13 @@ class ProblemInstance:
     ``y``, an n-by-k target matrix ``Y``, or both (``Y`` wins as the
     regression target when present; ``y`` then carries raw labels).
     Construction validates shapes, finiteness, and full column rank.
-    A is factored once, by a thin QR of the instance's own read-only
-    copy: the rank check reads the singular values of R (those of A),
-    and the exact solution, computed lazily and cached, reuses R and Q^T b.
-    Both stay readable as ``R`` (d x d, upper triangular) and ``qtb``
-    (Q^T times the target); Q itself is not kept.
+    The instance keeps a read-only, C-contiguous ``AB`` = [A | b] (b the
+    target, k' columns) and factors it once, by one QR that forms no Q:
+    ``R_tilde`` is its (d+k') x (d+k') triangular factor, zero below row n
+    when n < d+k'.  ``R`` (A's R factor) and ``qtb`` (Q^T b) are read-only
+    views of its leading blocks.  The rank check reads the singular values
+    of R (those of A); the exact solution, computed lazily and cached,
+    solves R x = Q^T b.
     """
 
     def __init__(self, A, y=None, Y=None, rank_tol: float = RANK_TOL):
@@ -90,12 +92,19 @@ class ProblemInstance:
             Y = _readonly_f64(Y, "Y")
             if Y.ndim != 2 or Y.shape[0] != n:
                 raise DimensionMismatchError(f"Y must have shape ({n}, k), got {Y.shape}")
-        Q, R = np.linalg.qr(A)
+        AB = np.column_stack((A, Y if Y is not None else y))
+        AB.setflags(write=False)
+        R_tilde = np.zeros((AB.shape[1], AB.shape[1]))
+        R_tilde[:n] = np.linalg.qr(AB, mode="r")  # min(n, d+k') rows
+        if not np.all(np.isfinite(R_tilde)):
+            raise InvalidInputError("[A | target] is too large to factor without overflow")
+        R_tilde.setflags(write=False)
+        R = R_tilde[:d, :d]
         svals = np.linalg.svd(R, compute_uv=False)
         if svals[-1] <= rank_tol * svals[0]:
+            ratio = svals[-1] / svals[0] if svals[0] > 0 else 0.0  # A = 0 has no ratio
             raise RankDeficientError(
-                f"A is rank deficient: s_min/s_max = {svals[-1] / svals[0]:.3e} <= {rank_tol:.1e}"
-            )
+                f"A is rank deficient: s_min/s_max = {ratio:.3e} <= {rank_tol:.1e}")
         self.A = A
         self.y = y
         self.Y = Y
@@ -103,11 +112,10 @@ class ProblemInstance:
         self.d = d
         self.rank_tol = rank_tol
         self._svals = svals
-        qtb = Q.T @ self.target
-        R.setflags(write=False)
-        qtb.setflags(write=False)
+        self.AB = AB
+        self.R_tilde = R_tilde
         self.R = R
-        self.qtb = qtb
+        self.qtb = R_tilde[:d, d] if Y is None else R_tilde[:d, d:]
 
     @property
     def target(self) -> np.ndarray:
@@ -137,32 +145,13 @@ class ProblemInstance:
 
 
 def solve_exact(p: ProblemInstance) -> ExactSolution:
-    """Solve the instance exactly through a thin QR factorization.
+    """Solve the instance exactly from the triangular factor of [A | b].
 
-    Full column rank was already validated at construction, so the
-    triangular factor is invertible.  Deterministic: identical inputs
-    yield bitwise-identical outputs within one build.
+    Full column rank was already validated at construction, so R is
+    invertible.  Deterministic: identical inputs yield bitwise-identical
+    outputs within one build.
     """
     return p.solution
-
-
-def augmented_factor(p: ProblemInstance, sol: ExactSolution) -> np.ndarray:
-    """Triangular factor of [A | b]: R~ with R~^T R~ = [A | b]^T [A | b].
-
-    R~ = [[R, Q^T b], [0, R_perp]], where R_perp is the k' x k' triangular
-    factor of the residual ``sol.y_perp`` (k' = 1 for a vector target).
-    The blocks line up because the residual is orthogonal to range(A).
-    Costs one QR of the n x k' residual.
-    """
-    y_perp = sol.y_perp.reshape(p.n, -1)
-    k = y_perp.shape[1]
-    r_perp = np.linalg.qr(y_perp, mode="r")  # min(n, k') x k'
-    out = np.zeros((p.d + k, p.d + k))
-    out[:p.d, :p.d] = p.R
-    out[:p.d, p.d:] = p.qtb.reshape(p.d, k)
-    out[p.d:p.d + r_perp.shape[0], p.d:] = r_perp
-    out.setflags(write=False)
-    return out
 
 
 def prediction_error(A, x_hat, x_ls) -> float:

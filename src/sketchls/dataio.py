@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ProblemInstance
-from .errors import DataFormatError, InvalidInputError, LabelOutOfRangeError
+from .errors import DataFormatError, DimensionMismatchError, InvalidInputError, LabelOutOfRangeError
 
 FORMAT_SPARSE = "sparse"
 FORMAT_DENSE = "csv"
@@ -49,34 +49,56 @@ def _parse_float(token: str, line: int, column: int) -> float:
         raise DataFormatError(f"not a number: {token!r}", line=line, column=column) from None
 
 
+def _lines(path: Path):
+    """(line number, line) pairs of a UTF-8 text file, read as a stream.
+
+    A byte that is not UTF-8 raises DataFormatError with its line, found by
+    decoding the whole file again on that error path only.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        raw = path.read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"byte {raw[exc.start]:#04x} is not UTF-8",
+                                  line=raw.count(b"\n", 0, exc.start) + 1) from None
+        raise  # the file changed between the two reads
+
+
 def _load_sparse(path: Path) -> tuple[np.ndarray, np.ndarray]:
     labels = []
     rows = []  # list of (indices, values)
     max_index = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            tokens = raw.split()
-            if not tokens:
-                continue
-            labels.append(_parse_float(tokens[0], lineno, 1))
-            indices = []
-            values = []
-            for col, token in enumerate(tokens[1:], start=2):
-                idx, sep, val = token.partition(":")
-                if not sep:
-                    raise DataFormatError(f"expected idx:val, got {token!r}", line=lineno, column=col)
-                try:
-                    i = int(idx)
-                except ValueError:
-                    raise DataFormatError(f"bad feature index {idx!r}", line=lineno, column=col) from None
-                if i < 1:
-                    raise DataFormatError(f"feature indices are 1-based, got {i}", line=lineno, column=col)
-                indices.append(i)
-                values.append(_parse_float(val, lineno, col))
-                max_index = max(max_index, i)
-            rows.append((indices, values))
+    for lineno, raw in _lines(path):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        labels.append(_parse_float(tokens[0], lineno, 1))
+        indices = []
+        values = []
+        for col, token in enumerate(tokens[1:], start=2):
+            idx, sep, val = token.partition(":")
+            if not sep:
+                raise DataFormatError(f"expected idx:val, got {token!r}", line=lineno, column=col)
+            try:
+                i = int(idx)
+            except ValueError:
+                raise DataFormatError(f"bad feature index {idx!r}", line=lineno, column=col) from None
+            if i < 1:
+                raise DataFormatError(f"feature indices are 1-based, got {i}", line=lineno, column=col)
+            indices.append(i)
+            values.append(_parse_float(val, lineno, col))
+            max_index = max(max_index, i)
+        rows.append((indices, values))
     if not rows:
         raise DataFormatError("no data rows", line=1)
+    # checked before allocating: the n x d matrix is dense, and d comes from the file
+    if not len(rows) > max_index >= 1:
+        raise DimensionMismatchError(
+            f"need n > d >= 1, got A with shape {(len(rows), max_index)}")
     A = np.zeros((len(rows), max_index))
     for r, (indices, values) in enumerate(rows):
         for i, v in zip(indices, values):
@@ -85,8 +107,7 @@ def _load_sparse(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _load_dense(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    lines = [line.rstrip("\n") for _, line in _lines(path) if line.strip()]
     if not lines:
         raise DataFormatError("no data rows", line=1)
     first = lines[0].split(",")
@@ -113,10 +134,11 @@ def _load_dense(path: Path) -> tuple[np.ndarray, np.ndarray]:
 def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
     Y = np.zeros((labels.shape[0], k))
     for r, label in enumerate(labels):
-        cls = int(label)
-        if cls != label or not 0 <= cls < k:
-            raise LabelOutOfRangeError(f"label {label!r} not an integer in [0, {k})", line=r + 1)
-        Y[r, cls] = 1.0
+        # the range test comes first: it is False for NaN and infinity, which int() rejects
+        if not (0 <= label < k and label == int(label)):
+            raise LabelOutOfRangeError(f"label {float(label)!r} not an integer in [0, {k})",
+                                       line=r + 1)
+        Y[r, int(label)] = 1.0
     return Y
 
 

@@ -10,9 +10,9 @@ iteration order, and any cell can be replayed in isolation.
 Gaussian cells never realize their m x n operator.  A Gaussian S is
 rotation invariant, so S[A | b] has the law of G R~ / sqrt(m), with G an
 m x (d+k') standard normal matrix and R~ the triangular factor of [A | b]
-(`augmented_factor`); a repetition draws G and costs O(m (d+k')^2),
+(`ProblemInstance.R_tilde`); a repetition draws G and costs O(m (d+k')^2),
 independent of n.  Every other family realizes its operator explicitly
-and applies it once per realization, to [A | b] built once per sweep.
+and applies it once per realization, to `ProblemInstance.AB` = [A | b].
 Error metrics come from A's R factor for every family (see `_fit_error`).
 
 The verify_* functions are direct Monte Carlo checks of the identities
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import estimators as est_mod
-from .core import ExactSolution, ProblemInstance, augmented_factor, snr, solve_exact
+from .core import ExactSolution, ProblemInstance, snr, solve_exact
 # not called here, but the benchmark's tracer wraps harness.prediction_error
 from .core import prediction_error  # noqa: F401
 from .datagen import SyntheticSpec, add_noise, gen_gaussian_data
@@ -159,39 +159,40 @@ def _fit_error(R, x_hat, x_ls) -> float:
     return float(np.sum(diff * diff))
 
 
-def _sketched_data(instance, family, m, seed, weights, B):
+def _sketched_data(instance, family, m, seed, weights):
     """(SA, S b) of one realization: views of one m x (d+k') array SB.
 
-    For Gaussian cells `B` is R~ and SB is drawn from its exact law,
-    G R~ / sqrt(m) with G = default_rng(seed).standard_normal, m x (d+k').
-    For every other family `B` is [A | b] and SB = S B, one application of
-    the realized operator.  SA is the first d columns of SB and S b the rest.
+    Gaussian cells draw SB from its exact law, G R~ / sqrt(m), with
+    R~ = `instance.R_tilde` and G = default_rng(seed).standard_normal,
+    m x (d+k').  Every other family computes SB = S [A | b], one
+    application of the realized operator to `instance.AB`.  SA is the
+    first d columns of SB and S b the rest.
     """
     if family == "gaussian":
-        SB = np.random.default_rng(seed).standard_normal((m, B.shape[0])) @ B
+        G = np.random.default_rng(seed).standard_normal((m, instance.AB.shape[1]))
+        SB = G @ instance.R_tilde
         SB /= math.sqrt(m)
     else:
-        SB = apply(make_operator(SketchSpec(family, m, seed), instance.n, weights=weights), B)
+        op = make_operator(SketchSpec(family, m, seed), instance.n, weights=weights)
+        SB = apply(op, instance.AB)
     d = instance.d
     return SB[:, :d], (SB[:, d] if instance.Y is None else SB[:, d:])
 
 
-def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch, weights, B):
+def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch, weights):
     """One repetition of one cell: returns {kind: (pred/n, sa/n, factor)}.
 
-    `weights` are the family's sampling weights, `sampling_weights(family, A)`;
-    `B` is `augmented_factor(instance, sol)` for Gaussian cells and the
-    read-only [A | b] of the sweep otherwise.
+    `weights` are the family's sampling weights, `sampling_weights(family, A)`.
     """
     n, d, R = instance.n, instance.d, instance.R
-    SA, St = _sketched_data(instance, family, m, seed, weights, B)
+    SA, St = _sketched_data(instance, family, m, seed, weights)
     rec0 = est_mod.classical(SA, St)
 
     # residual energies by source, of the classical or (two sketches) the auxiliary solution
     residuals: dict = {}
     x_res = rec0.x_hat
     if two_sketch:
-        SA2, St2 = _sketched_data(instance, family, m, aux_seed, weights, B)
+        SA2, St2 = _sketched_data(instance, family, m, aux_seed, weights)
         x_res = est_mod.classical(SA2, St2).x_hat
         diff_skt = SA2 @ x_res - St2
         residuals["sketched"] = float(np.sum(diff_skt * diff_skt))
@@ -231,11 +232,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     instance, sol = resolve_instance(cfg)
-    r_tilde = augmented_factor(instance, sol) if "gaussian" in cfg.families else None
-    data = None
-    if any(family != "gaussian" for family in cfg.families):
-        data = np.column_stack((instance.A, instance.target))
-        data.setflags(write=False)
     n, d = instance.n, instance.d
     r2, rho = sol.r2, snr(sol)
     is_matrix = instance.Y is not None
@@ -261,11 +257,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
                 if not runnable:
                     continue
 
-                def one(r, _family=family, _m=m, _seeds=seeds, _aux=aux_seeds, _run=runnable,
-                        _weights=weights, _B=r_tilde if family == "gaussian" else data):
+                # closes over the loop variables: the map below finishes in this iteration
+                def one(r):
                     try:
-                        return _run_rep(instance, sol, _family, _m, _seeds[r], _aux[r],
-                                        _run, cfg.two_sketch, _weights, _B)
+                        return _run_rep(instance, sol, family, m, seeds[r], aux_seeds[r],
+                                        runnable, cfg.two_sketch, weights)
                     except SketchLSError as exc:
                         return exc
 

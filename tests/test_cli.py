@@ -373,6 +373,18 @@ def inputs(tmp_path, dataset):
     zero_row = tmp_path / "zero_row.csv"
     zero_row.write_text("".join(f"1,{','.join(map(repr, row.tolist()))}\n" for row in features))
     base = _small_config(tmp_path).read_text()
+    huge_index = tmp_path / "huge_index.txt"
+    huge_index.write_text("1 1000000000000:1.0\n2 1:3\n")
+    utf8_csv = tmp_path / "utf8.csv"
+    utf8_csv.write_bytes(b"1,2\n\xff,3\n")
+    utf8_sparse = tmp_path / "utf8.txt"
+    utf8_sparse.write_bytes(b"1 1:2\n\xff 1:3\n")
+    cfg_utf8 = tmp_path / "utf8.cfg"
+    cfg_utf8.write_bytes(base.encode() + b"# \xff\n")
+    overflow = tmp_path / "overflow.csv"  # finite, but its QR overflows
+    overflow.write_text("1e308,1e308,1\n-1e308,1e308,2\n1e308,-1e308,0\n1,2,3\n")
+    zeros = tmp_path / "zeros.csv"
+    zeros.write_text("1,0,0\n2,0,0\n3,0,0\n")
 
     def config(name, text):
         path = tmp_path / f"{name}.cfg"
@@ -383,6 +395,12 @@ def inputs(tmp_path, dataset):
         "data": dataset,
         "rank": str(rank),
         "zero_row": str(zero_row),
+        "huge_index": str(huge_index),
+        "utf8_csv": str(utf8_csv),
+        "utf8_sparse": str(utf8_sparse),
+        "cfg_utf8": str(cfg_utf8),
+        "overflow": str(overflow),
+        "zeros": str(zeros),
         "missing": str(tmp_path / "missing.csv"),
         "out": str(tmp_path / "out.csv"),
         "nodir": str(tmp_path / "no" / "out.csv"),
@@ -414,6 +432,11 @@ _EXIT_TABLE = [
     ("solve", 1),
     ("solve --data {missing}", 2),
     ("solve --data {rank}", 3),
+    ("solve --data {zeros}", 3),
+    ("solve --format sparse --data {huge_index}", 2),
+    ("solve --data {utf8_csv}", 2),
+    ("solve --format sparse --data {utf8_sparse}", 2),
+    ("solve --data {overflow}", 2),
     (_SKETCH, 0),
     (f"{_SKETCH} --estimator shrinkage-fro", 1),
     ("sketch-solve --data {data} --family srht --m 0 --seed 3", 2),
@@ -426,6 +449,7 @@ _EXIT_TABLE = [
     ("experiment --config {missing}", 2),
     ("experiment --config {cfg_seed}", 2),
     ("experiment --config {cfg_eps}", 2),
+    ("experiment --config {cfg_utf8}", 2),
     ("experiment --config {cfg_rank}", 3),
     (_BOUNDS, 0),
     ("bounds --d 10 --m 40", 1),

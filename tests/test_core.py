@@ -161,11 +161,27 @@ class TestSnr:
 
 
 class TestSingleFactorization:
-    def test_solution_is_bitwise_the_thin_qr_solve(self):
+    def test_solution_is_bitwise_the_one_qr_solve(self):
         p = _random_instance(40, 6, seed=12)
-        Q, R = np.linalg.qr(p.A)
-        x = scipy.linalg.solve_triangular(R, Q.T @ p.y)
+        U = np.linalg.qr(np.column_stack((p.A, p.y)), mode="r")
+        x = scipy.linalg.solve_triangular(U[:6, :6], U[:6, 6])
         assert np.array_equal(solve_exact(p).x_ls, x)
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_solution_matches_lstsq(self, k):
+        rng = np.random.default_rng(14)
+        A = rng.standard_normal((50, 7))
+        b = rng.standard_normal(50 if k is None else (50, k))
+        p = ProblemInstance(A, y=b) if k is None else ProblemInstance(A, Y=b)
+        ref = np.linalg.lstsq(A, b, rcond=None)[0]
+        assert np.linalg.norm(solve_exact(p).x_ls - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_overflowing_factorization_is_typed(self):
+        # finite entries whose Householder QR overflows to inf
+        rng = np.random.default_rng(15)
+        A = rng.uniform(-1.0, 1.0, (8, 3)) * 1.7e308
+        with pytest.raises(InvalidInputError, match="overflow"):
+            ProblemInstance(A, y=rng.uniform(-1.0, 1.0, 8) * 1.7e308)
 
     def test_spectrum_matches_svd_of_a(self):
         p = _random_instance(50, 7, seed=13)

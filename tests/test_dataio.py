@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sketchls import DatasetFile, load, save_dense_csv
+from sketchls import DatasetFile, ProblemInstance, load, save_dense_csv
 from sketchls.dataio import CSV_HEADER, _load_dense, _load_sparse, _one_hot, write_results_csv
 from sketchls.datagen import SyntheticSpec, gen_gaussian_data
-from sketchls.errors import DataFormatError, InvalidInputError, LabelOutOfRangeError
+from sketchls.errors import (
+    DataFormatError,
+    DimensionMismatchError,
+    InvalidInputError,
+    LabelOutOfRangeError,
+    SketchLSError,
+)
 from sketchls.harness import CellResult
 
 
@@ -16,10 +24,11 @@ def _write(tmp_path, name, text):
 
 class TestSparseFormat:
     def test_basic_line(self, tmp_path):
-        path = _write(tmp_path, "f.txt", "2.5 1:1 3:4\n")
+        # three more rows than features: the loader rejects d >= n before densifying
+        path = _write(tmp_path, "f.txt", "2.5 1:1 3:4\n" + "0 2:1\n" * 3)
         A, y = _load_sparse(path)
-        np.testing.assert_allclose(A, [[1.0, 0.0, 4.0]])
-        np.testing.assert_allclose(y, [2.5])
+        np.testing.assert_allclose(A[:1], [[1.0, 0.0, 4.0]])
+        np.testing.assert_allclose(y[:1], [2.5])
 
     def test_end_to_end(self, tmp_path):
         lines = "\n".join(f"{i % 3}.5 1:{i} 2:{i * i}" for i in range(1, 7))
@@ -42,6 +51,21 @@ class TestSparseFormat:
         path = _write(tmp_path, "f.txt", "1.0 12\n")
         with pytest.raises(DataFormatError):
             _load_sparse(path)
+
+    def test_index_beyond_the_row_count_rejected_before_allocating(self, tmp_path):
+        path = _write(tmp_path, "f.txt", "1 1000000000000:1.0\n2 1:3\n")
+        with pytest.raises(DimensionMismatchError, match="need n > d >= 1"):
+            _load_sparse(path)
+
+
+@pytest.mark.parametrize("loader, row", [(_load_dense, b"1,2\n"), (_load_sparse, b"1 1:2\n")])
+def test_invalid_utf8_names_its_line(tmp_path, loader, row):
+    # far past the first buffered read, so the line is counted over the whole file
+    path = tmp_path / "f.txt"
+    path.write_bytes(row * 3000 + b"\xff" + row)
+    with pytest.raises(DataFormatError) as err:
+        loader(path)
+    assert err.value.line == 3001 and "0xff" in str(err.value)
 
 
 class TestDenseFormat:
@@ -87,6 +111,13 @@ class TestOneHot:
     def test_non_integer(self):
         with pytest.raises(LabelOutOfRangeError):
             _one_hot(np.array([0.5]), 3)
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_non_finite_label_names_its_line(self, tmp_path, label):
+        path = _write(tmp_path, "f.csv", f"0,1,2\n{label},2,3\n1,3,1\n2,1,1\n")
+        with pytest.raises(LabelOutOfRangeError) as err:
+            load(DatasetFile(path=str(path), onehot=3))
+        assert err.value.line == 2 and label in str(err.value)
 
     def test_end_to_end(self, tmp_path):
         rng = np.random.default_rng(42)
@@ -150,3 +181,40 @@ class TestResultsCsv:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_results_csv([], tmp_path / "out.csv")
+
+
+_NUMBERS = ["0", "1", "2", "-1.5", "0.25", "3e2", "-7"]
+_CELLS = _NUMBERS + ["1e308", "-1e308", "nan", "inf", "x", ""]
+_JUNK = [b",", b":", b" ", b"\n", b"\r", b"\xff", b"\xc3", b"0:1", b"1000000000000:1", b"y,x1"]
+
+
+@st.composite
+def _dataset_files(draw):
+    """A small csv or sparse file: a grid of cells, then a few junk byte strings spliced in."""
+    fmt = draw(st.sampled_from(["csv", "sparse"]))
+    width = draw(st.integers(1, 4))
+    cell = st.sampled_from(_NUMBERS if draw(st.booleans()) else _CELLS)
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=8))
+    if fmt == "csv":
+        text = "".join(",".join(row) + "\n" for row in rows)
+    else:
+        text = "".join(" ".join([row[0]] + [f"{j}:{v}" for j, v in enumerate(row[1:], 1)]) + "\n"
+                       for row in rows)
+    data = text.encode()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_JUNK)) + data[at:]
+    return fmt, data, draw(st.one_of(st.none(), st.integers(2, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dataset_files())
+def test_load_returns_an_instance_or_raises_a_typed_error(tmp_path_factory, case):
+    fmt, data, onehot = case
+    path = tmp_path_factory.mktemp("fuzz") / "data"
+    path.write_bytes(data)
+    try:
+        p = load(DatasetFile(path=str(path), format=fmt, onehot=onehot))
+    except SketchLSError:
+        return
+    assert isinstance(p, ProblemInstance)

@@ -1,7 +1,7 @@
 """Gaussian cells drawn from their exact law, and error metrics from A's R factor.
 
 The harness never realizes a Gaussian operator: S[A | b] has the law of
-G R~ / sqrt(m), with R~ = `augmented_factor(instance, sol)`.  Errors and
+G R~ / sqrt(m), with R~ = `instance.R_tilde`.  Errors and
 full-data residuals come from R for every family.  These tests compare
 both against the explicit, A-based route they replace.
 """
@@ -33,7 +33,6 @@ from sketchls import (
 )
 from sketchls import estimators as est
 from sketchls import harness
-from sketchls.core import augmented_factor
 from sketchls.harness import resolve_instance
 
 REL = 1e-10
@@ -73,17 +72,25 @@ class TestAugmentedFactor:
             k = 3 if case == "k=3" else None
             source = SyntheticSpec(n=96, d=7, rho=0.5, seed=32, k=k)
             kappa = 2.0 if case == "kappa" else 0.0
-        instance, sol = resolve_instance(_cfg(source, kappa=kappa))
-        r_tilde = augmented_factor(instance, sol)
+        instance, _ = resolve_instance(_cfg(source, kappa=kappa))
+        r_tilde = instance.R_tilde
         k = 1 if instance.Y is None else instance.Y.shape[1]
         assert r_tilde.shape == (instance.d + k, instance.d + k)
         assert np.all(np.tril(r_tilde, -1) == 0.0)
         assert _gram_gap(instance, r_tilde) <= REL
 
+    def test_fewer_rows_than_columns_of_ab(self):
+        rng = np.random.default_rng(37)
+        p = ProblemInstance(rng.standard_normal((6, 3)), Y=rng.standard_normal((6, 5)))
+        assert p.R_tilde.shape == (8, 8)
+        assert np.all(p.R_tilde[6:] == 0.0)
+        assert _gram_gap(p, p.R_tilde) <= REL
+
     def test_instance_factor_is_read_only(self):
         p, _ = gen_gaussian_data(SyntheticSpec(n=40, d=5, rho=1.0, seed=33))
         assert np.allclose(p.R.T @ p.R, p.A.T @ p.A, rtol=REL, atol=0)
-        for arr in (p.R, p.qtb):
+        assert p.AB.flags.c_contiguous
+        for arr in (p.R, p.qtb, p.R_tilde, p.AB):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
@@ -168,7 +175,7 @@ class TestGaussianCells:
             monkeypatch.setattr(harness, name, refuse)
         res = run_experiment(cfg)
         p, sol = resolve_instance(cfg)
-        r_tilde = augmented_factor(p, sol)
+        r_tilde = p.R_tilde
         for r, seed in enumerate(res.cell("gaussian", 40, "classical").rep_seeds):
             assert seed == derive_seed(5, "gaussian", 40, r)
             SB = np.random.default_rng(seed).standard_normal((40, 12)) @ r_tilde / math.sqrt(40)
@@ -233,7 +240,7 @@ def test_factor_and_metric_identities(problem):
     b = rng.standard_normal(n if k is None else (n, k))
     p = ProblemInstance(A, y=b) if k is None else ProblemInstance(A, Y=b)
     sol = solve_exact(p)
-    assert _gram_gap(p, augmented_factor(p, sol)) <= REL
+    assert _gram_gap(p, p.R_tilde) <= REL
 
     op = make_operator(SketchSpec("gaussian", m, seed), n)
     x_hat = est.classical(apply(op, A), apply(op, b)).x_hat
