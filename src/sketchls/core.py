@@ -52,11 +52,20 @@ class ExactSolution:
 
     @classmethod
     def from_fit(cls, x_ls: np.ndarray, fitted: np.ndarray, y_perp: np.ndarray) -> ExactSolution:
-        """Freeze x_ls and y_perp and derive r2 and pred_energy from the fit."""
+        """Freeze x_ls and y_perp and derive r2 and pred_energy from the fit.
+
+        Raises InvalidInputError when either energy is not finite: a float64
+        cannot hold it, so no solution of these data can be reported.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            r2 = float(np.sum(y_perp * y_perp))
+            pred_energy = float(np.sum(fitted * fitted))
+        if not (math.isfinite(r2) and math.isfinite(pred_energy)):
+            raise InvalidInputError(
+                f"the fit's squared norms overflow float64: r2 = {r2}, pred_energy = {pred_energy}")
         x_ls.setflags(write=False)
         y_perp.setflags(write=False)
-        return cls(x_ls=x_ls, y_perp=y_perp, r2=float(np.sum(y_perp * y_perp)),
-                   pred_energy=float(np.sum(fitted * fitted)))
+        return cls(x_ls=x_ls, y_perp=y_perp, r2=r2, pred_energy=pred_energy)
 
 
 class ProblemInstance:
@@ -140,8 +149,10 @@ class ProblemInstance:
     @cached_property
     def solution(self) -> ExactSolution:
         x = scipy.linalg.solve_triangular(self.R, self.qtb)
-        fitted = self.A @ x
-        return ExactSolution.from_fit(x, fitted, self.target - fitted)
+        with np.errstate(over="ignore", invalid="ignore"):  # from_fit rejects a fit that overflows
+            fitted = self.A @ x
+            residual = self.target - fitted
+        return ExactSolution.from_fit(x, fitted, residual)
 
 
 def solve_exact(p: ProblemInstance) -> ExactSolution:

@@ -10,6 +10,9 @@ round-trip decimal representation so that rewrites diff cleanly.
 
 from __future__ import annotations
 
+import itertools
+import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,38 +109,79 @@ def _load_sparse(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return A, np.array(labels)
 
 
-def _load_dense(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    lines = [line.rstrip("\n") for _, line in _lines(path) if line.strip()]
+def _numeric(line: str) -> bool:
+    """Whether every comma-separated cell of `line` parses as a float (else it is a header)."""
+    try:
+        [float(cell) for cell in line.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_dense(path: Path) -> np.ndarray:
+    """The dense CSV as one array, parsed cell by cell.
+
+    The reference for `_load_dense`: it names the file line and column of
+    the first bad cell, and it accepts what Python's `float` accepts.
+    """
+    lines = [(lineno, line.rstrip("\n")) for lineno, line in _lines(path) if line.strip()]
     if not lines:
         raise DataFormatError("no data rows", line=1)
-    first = lines[0].split(",")
-    try:
-        [float(cell) for cell in first]
-        start = 0
-    except ValueError:
-        start = 1  # header row
+    start = 0 if _numeric(lines[0][1]) else 1  # 1: a header row
     if start == len(lines):
-        raise DataFormatError("header but no data rows", line=1)
-    width = len(lines[start].split(","))
+        raise DataFormatError("header but no data rows", line=lines[0][0])
+    width = len(lines[start][1].split(","))
     data = np.empty((len(lines) - start, width))
-    for r, line in enumerate(lines[start:], start=start + 1):
+    for r, (lineno, line) in enumerate(lines[start:]):
         cells = line.split(",")
         if len(cells) != width:
-            raise DataFormatError(f"expected {width} fields, got {len(cells)}", line=r)
+            raise DataFormatError(f"expected {width} fields, got {len(cells)}", line=lineno)
         for c, cell in enumerate(cells, start=1):
-            data[r - start - 1, c - 1] = _parse_float(cell, r, c)
+            data[r, c - 1] = _parse_float(cell, lineno, c)
     if width < 2:
-        raise DataFormatError("need a target column plus at least one feature", line=start + 1)
+        raise DataFormatError("need a target column plus at least one feature",
+                              line=lines[start][0])
+    return data
+
+
+def _header_lines(path: Path) -> int:
+    """How many lines of a dense CSV end with its header: 0 when it has none."""
+    for lineno, line in _lines(path):
+        if line.strip():
+            return 0 if _numeric(line.rstrip("\n")) else lineno
+    raise DataFormatError("no data rows", line=1)
+
+
+def _load_dense(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse with numpy; fall back to `_parse_dense` for its error or for what numpy rejects."""
+    skip = _header_lines(path)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt only warns when no data row follows
+            data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, comments=None,
+                              encoding="utf-8")
+    except (ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
+        data = None
+    if data is None or data.shape[1] < 2:
+        data = _parse_dense(path)
     return data[:, 1:], data[:, 0]
 
 
-def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
+def _data_line(path: Path, row: int, fmt: str) -> int:
+    """The file line of data row `row`: blank lines and a csv header are not rows."""
+    skip = 0 if fmt == FORMAT_SPARSE or _header_lines(path) == 0 else 1
+    lines = (lineno for lineno, line in _lines(path) if line.strip())
+    return next(itertools.islice(lines, skip + row, None))
+
+
+def _one_hot(labels: np.ndarray, k: int, line: Callable[[int], int]) -> np.ndarray:
+    """The n-by-k indicator matrix of `labels`; `line(row)` names a bad label's file line."""
     Y = np.zeros((labels.shape[0], k))
     for r, label in enumerate(labels):
         # the range test comes first: it is False for NaN and infinity, which int() rejects
         if not (0 <= label < k and label == int(label)):
             raise LabelOutOfRangeError(f"label {float(label)!r} not an integer in [0, {k})",
-                                       line=r + 1)
+                                       line=line(r))
         Y[r, int(label)] = 1.0
     return Y
 
@@ -149,7 +193,8 @@ def load(file: DatasetFile) -> ProblemInstance:
         raise DataFormatError(f"no such file: {path}")
     A, y = (_load_sparse if file.format == FORMAT_SPARSE else _load_dense)(path)
     if file.onehot is not None:
-        return ProblemInstance(A, y=y, Y=_one_hot(y, file.onehot))
+        Y = _one_hot(y, file.onehot, lambda row: _data_line(path, row, file.format))
+        return ProblemInstance(A, y=y, Y=Y)
     return ProblemInstance(A, y=y)
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .core import RANK_TOL
 from .errors import DimensionMismatchError, InvalidSketchSizeError, RankDeficientSketchError
@@ -98,7 +99,11 @@ def classical(SA, Sy, rank_tol: float = RANK_TOL) -> EstimateRecord:
     One QR of [SA | Sy] gives its triangular factor U; then x solves
     U[:d, :d] x = U[:d, d:].  U[:d, :d] is the R factor of SA, so its
     singular values are those of SA, and SA counts as rank deficient when
-    s_min <= rank_tol * s_max.
+    s_min <= rank_tol * s_max.  With R = U[:d, :d], s_max <= ||R||_F and
+    1/s_min <= ||R^-1||_F, so 1/(||R||_F ||R^-1||_F) bounds s_min/s_max
+    from below; where that bound clears rank_tol by a factor of 2, the SVD
+    could not find SA rank deficient and does not run.  It runs only when
+    this certificate cannot decide, or R has a zero on its diagonal.
     """
     SA = np.asarray(SA, dtype=np.float64)
     Sy = np.asarray(Sy, dtype=np.float64)
@@ -108,13 +113,18 @@ def classical(SA, Sy, rank_tol: float = RANK_TOL) -> EstimateRecord:
     if m < d:
         raise RankDeficientSketchError(f"sketch size m={m} below column count d={d}")
     U = np.linalg.qr(np.column_stack((SA, Sy)), mode="r")
-    svals = np.linalg.svd(U[:d, :d], compute_uv=False)
-    if svals[-1] <= rank_tol * svals[0]:
-        raise RankDeficientSketchError(
-            f"SA is rank deficient: s_min/s_max = {svals[-1] / svals[0]:.3e}"
-        )
+    R = U[:d, :d]
+    R_inv, info = lapack.dtrtri(R)
+    # R_inv keeps R's strict lower triangle, zeros from the QR, so its norm is ||R^-1||_F;
+    # a NaN or an overflow in the norms fails the test and falls to the SVD
+    if not (info == 0 and 2 * rank_tol * np.linalg.norm(R) * np.linalg.norm(R_inv) < 1):
+        svals = np.linalg.svd(R, compute_uv=False)
+        if svals[-1] <= rank_tol * svals[0]:
+            raise RankDeficientSketchError(
+                f"SA is rank deficient: s_min/s_max = {svals[-1] / svals[0]:.3e}"
+            )
     rhs = U[:d, d] if Sy.ndim == 1 else U[:d, d:]
-    x = scipy.linalg.solve_triangular(U[:d, :d], rhs, check_finite=False)
+    x = scipy.linalg.solve_triangular(R, rhs, check_finite=False)
     return EstimateRecord(x_hat=x, kind=CLASSICAL, shrink_factor=1.0)
 
 

@@ -383,6 +383,9 @@ def inputs(tmp_path, dataset):
     cfg_utf8.write_bytes(base.encode() + b"# \xff\n")
     overflow = tmp_path / "overflow.csv"  # finite, but its QR overflows
     overflow.write_text("1e308,1e308,1\n-1e308,1e308,2\n1e308,-1e308,0\n1,2,3\n")
+    energy_overflow = tmp_path / "energy_overflow.csv"  # factors, but r2 is past float64
+    signs = np.random.default_rng(0).choice([-1e300, 1e300], size=(8, 3))
+    energy_overflow.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in signs))
     zeros = tmp_path / "zeros.csv"
     zeros.write_text("1,0,0\n2,0,0\n3,0,0\n")
 
@@ -400,6 +403,7 @@ def inputs(tmp_path, dataset):
         "utf8_sparse": str(utf8_sparse),
         "cfg_utf8": str(cfg_utf8),
         "overflow": str(overflow),
+        "energy_overflow": str(energy_overflow),
         "zeros": str(zeros),
         "missing": str(tmp_path / "missing.csv"),
         "out": str(tmp_path / "out.csv"),
@@ -437,6 +441,7 @@ _EXIT_TABLE = [
     ("solve --data {utf8_csv}", 2),
     ("solve --format sparse --data {utf8_sparse}", 2),
     ("solve --data {overflow}", 2),
+    ("solve --data {energy_overflow}", 2),
     (_SKETCH, 0),
     (f"{_SKETCH} --estimator shrinkage-fro", 1),
     ("sketch-solve --data {data} --family srht --m 0 --seed 3", 2),

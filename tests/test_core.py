@@ -183,6 +183,14 @@ class TestSingleFactorization:
         with pytest.raises(InvalidInputError, match="overflow"):
             ProblemInstance(A, y=rng.uniform(-1.0, 1.0, 8) * 1.7e308)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_energy_is_typed(self):
+        # the QR of [A | y] is finite, but r2 and pred_energy exceed float64
+        signs = np.random.default_rng(0).choice([-1.0, 1.0], size=(8, 3))
+        p = ProblemInstance(signs[:, 1:] * 1e300, y=signs[:, 0] * 1e300)
+        with pytest.raises(InvalidInputError, match="overflow float64: r2 = inf"):
+            solve_exact(p)
+
     def test_spectrum_matches_svd_of_a(self):
         p = _random_instance(50, 7, seed=13)
         svals = np.linalg.svd(p.A, compute_uv=False)

@@ -3,8 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchls import DatasetFile, ProblemInstance, load, save_dense_csv
-from sketchls.dataio import CSV_HEADER, _load_dense, _load_sparse, _one_hot, write_results_csv
+from sketchls import DatasetFile, ProblemInstance, dataio, load, save_dense_csv
+from sketchls.dataio import (
+    CSV_HEADER,
+    _load_dense,
+    _load_sparse,
+    _one_hot,
+    _parse_dense,
+    write_results_csv,
+)
 from sketchls.datagen import SyntheticSpec, gen_gaussian_data
 from sketchls.errors import (
     DataFormatError,
@@ -90,6 +97,22 @@ class TestDenseFormat:
         with pytest.raises(DataFormatError):
             load(DatasetFile(path="/nonexistent/file.csv"))
 
+    def test_bad_cell_names_its_file_line(self, tmp_path):
+        path = _write(tmp_path, "f.csv", "y,x1\n\n1,2\n  \n3,x\n")
+        with pytest.raises(DataFormatError) as err:
+            _load_dense(path)
+        assert (err.value.line, err.value.column) == (5, 2)
+
+    def test_plain_file_is_parsed_by_numpy(self, tmp_path, monkeypatch):
+        def fail(path):
+            raise AssertionError("the per-cell parser ran")
+
+        monkeypatch.setattr(dataio, "_parse_dense", fail)
+        path = _write(tmp_path, "f.csv", "y,x1,x2\r\n1,2,3\r\n\r\n-4.5,nan,1e400\r\n")
+        A, y = _load_dense(path)
+        assert np.array_equal(A, [[2, 3], [np.nan, np.inf]], equal_nan=True)
+        assert np.array_equal(y, [1, -4.5])
+
     def test_round_trip_preserves_floats_exactly(self, tmp_path):
         p, _ = gen_gaussian_data(SyntheticSpec(n=24, d=3, rho=0.7, seed=41))
         path = tmp_path / "inst.csv"
@@ -101,16 +124,16 @@ class TestDenseFormat:
 
 class TestOneHot:
     def test_expansion(self):
-        Y = _one_hot(np.array([0.0, 2.0]), 3)
+        Y = _one_hot(np.array([0.0, 2.0]), 3, lambda row: row + 1)
         np.testing.assert_allclose(Y, [[1, 0, 0], [0, 0, 1]])
 
     def test_out_of_range(self):
         with pytest.raises(LabelOutOfRangeError):
-            _one_hot(np.array([0.0, 3.0]), 3)
+            _one_hot(np.array([0.0, 3.0]), 3, lambda row: row + 1)
 
     def test_non_integer(self):
         with pytest.raises(LabelOutOfRangeError):
-            _one_hot(np.array([0.5]), 3)
+            _one_hot(np.array([0.5]), 3, lambda row: row + 1)
 
     @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
     def test_non_finite_label_names_its_line(self, tmp_path, label):
@@ -118,6 +141,17 @@ class TestOneHot:
         with pytest.raises(LabelOutOfRangeError) as err:
             load(DatasetFile(path=str(path), onehot=3))
         assert err.value.line == 2 and label in str(err.value)
+
+    @pytest.mark.parametrize("fmt, text, line", [
+        ("csv", "y,x1,x2\n0,1,2\n\nnan,2,3\n1,3,1\n2,1,1\n", 4),
+        ("csv", "\n0,1,2\n  \n1,2,3\n7,3,1\n", 5),
+        ("sparse", "0 1:1 2:2\n\n1 1:2 2:3\n\n\n0.5 1:3\n2 2:1\n", 6),
+    ])
+    def test_bad_label_names_its_file_line(self, tmp_path, fmt, text, line):
+        path = _write(tmp_path, "f.txt", text)
+        with pytest.raises(LabelOutOfRangeError) as err:
+            load(DatasetFile(path=str(path), format=fmt, onehot=3))
+        assert err.value.line == line
 
     def test_end_to_end(self, tmp_path):
         rng = np.random.default_rng(42)
@@ -218,3 +252,57 @@ def test_load_returns_an_instance_or_raises_a_typed_error(tmp_path_factory, case
     except SketchLSError:
         return
     assert isinstance(p, ProblemInstance)
+
+
+# cells Python's float accepts and numpy's loadtxt does not ("1_0", "1\x85"), or both
+# reject ("#", "x", ""), or both read alike ("-nan", "1e400", " 1 ")
+_CSV_CELLS = _NUMBERS + [" 1 ", "\t4", "1_0", "1__0", "nan", "-nan", "NaN", "inf", "-Infinity",
+                         "1e400", "-1e-400", "#", "#1", "", "x", "0x1", "1\x85", "\uff11"]
+_EXTRA_LINES = ["", "  ", "\t", "\x0c", "#", "# 1,2", "#1,2,3"]  # blank, or a comment to numpy
+
+
+@st.composite
+def _csv_texts(draw):
+    """Small csv text: optional header, blank and '#' lines, ragged rows, three line ends."""
+    width = draw(st.integers(1, 4))
+    cell = st.sampled_from(_NUMBERS if draw(st.booleans()) else _CSV_CELLS)
+    widths = st.integers(1, 4) if draw(st.booleans()) else st.just(width)
+    rows = draw(st.lists(widths.flatmap(lambda w: st.lists(cell, min_size=w, max_size=w)),
+                         min_size=1, max_size=6))
+    lines = [",".join(row) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["y", "y,x1", "y,x1,x2", "y,1", "1_0,y"])))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_EXTRA_LINES)))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+def _bits(a):
+    return a.shape, a.view(np.uint64).tolist()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except SketchLSError as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_texts())
+def test_dense_load_matches_the_per_cell_parser(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    data, error = _outcome(_parse_dense, path)
+    loaded, load_error = _outcome(_load_dense, path)
+    p, p_error = _outcome(load, DatasetFile(path=str(path)))
+    if error is not None:
+        assert load_error == p_error == error
+        return
+    A, y = loaded
+    assert (_bits(A), _bits(y)) == (_bits(data[:, 1:]), _bits(data[:, 0]))
+    expected, expected_error = _outcome(ProblemInstance, data[:, 1:], data[:, 0])
+    assert p_error == expected_error
+    if p is not None:
+        assert (_bits(p.A), _bits(p.y)) == (_bits(expected.A), _bits(expected.y))

@@ -1,7 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from sketchls import (
     ProblemInstance,
@@ -21,6 +26,7 @@ from sketchls import (
     shrinkage_matrix,
     derive_seed,
 )
+from sketchls.core import RANK_TOL
 from sketchls.errors import InvalidSketchSizeError, RankDeficientSketchError
 
 
@@ -63,8 +69,44 @@ class TestClassical:
         assert abs(errs.mean() - target) <= 0.05 * target
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count the calls to np.linalg.svd, which the rank rule uses."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def _sketch(d, m, k, seed=7):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((m, d)), rng.standard_normal(m if k is None else (m, k))
+
+
+def _assert_svd_rule_decides(SA, Sy):
+    """`classical` rejects SA exactly when the SVD rule does, and with its message."""
+    d = SA.shape[1]
+    U = np.linalg.qr(np.column_stack((SA, Sy)), mode="r")
+    s = np.linalg.svd(U[:d, :d], compute_uv=False)
+    if s[-1] <= RANK_TOL * s[0]:
+        message = f"SA is rank deficient: s_min/s_max = {s[-1] / s[0]:.3e}"
+        with pytest.raises(RankDeficientSketchError, match=f"^{re.escape(message)}$"):
+            classical(SA, Sy)
+    else:
+        assert np.all(np.isfinite(classical(SA, Sy).x_hat))
+
+
 class TestClassicalByQr:
-    """`classical` solves by QR of [SA | Sy] and keeps the SVD rank rule."""
+    """`classical` solves by QR of [SA | Sy] and keeps the SVD rank rule.
+
+    The rule's decisions are the SVD's, but the SVD runs only when the
+    Frobenius certificate 1/(||R||_F ||R^-1||_F) > 2 rank_tol cannot decide.
+    """
 
     @pytest.mark.parametrize("k", [None, 3])
     @pytest.mark.parametrize("extra", [0, 1, "3d"])
@@ -93,6 +135,60 @@ class TestClassicalByQr:
         SA, Sy = self._with_condition(1e-11)
         with pytest.raises(RankDeficientSketchError, match="s_min/s_max"):
             classical(SA, Sy)
+
+    # geomspace(1, ratio, 8) puts the certificate's bound just below `ratio`, so the
+    # ratios from 5e-10 down to 2e-10 straddle its factor of 2 above RANK_TOL
+    @pytest.mark.parametrize("ratio", [1e-3, 1e-6, 1e-9, 5e-10, 4e-10, 3e-10, 2.5e-10, 2.1e-10,
+                                       2e-10, 1.5e-10, 1.01e-10, 1e-10, 9.9e-11, 1e-11, 1e-12])
+    def test_decision_is_the_svd_rule(self, ratio):
+        _assert_svd_rule_decides(*self._with_condition(ratio))
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 10), extra=st.integers(0, 20), log_ratio=st.floats(-12.5, -3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_decision_is_the_svd_rule_on_random_spectra(self, d, extra, log_ratio, seed):
+        rng = np.random.default_rng(seed)
+        m = d + extra
+        U, _ = np.linalg.qr(rng.standard_normal((m, d)))
+        V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        s = np.sort(10.0 ** rng.uniform(log_ratio, 0, d))[::-1]
+        s[0], s[-1] = 1.0, 10.0 ** log_ratio
+        _assert_svd_rule_decides((U * s) @ V.T, rng.standard_normal(m))
+
+    @pytest.mark.parametrize("ratio, calls", [(1e-3, 0), (3e-10, 0), (1.5e-10, 1), (1e-11, 1)])
+    def test_svd_runs_only_where_the_certificate_cannot_decide(self, svd_calls, ratio, calls):
+        SA, Sy = self._with_condition(ratio)
+        try:
+            classical(SA, Sy)
+        except RankDeficientSketchError:
+            assert ratio < RANK_TOL
+        assert len(svd_calls) == calls
+
+    def test_exactly_singular_r_falls_to_the_svd_rule(self, svd_calls):
+        SA, Sy = _sketch(6, 20, None)
+        SA[:, 2] = 0.0  # the QR leaves an exact zero on R's diagonal
+        U = np.linalg.qr(np.column_stack((SA, Sy)), mode="r")
+        assert lapack.dtrtri(U[:6, :6])[1] > 0
+        with pytest.raises(RankDeficientSketchError, match="s_min/s_max"):
+            classical(SA, Sy)
+        assert len(svd_calls) == 1
+
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("extra", [0, 1, "3d"])
+    def test_well_conditioned_sketch_runs_no_svd(self, svd_calls, k, extra):
+        d = 12
+        SA, Sy = _sketch(d, 3 * d if extra == "3d" else d + extra, k)
+        classical(SA, Sy)
+        assert svd_calls == []
+
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("extra", [0, 1, "3d"])
+    def test_solution_is_bitwise_the_triangular_solve(self, k, extra):
+        d = 12
+        SA, Sy = _sketch(d, 3 * d if extra == "3d" else d + extra, k)
+        U = np.linalg.qr(np.column_stack((SA, Sy)), mode="r")
+        expected = scipy.linalg.solve_triangular(U[:d, :d], U[:d, d] if k is None else U[:d, d:])
+        assert np.array_equal(classical(SA, Sy).x_hat, expected)
 
 
 class TestResidualEstimates:
