@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .bounds import BoundInputs, BoundReport, evaluate_report
 from .config import load_config
-from .core import snr, solve_exact
+from .core import prediction_error, snr, solve_exact
 from .dataio import FORMATS, DatasetFile, load, save_dense_csv, write_results_csv
 from .datagen import SyntheticSpec, gen_gaussian_data
 from .errors import InvalidInputError, SketchLSError
@@ -122,14 +122,13 @@ def _cmd_sketch_solve(args) -> int:
     rec0 = classical(SA, Sy)
     sol = solve_exact(instance)
     rec = estimate(args.estimator, rec0, SA, Sy, A, y, sol.r2, d, m)
-    diff = A @ (rec.x_hat - sol.x_ls)
     pairs = {
         "estimator": rec.kind,
         "shrink_factor": rec.shrink_factor,
         "r2_estimate": rec.r2_estimate if rec.r2_estimate is not None else "NA",
         "degenerate": str(rec.degenerate).lower(),
         "x_hat": [float(v) for v in rec.x_hat],
-        "pred_err": float(np.sum(diff * diff)),
+        "pred_err": prediction_error(A, rec.x_hat, sol.x_ls),
     }
     _emit(args, pairs)
     return EXIT_OK

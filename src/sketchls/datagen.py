@@ -124,8 +124,8 @@ def add_noise(p: ProblemInstance, kappa: float, seed: int) -> ProblemInstance:
     must re-solve.  kappa = 0 returns an instance with the target
     unchanged.
     """
-    if kappa < 0:
-        raise InvalidInputError(f"kappa must be nonnegative, got {kappa}")
+    if not 0 <= kappa < math.inf:
+        raise InvalidInputError(f"kappa must be finite and nonnegative, got {kappa}")
     r2 = solve_exact(p).r2
     rng = np.random.default_rng(seed)
     noise = math.sqrt(kappa * r2) * rng.standard_normal(p.target.shape)

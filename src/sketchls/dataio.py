@@ -73,15 +73,14 @@ def _lines(path: Path):
 
 def _load_sparse(path: Path) -> tuple[np.ndarray, np.ndarray]:
     labels = []
-    rows = []  # list of (indices, values)
+    rows = []  # one {index: value} dict per row
     max_index = 0
     for lineno, raw in _lines(path):
         tokens = raw.split()
         if not tokens:
             continue
         labels.append(_parse_float(tokens[0], lineno, 1))
-        indices = []
-        values = []
+        row = {}
         for col, token in enumerate(tokens[1:], start=2):
             idx, sep, val = token.partition(":")
             if not sep:
@@ -92,10 +91,11 @@ def _load_sparse(path: Path) -> tuple[np.ndarray, np.ndarray]:
                 raise DataFormatError(f"bad feature index {idx!r}", line=lineno, column=col) from None
             if i < 1:
                 raise DataFormatError(f"feature indices are 1-based, got {i}", line=lineno, column=col)
-            indices.append(i)
-            values.append(_parse_float(val, lineno, col))
+            if i in row:
+                raise DataFormatError(f"feature index {i} repeats", line=lineno, column=col)
+            row[i] = _parse_float(val, lineno, col)
             max_index = max(max_index, i)
-        rows.append((indices, values))
+        rows.append(row)
     if not rows:
         raise DataFormatError("no data rows", line=1)
     # checked before allocating: the n x d matrix is dense, and d comes from the file
@@ -103,8 +103,8 @@ def _load_sparse(path: Path) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatchError(
             f"need n > d >= 1, got A with shape {(len(rows), max_index)}")
     A = np.zeros((len(rows), max_index))
-    for r, (indices, values) in enumerate(rows):
-        for i, v in zip(indices, values):
+    for r, row in enumerate(rows):
+        for i, v in row.items():
             A[r, i - 1] = v
     return A, np.array(labels)
 

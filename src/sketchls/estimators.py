@@ -17,7 +17,6 @@ shrinking cannot help.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -72,7 +71,6 @@ class EstimateRecord:
     factor; absent for classical and for the oracle fed the true value.
     `degenerate` flags the fallback paths (d <= 2 or a vanishing
     sketched direction) where the input is returned unchanged.
-    `snr_estimate` is the diagnostic ratio ||SA x_hat||^2 / ||A x_hat - y||^2.
     """
 
     x_hat: np.ndarray
@@ -80,7 +78,6 @@ class EstimateRecord:
     shrink_factor: float = 1.0
     r2_estimate: float | None = None
     degenerate: bool = False
-    snr_estimate: float | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.x_hat, dtype=np.float64)
@@ -150,21 +147,16 @@ def estimate_residual_sketched(SA, Sy, x_hat, d: int, m: int) -> float:
 
 
 def _shrink(x_hat, SA, r2_value: float, d: int, m: int, kind: str,
-            r2_estimate: float | None, residual_sq: float | None = None) -> EstimateRecord:
-    """Common James-Stein style rescaling: factor = 1 - (d-2) r2 / (m ||SA x_hat||^2).
-
-    With `residual_sq` = ||A x_hat - y||^2 the record also carries the SNR proxy.
-    """
+            r2_estimate: float | None) -> EstimateRecord:
+    """Common James-Stein style rescaling: factor = 1 - (d-2) r2 / (m ||SA x_hat||^2)."""
     x_hat = np.asarray(x_hat, dtype=np.float64)
     energy = _sq(np.asarray(SA) @ x_hat)
     if d <= 2 or energy == 0.0:
         return EstimateRecord(x_hat=x_hat, kind=kind, shrink_factor=1.0,
                               r2_estimate=r2_estimate, degenerate=True)
     factor = 1.0 - (d - 2) * r2_value / (m * energy)
-    proxy = None if residual_sq is None else (
-        energy / residual_sq if residual_sq > 0 else math.inf)
     return EstimateRecord(x_hat=factor * x_hat, kind=kind, shrink_factor=factor,
-                          r2_estimate=r2_estimate, snr_estimate=proxy)
+                          r2_estimate=r2_estimate)
 
 
 def js_oracle(x_hat, SA, r2_true: float, d: int, m: int) -> EstimateRecord:
@@ -180,7 +172,7 @@ def _shrink_full(x_hat, SA, A, y, d: int, m: int, residual_sq: float | None,
     if residual_sq is None:
         residual_sq = _sq(np.asarray(A) @ np.asarray(x_hat) - np.asarray(y))
     r2_est = (m - d - 1) / (m - 1) * residual_sq
-    return _shrink(x_hat, SA, r2_est, d, m, kind, r2_est, residual_sq)
+    return _shrink(x_hat, SA, r2_est, d, m, kind, r2_est)
 
 
 def shrinkage(x_hat, SA, A, y, d: int, m: int, residual_sq: float | None = None) -> EstimateRecord:

@@ -83,8 +83,8 @@ class ExperimentConfig:
             raise ConfigError(f"sketch sizes must be >= 1, got m = {self.m_values[0]}")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
-        if self.kappa < 0:
-            raise ConfigError(f"kappa must be nonnegative, got {self.kappa}")
+        if not 0 <= self.kappa < math.inf:
+            raise ConfigError(f"kappa must be finite and nonnegative, got {self.kappa}")
         check_seed(self.master_seed, ConfigError)
 
 

@@ -6,7 +6,10 @@ three importance-sampling schemes (uniform, squared row norm, leverage
 score).  Sampling families draw rows i.i.d. with replacement, which
 keeps the Gram identity E[S^T S] = I exact.  Operators realize all of
 their randomness eagerly at construction from a 64-bit seed, so repeated
-applications are cheap and bitwise reproducible.
+applications are cheap and bitwise reproducible.  Dense families apply
+as one matrix product, SRHT as an in-place fast Hadamard transform,
+CountSketch as one sparse (CSC) product and sampling families as a row
+gather.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DimensionMismatchError, InvalidInputError, InvalidWeightsError
 
@@ -159,24 +163,6 @@ def sampling_weights(family: str, A) -> np.ndarray | None:
     return _frozen(w / total)
 
 
-def _countsketch_rounds(buckets: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Split coordinates into rounds in which no bucket repeats.
-
-    Round r holds, in input order, every coordinate that is the r-th (in
-    input order) to hit its bucket, so adding round after round sums
-    each bucket's inputs in input order.
-    """
-    n = buckets.size
-    pos = np.arange(n)
-    # keys `group * n + pos` are distinct, so any sort orders ties by position
-    order = np.argsort(buckets * n + pos)
-    counts = np.bincount(buckets)
-    rank = np.empty_like(order)
-    rank[order] = pos - (np.cumsum(counts) - counts)[buckets[order]]
-    by_round = np.argsort(rank * n + pos)
-    return tuple(np.split(by_round, np.cumsum(np.bincount(rank))[:-1]))
-
-
 def leverage_scores(A) -> np.ndarray:
     """Exact leverage scores: squared row norms of the thin orthogonal factor.
 
@@ -236,15 +222,16 @@ class _CountSketch(SketchOperator):
     def _realize(self, rng, weights):
         self.buckets = _frozen(rng.integers(0, self.m, size=self.n))
         self.signs = _frozen(2.0 * rng.integers(0, 2, size=self.n) - 1.0)
-        self.rounds = tuple(_frozen(r) for r in _countsketch_rounds(self.buckets))
+        # column j holds signs[j] in row buckets[j]; data and indices are views of
+        # the frozen draws, so the matrix is read-only too
+        self.matrix = scipy.sparse.csc_array(
+            (self.signs, self.buckets, _frozen(np.arange(self.n + 1))), shape=(self.m, self.n))
 
     def _apply(self, M):
-        # No bucket repeats within a round, so each bucket sums its inputs
-        # in input order, exactly as np.add.at(out, buckets, M * signs) would.
-        out = np.zeros((self.m, M.shape[1]))
-        for idx in self.rounds:
-            out[self.buckets[idx]] += M[idx] * self.signs[idx, None]
-        return out
+        # the CSC product walks columns in input order and the signs are +-1, so
+        # each bucket sums its inputs in input order, bitwise as
+        # np.add.at(out, buckets, M * signs) would
+        return self.matrix @ M
 
 
 class _SampledRows(SketchOperator):
@@ -297,7 +284,9 @@ def make_operator(spec: SketchSpec, n: int, weights=None) -> SketchOperator:
     SRHT zero-pads inputs to the next power of two n_pad and applies
     sign flips, the normalized Hadamard transform, and row sampling with
     an overall scale sqrt(n_pad / m).  CountSketch gives each of the n
-    input coordinates one uniformly random output row and a random sign.
+    input coordinates one uniformly random output row and a random sign;
+    it is stored as an m x n CSC matrix with one entry per column, and
+    its product sums each output row's inputs in input order.
 
     Row-norm and leverage sampling take their probabilities from
     `weights`, as returned by `sampling_weights(family, A)`.  They are

@@ -247,6 +247,16 @@ def _small_config(tmp_path, m_values="20"):
     return cfg
 
 
+@pytest.mark.parametrize("kappa", ["nan", "inf"])
+def test_non_finite_kappa_is_named(capsys, tmp_path, kappa):
+    cfg = _small_config(tmp_path)
+    cfg.write_text(cfg.read_text() + f"noise.kappa = {kappa}\n")
+    code, out, err = _run(capsys, "experiment", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: kappa must be finite and nonnegative, got {kappa}\n"
+    assert not (tmp_path / "res.csv").exists()
+
+
 def test_non_integer_threads_env_exits_1(capsys, tmp_path, monkeypatch):
     cfg = _small_config(tmp_path)
     monkeypatch.setenv("SKETCHLS_THREADS", "abc")
@@ -388,6 +398,8 @@ def inputs(tmp_path, dataset):
     energy_overflow.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in signs))
     zeros = tmp_path / "zeros.csv"
     zeros.write_text("1,0,0\n2,0,0\n3,0,0\n")
+    repeat_index = tmp_path / "repeat_index.txt"
+    repeat_index.write_text("1 1:1.0 2:3.0 2:5.0\n2 1:3\n0 2:1\n")
 
     def config(name, text):
         path = tmp_path / f"{name}.cfg"
@@ -405,12 +417,15 @@ def inputs(tmp_path, dataset):
         "overflow": str(overflow),
         "energy_overflow": str(energy_overflow),
         "zeros": str(zeros),
+        "repeat_index": str(repeat_index),
         "missing": str(tmp_path / "missing.csv"),
         "out": str(tmp_path / "out.csv"),
         "nodir": str(tmp_path / "no" / "out.csv"),
         "cfg": config("ok", base),
         "cfg_seed": config("seed", base + "experiment.seed = -1\n"),
         "cfg_eps": config("eps", base + "bounds.eps = 0.0\n"),
+        "cfg_kappa_nan": config("kappa_nan", base + "noise.kappa = nan\n"),
+        "cfg_kappa_inf": config("kappa_inf", base + "noise.kappa = inf\n"),
         "cfg_rank": config("rank", f"data.path = {rank}\n" + "".join(
             line for line in base.splitlines(True) if not line.startswith("synthetic."))),
     }
@@ -442,6 +457,7 @@ _EXIT_TABLE = [
     ("solve --format sparse --data {utf8_sparse}", 2),
     ("solve --data {overflow}", 2),
     ("solve --data {energy_overflow}", 2),
+    ("solve --format sparse --data {repeat_index}", 2),
     (_SKETCH, 0),
     (f"{_SKETCH} --estimator shrinkage-fro", 1),
     ("sketch-solve --data {data} --family srht --m 0 --seed 3", 2),
@@ -454,6 +470,8 @@ _EXIT_TABLE = [
     ("experiment --config {missing}", 2),
     ("experiment --config {cfg_seed}", 2),
     ("experiment --config {cfg_eps}", 2),
+    ("experiment --config {cfg_kappa_nan}", 2),
+    ("experiment --config {cfg_kappa_inf}", 2),
     ("experiment --config {cfg_utf8}", 2),
     ("experiment --config {cfg_rank}", 3),
     (_BOUNDS, 0),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from sketchls import (
     snr,
     solve_exact,
 )
+from sketchls.errors import InvalidInputError
 
 
 class TestSpecValidation:
@@ -90,6 +93,12 @@ class TestAddNoise:
         p, _ = gen_gaussian_data(SyntheticSpec(n=64, d=8, rho=1.0, seed=39))
         with pytest.raises(ValueError):
             add_noise(p, -0.1, seed=0)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_rejects_non_finite_kappa(self, kappa):
+        p, _ = gen_gaussian_data(SyntheticSpec(n=64, d=8, rho=1.0, seed=39))
+        with pytest.raises(InvalidInputError, match="kappa must be finite and nonnegative"):
+            add_noise(p, kappa, seed=0)
 
 
 class TestReflectorNoise:

@@ -49,6 +49,12 @@ class TestSparseFormat:
             _load_sparse(path)
         assert err.value.line == 2 and err.value.column == 2
 
+    def test_repeated_index_names_its_line_and_field(self, tmp_path):
+        path = _write(tmp_path, "f.txt", "0 1:1 2:1\n\n1 1:1.0 2:3.0 2:5.0\n0 2:1\n0 1:2\n")
+        with pytest.raises(DataFormatError, match="feature index 2 repeats") as err:
+            _load_sparse(path)
+        assert err.value.line == 3 and err.value.column == 4
+
     def test_zero_index_rejected(self, tmp_path):
         path = _write(tmp_path, "f.txt", "1.0 0:2\n")
         with pytest.raises(DataFormatError):

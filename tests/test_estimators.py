@@ -327,16 +327,6 @@ class TestShrinkage:
         rec = shrinkage(rec0.x_hat, SA, p.A, p.y, d, m)
         assert rec.shrink_factor >= 0.99
 
-    def test_snr_diagnostic_exposed(self):
-        p, sol = gen_gaussian_data(SyntheticSpec(n=128, d=10, rho=0.5, seed=15))
-        op = make_operator(SketchSpec("gaussian", 40, 16), p.n)
-        SA = apply(op, p.A)
-        rec0 = classical(SA, apply(op, p.y))
-        rec = shrinkage(rec0.x_hat, SA, p.A, p.y, 10, 40)
-        diff = p.A @ rec0.x_hat - p.y
-        expected = np.sum((SA @ rec0.x_hat) ** 2) / np.sum(diff * diff)
-        assert rec.snr_estimate == pytest.approx(expected, rel=1e-12)
-
 
 class TestShrinkageAlt:
     def test_interpolating_factor_is_one(self):

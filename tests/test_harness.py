@@ -77,6 +77,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="strictly ascending"):
             _small_cfg(m_values=m_values)
 
+    @pytest.mark.parametrize("kappa", [-0.1, math.nan, math.inf])
+    def test_kappa_must_be_finite_and_nonnegative(self, kappa):
+        with pytest.raises(ConfigError, match="kappa must be finite and nonnegative"):
+            _small_cfg(kappa=kappa)
+
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_every_seed_follows_the_64_bit_rule(seed):
@@ -172,6 +177,22 @@ class TestRunExperiment:
         assert res.cell("gaussian", 40, "classical").reps == 20
         assert res.cell("gaussian", 40, "shrinkage-fro").reps == 20
         assert "matrix" in res.cell("gaussian", 40, "shrinkage").skipped
+
+    @pytest.mark.parametrize("two_sketch", [False, True])
+    def test_zero_residual_matrix_target_sweep(self, two_sketch):
+        # rho = inf plants a target in range(A): r2 = 0, so nothing may shrink
+        cfg = _small_cfg(source=SyntheticSpec(n=128, d=10, rho=math.inf, seed=54, k=3),
+                         families=FAMILIES, m_values=(8, 30), reps=5,
+                         estimators=("classical", "shrinkage-fro"), two_sketch=two_sketch)
+        res = run_experiment(cfg)
+        assert res.r2 == 0.0
+        for cell in res.cells:
+            if cell.m == 8:
+                assert cell.reps == 0 and not cell.skipped.startswith("failed")
+                continue
+            assert cell.skipped is None and cell.reps == cfg.reps
+            assert math.isfinite(cell.mean_pred_err)
+            assert cell.mean_shrink_factor == 1.0
 
     def test_failed_cell_recorded_not_raised(self):
         # uniform sampling with m = d draws duplicate rows for this seed,
