@@ -73,7 +73,8 @@ def eta_to_b_squared(eta2: float, r2: float, d: int, sigma_max: float) -> float:
     B^2 = eta^2 * r2 / (d * sigma_max).
     """
     if not (eta2 > 0 and r2 > 0 and d >= 1 and sigma_max > 0):
-        raise InvalidInputError("all inputs must be positive")
+        raise InvalidInputError(
+            f"eta2, r2, d and sigma_max must be positive, got {eta2}, {r2}, {d}, {sigma_max}")
     return eta2 * r2 / (d * sigma_max)
 
 

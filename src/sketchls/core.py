@@ -14,8 +14,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
-from .errors import DimensionMismatchError, InvalidInputError, RankDeficientError
+from .errors import DimensionMismatchError, InvalidInputError, RankDeficientError, SketchLSError
 
 RANK_TOL = 1e-10
 
@@ -68,6 +69,42 @@ class ExactSolution:
         return cls(x_ls=x_ls, y_perp=y_perp, r2=r2, pred_energy=pred_energy)
 
 
+def lstsq_factor(M, d: int, error: type[SketchLSError], name: str) -> np.ndarray:
+    """The triangular factor U of M = [X | t], with X's full column rank certified.
+
+    One QR of M that forms no Q; U is square in M's columns, zero below M's
+    rows, and U[:d, :d] = R is X's R factor, with X's singular values.  X
+    (`name` in messages) is rank deficient, raising `error`, when
+    s_min <= RANK_TOL * s_max.  As s_max <= ||R||_F and 1/s_min <= ||R^-1||_F,
+    the SVD runs only where 1/(||R||_F ||R^-1||_F) does not clear RANK_TOL by
+    a factor of 2, or R has a zero on its diagonal.  A U that overflows
+    raises InvalidInputError.
+    """
+    U = np.linalg.qr(M, mode="r")  # min(rows, columns) rows
+    if U.shape[0] < U.shape[1]:
+        U = np.vstack((U, np.zeros((U.shape[1] - U.shape[0], U.shape[1]))))
+    if not np.isfinite(U).all():
+        raise InvalidInputError(f"[{name} | target] is too large to factor without overflow")
+    R = U[:d, :d]
+    R_inv, info = lapack.dtrtri(R)
+    # R_inv keeps R's strict lower triangle, zeros from the QR, so its norm is ||R^-1||_F;
+    # a NaN or an overflow in the norms fails the test and falls to the SVD
+    with np.errstate(over="ignore", invalid="ignore"):
+        certified = info == 0 and 2 * RANK_TOL * np.linalg.norm(R) * np.linalg.norm(R_inv) < 1
+    if not certified:
+        s = np.linalg.svd(R, compute_uv=False)
+        if s[-1] <= RANK_TOL * s[0]:
+            ratio = s[-1] / s[0] if s[0] > 0 else 0.0  # X = 0 has no ratio
+            raise error(f"{name} is rank deficient: s_min/s_max = {ratio:.3e}")
+    return U
+
+
+def lstsq_solve(U: np.ndarray, d: int, vector: bool) -> np.ndarray:
+    """Solve U[:d, :d] x = U[:d, d:] (U[:d, d], a vector x, when `vector`) on `lstsq_factor`'s U."""
+    return scipy.linalg.solve_triangular(U[:d, :d], U[:d, d] if vector else U[:d, d:],
+                                         check_finite=False)
+
+
 class ProblemInstance:
     """A dense overdetermined least-squares instance.
 
@@ -76,15 +113,13 @@ class ProblemInstance:
     regression target when present; ``y`` then carries raw labels).
     Construction validates shapes, finiteness, and full column rank.
     The instance keeps a read-only, C-contiguous ``AB`` = [A | b] (b the
-    target, k' columns) and factors it once, by one QR that forms no Q:
+    target, k' columns) and factors it once with `lstsq_factor`:
     ``R_tilde`` is its (d+k') x (d+k') triangular factor, zero below row n
-    when n < d+k'.  ``R`` (A's R factor) and ``qtb`` (Q^T b) are read-only
-    views of its leading blocks.  The rank check reads the singular values
-    of R (those of A); the exact solution, computed lazily and cached,
-    solves R x = Q^T b.
+    when n < d+k', and ``R`` (A's R factor) a view of its leading block,
+    both read-only.  `solution` is `lstsq_solve` on ``R_tilde``, cached.
     """
 
-    def __init__(self, A, y=None, Y=None, rank_tol: float = RANK_TOL):
+    def __init__(self, A, y=None, Y=None):
         A = _readonly_f64(A, "A")
         if A.ndim != 2:
             raise DimensionMismatchError("A must be a 2-d matrix")
@@ -103,28 +138,16 @@ class ProblemInstance:
                 raise DimensionMismatchError(f"Y must have shape ({n}, k), got {Y.shape}")
         AB = np.column_stack((A, Y if Y is not None else y))
         AB.setflags(write=False)
-        R_tilde = np.zeros((AB.shape[1], AB.shape[1]))
-        R_tilde[:n] = np.linalg.qr(AB, mode="r")  # min(n, d+k') rows
-        if not np.all(np.isfinite(R_tilde)):
-            raise InvalidInputError("[A | target] is too large to factor without overflow")
+        R_tilde = lstsq_factor(AB, d, RankDeficientError, "A")
         R_tilde.setflags(write=False)
-        R = R_tilde[:d, :d]
-        svals = np.linalg.svd(R, compute_uv=False)
-        if svals[-1] <= rank_tol * svals[0]:
-            ratio = svals[-1] / svals[0] if svals[0] > 0 else 0.0  # A = 0 has no ratio
-            raise RankDeficientError(
-                f"A is rank deficient: s_min/s_max = {ratio:.3e} <= {rank_tol:.1e}")
         self.A = A
         self.y = y
         self.Y = Y
         self.n = n
         self.d = d
-        self.rank_tol = rank_tol
-        self._svals = svals
         self.AB = AB
         self.R_tilde = R_tilde
-        self.R = R
-        self.qtb = R_tilde[:d, d] if Y is None else R_tilde[:d, d:]
+        self.R = R_tilde[:d, :d]
 
     @property
     def target(self) -> np.ndarray:
@@ -136,19 +159,9 @@ class ProblemInstance:
         """Number of target columns for matrix regression, else None."""
         return self.Y.shape[1] if self.Y is not None else None
 
-    @property
-    def sigma_min(self) -> float:
-        """Smallest eigenvalue of A^T A."""
-        return float(self._svals[-1] ** 2)
-
-    @property
-    def sigma_max(self) -> float:
-        """Largest eigenvalue of A^T A."""
-        return float(self._svals[0] ** 2)
-
     @cached_property
     def solution(self) -> ExactSolution:
-        x = scipy.linalg.solve_triangular(self.R, self.qtb)
+        x = lstsq_solve(self.R_tilde, self.d, self.Y is None)
         with np.errstate(over="ignore", invalid="ignore"):  # from_fit rejects a fit that overflows
             fitted = self.A @ x
             residual = self.target - fitted

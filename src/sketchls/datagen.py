@@ -130,5 +130,5 @@ def add_noise(p: ProblemInstance, kappa: float, seed: int) -> ProblemInstance:
     rng = np.random.default_rng(seed)
     noise = math.sqrt(kappa * r2) * rng.standard_normal(p.target.shape)
     if p.Y is not None:
-        return ProblemInstance(p.A, y=p.y, Y=p.Y + noise, rank_tol=p.rank_tol)
-    return ProblemInstance(p.A, y=p.y + noise, rank_tol=p.rank_tol)
+        return ProblemInstance(p.A, y=p.y, Y=p.Y + noise)
+    return ProblemInstance(p.A, y=p.y + noise)

@@ -17,7 +17,7 @@ class DimensionMismatchError(InvalidInputError):
 
 
 class RankDeficientError(SketchLSError):
-    """Matrix is numerically rank deficient (s_min <= rank_tol * s_max)."""
+    """Matrix is numerically rank deficient (s_min <= RANK_TOL * s_max)."""
 
 
 class RankDeficientSketchError(RankDeficientError):

@@ -21,10 +21,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
-from .core import RANK_TOL
+from .core import lstsq_factor, lstsq_solve
 from .errors import DimensionMismatchError, InvalidSketchSizeError, RankDeficientSketchError
 
 
@@ -90,17 +88,11 @@ def _sq(a) -> float:
     return float(np.sum(a * a))
 
 
-def classical(SA, Sy, rank_tol: float = RANK_TOL) -> EstimateRecord:
+def classical(SA, Sy) -> EstimateRecord:
     """Solve the compressed problem min ||SA x - Sy||^2 by orthogonal factorization.
 
-    One QR of [SA | Sy] gives its triangular factor U; then x solves
-    U[:d, :d] x = U[:d, d:].  U[:d, :d] is the R factor of SA, so its
-    singular values are those of SA, and SA counts as rank deficient when
-    s_min <= rank_tol * s_max.  With R = U[:d, :d], s_max <= ||R||_F and
-    1/s_min <= ||R^-1||_F, so 1/(||R||_F ||R^-1||_F) bounds s_min/s_max
-    from below; where that bound clears rank_tol by a factor of 2, the SVD
-    could not find SA rank deficient and does not run.  It runs only when
-    this certificate cannot decide, or R has a zero on its diagonal.
+    `core.lstsq_factor` factors [SA | Sy] by one QR, under the rank rule
+    `ProblemInstance` uses for A; then x solves U[:d, :d] x = U[:d, d:].
     """
     SA = np.asarray(SA, dtype=np.float64)
     Sy = np.asarray(Sy, dtype=np.float64)
@@ -109,20 +101,8 @@ def classical(SA, Sy, rank_tol: float = RANK_TOL) -> EstimateRecord:
     m, d = SA.shape
     if m < d:
         raise RankDeficientSketchError(f"sketch size m={m} below column count d={d}")
-    U = np.linalg.qr(np.column_stack((SA, Sy)), mode="r")
-    R = U[:d, :d]
-    R_inv, info = lapack.dtrtri(R)
-    # R_inv keeps R's strict lower triangle, zeros from the QR, so its norm is ||R^-1||_F;
-    # a NaN or an overflow in the norms fails the test and falls to the SVD
-    if not (info == 0 and 2 * rank_tol * np.linalg.norm(R) * np.linalg.norm(R_inv) < 1):
-        svals = np.linalg.svd(R, compute_uv=False)
-        if svals[-1] <= rank_tol * svals[0]:
-            raise RankDeficientSketchError(
-                f"SA is rank deficient: s_min/s_max = {svals[-1] / svals[0]:.3e}"
-            )
-    rhs = U[:d, d] if Sy.ndim == 1 else U[:d, d:]
-    x = scipy.linalg.solve_triangular(R, rhs, check_finite=False)
-    return EstimateRecord(x_hat=x, kind=CLASSICAL, shrink_factor=1.0)
+    U = lstsq_factor(np.column_stack((SA, Sy)), d, RankDeficientSketchError, "SA")
+    return EstimateRecord(x_hat=lstsq_solve(U, d, Sy.ndim == 1), kind=CLASSICAL, shrink_factor=1.0)
 
 
 def estimate_residual_full(A, y, x_hat, d: int, m: int) -> float:

@@ -13,7 +13,10 @@ m x (d+k') standard normal matrix and R~ the triangular factor of [A | b]
 (`ProblemInstance.R_tilde`); a repetition draws G and costs O(m (d+k')^2),
 independent of n.  Every other family realizes its operator explicitly
 and applies it once per realization, to `ProblemInstance.AB` = [A | b].
-Error metrics come from A's R factor for every family (see `_fit_error`).
+Each realization is solved by `classical`, through `core.lstsq_factor`,
+the kernel that factored [A | b]; its rank or overflow error fails the
+cell, not the sweep.  Error metrics come from A's R factor for every
+family (see `_fit_error`).
 
 The verify_* functions are direct Monte Carlo checks of the identities
 the estimators rely on (shrinkage error identity, residual-estimate

@@ -398,6 +398,10 @@ def inputs(tmp_path, dataset):
     energy_overflow.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in signs))
     zeros = tmp_path / "zeros.csv"
     zeros.write_text("1,0,0\n2,0,0\n3,0,0\n")
+    rng = np.random.default_rng(7)  # ||R||_F^2 overflows, so the rank certificate cannot decide
+    scaled = np.column_stack((rng.standard_normal(60), rng.standard_normal((60, 3)) * 1e155))
+    huge_scale = tmp_path / "huge_scale.csv"
+    huge_scale.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in scaled))
     repeat_index = tmp_path / "repeat_index.txt"
     repeat_index.write_text("1 1:1.0 2:3.0 2:5.0\n2 1:3\n0 2:1\n")
 
@@ -417,6 +421,7 @@ def inputs(tmp_path, dataset):
         "overflow": str(overflow),
         "energy_overflow": str(energy_overflow),
         "zeros": str(zeros),
+        "huge_scale": str(huge_scale),
         "repeat_index": str(repeat_index),
         "missing": str(tmp_path / "missing.csv"),
         "out": str(tmp_path / "out.csv"),
@@ -428,6 +433,10 @@ def inputs(tmp_path, dataset):
         "cfg_kappa_inf": config("kappa_inf", base + "noise.kappa = inf\n"),
         "cfg_rank": config("rank", f"data.path = {rank}\n" + "".join(
             line for line in base.splitlines(True) if not line.startswith("synthetic."))),
+        "cfg_huge_scale": config("huge_scale", f"data.path = {huge_scale}\n"
+                                 "sketch.families = gaussian, uniform\nsketch.m_values = 20\n"
+                                 "experiment.estimators = classical, shrinkage\n"
+                                 f"experiment.reps = 3\noutput.path = {tmp_path / 'res.csv'}\n"),
     }
 
 
@@ -440,100 +449,106 @@ _GRAM = "verify gram --family countsketch --n 8 --m 4"
 # Every exit code each subcommand can reach.  Not reachable: 3 from datagen (null-space
 # noise vanishing twice), bounds (undefined bounds are reported as NA), verify stein (the
 # covariance is built positive definite) and verify gram (its weight source is Gaussian).
+# A row that expects exit 2 or 3 names a fragment its one line of stderr must contain.
 _EXIT_TABLE = [
-    (f"{_DATAGEN} --seed 1 --out {{out}}", 0),
-    (f"{_DATAGEN} --seed 1", 1),
-    (f"{_DATAGEN} --seed -1 --out {{out}}", 2),
-    (f"{_DATAGEN} --seed {2**64} --out {{out}}", 2),
-    ("datagen --n 64 --d 4 --rho 0 --seed 1 --out {out}", 2),
-    (f"{_DATAGEN} --seed 1 --out {{nodir}}", 2),
-    ("solve --data {data}", 0),
-    ("solve", 1),
-    ("solve --data {missing}", 2),
-    ("solve --data {rank}", 3),
-    ("solve --data {zeros}", 3),
-    ("solve --format sparse --data {huge_index}", 2),
-    ("solve --data {utf8_csv}", 2),
-    ("solve --format sparse --data {utf8_sparse}", 2),
-    ("solve --data {overflow}", 2),
-    ("solve --data {energy_overflow}", 2),
-    ("solve --format sparse --data {repeat_index}", 2),
-    (_SKETCH, 0),
-    (f"{_SKETCH} --estimator shrinkage-fro", 1),
-    ("sketch-solve --data {data} --family srht --m 0 --seed 3", 2),
-    ("sketch-solve --data {data} --family srht --m 24 --seed -1", 2),
-    ("sketch-solve --data {data} --family gaussian --m 3 --seed 3", 3),
-    ("sketch-solve --data {zero_row} --family rownorm --m 8 --seed 1", 3),
-    ("experiment --config {cfg}", 0),
-    ("experiment", 1),
-    ("experiment --config {cfg} --threads 0", 1),
-    ("experiment --config {missing}", 2),
-    ("experiment --config {cfg_seed}", 2),
-    ("experiment --config {cfg_eps}", 2),
-    ("experiment --config {cfg_kappa_nan}", 2),
-    ("experiment --config {cfg_kappa_inf}", 2),
-    ("experiment --config {cfg_utf8}", 2),
-    ("experiment --config {cfg_rank}", 3),
-    (_BOUNDS, 0),
-    ("bounds --d 10 --m 40", 1),
-    (f"{_BOUNDS} --B 2", 1),
-    ("bounds --d 0 --m 10 --r2 1", 2),
-    ("bounds --d 10 --m 40 --r2 -1", 2),
-    (f"{_BOUNDS} --rho -1", 2),
-    (f"{_BOUNDS} --rho 1 --eps -1", 2),
-    (f"{_BOUNDS} --B -1 --sigma-min 1", 2),
-    (f"{_BOUNDS} --sigma-min 2 --sigma-max 1", 2),
-    (f"{_BOUNDS} --eta2 -1 --sigma-min 1 --sigma-max 2", 2),
-    (f"{_BOUNDS} --rho inf", 0),
-    ("bounds --d 10 --m 40 --r2 nan --rho 1", 2),
-    ("bounds --d 10 --m 40 --r2 inf --rho 1", 2),
-    (f"{_BOUNDS} --rho nan", 2),
-    ("bounds --d 2 --m 40 --r2 1 --rho nan", 2),
-    (f"{_BOUNDS} --rho 1 --eps nan", 2),
-    (f"{_BOUNDS} --rho 1 --eps inf", 2),
-    (f"{_BOUNDS} --B nan --sigma-min 1", 2),
-    (f"{_BOUNDS} --sigma-min nan", 2),
-    (f"{_BOUNDS} --eta2 nan --sigma-min 1 --sigma-max 2", 2),
-    ("verify stein --samples 2000 --tol 1", 0),
-    ("verify stein --bogus", 1),
-    ("verify stein --samples 0", 2),
-    ("verify stein --d 2", 2),
-    ("verify stein --seed -1", 2),
-    ("verify stein --cond 0", 2),
-    ("verify stein --cond -1", 2),
-    ("verify stein --theta-norm nan", 2),
-    ("verify stein --theta-norm inf", 2),
-    ("verify stein --tol nan", 2),
-    ("verify stein --tol inf", 2),
-    ("verify stein --samples 2000 --tol 0", 2),
-    ("verify stein --samples 2000 --tol 1e-12", 4),
-    (f"{_RESIDUAL} --tol 1", 0),
-    ("verify residual --family fourier", 1),
-    ("verify residual --reps 0", 2),
-    ("verify residual --seed -1", 2),
-    ("verify residual --n 4 --d 4", 2),
-    ("verify residual --n 64 --d 4 --m 3 --reps 5", 3),
-    (f"{_RESIDUAL} --tol nan", 2),
-    (f"{_RESIDUAL} --tol 0", 2),
-    (f"{_RESIDUAL} --tol 1e-12", 4),
-    (f"{_GRAM} --reps 20 --tol 10", 0),
-    ("verify gram --n 8 --m 4", 1),
-    ("verify gram --family gaussian --n 0 --m 4", 2),
-    ("verify gram --family gaussian --n 8 --m 0", 2),
-    (f"{_GRAM} --reps 0", 2),
-    (f"{_GRAM} --seed -1", 2),
-    (f"{_GRAM} --tol nan", 2),
-    (f"{_GRAM} --tol=-inf", 2),
-    (f"{_GRAM} --reps 20 --tol 0", 2),
-    (f"{_GRAM} --reps 20 --tol 1e-12", 4),
+    (f"{_DATAGEN} --seed 1 --out {{out}}", 0, None),
+    (f"{_DATAGEN} --seed 1", 1, None),
+    (f"{_DATAGEN} --seed -1 --out {{out}}", 2, "seed must fit"),
+    (f"{_DATAGEN} --seed {2**64} --out {{out}}", 2, "seed must fit"),
+    ("datagen --n 64 --d 4 --rho 0 --seed 1 --out {out}", 2, "rho must be positive"),
+    (f"{_DATAGEN} --seed 1 --out {{nodir}}", 2, "No such file or directory"),
+    ("solve --data {data}", 0, None),
+    ("solve", 1, None),
+    ("solve --data {missing}", 2, "no such file"),
+    ("solve --data {rank}", 3, "A is rank deficient"),
+    ("solve --data {zeros}", 3, "A is rank deficient"),
+    ("solve --format sparse --data {huge_index}", 2, "need n > d >= 1"),
+    ("solve --data {utf8_csv}", 2, "not UTF-8 (line 2)"),
+    ("solve --format sparse --data {utf8_sparse}", 2, "not UTF-8 (line 2)"),
+    ("solve --data {overflow}", 2, "too large to factor without overflow"),
+    ("solve --data {energy_overflow}", 2, "squared norms overflow float64"),
+    ("solve --format sparse --data {repeat_index}", 2, "feature index 2 repeats"),
+    ("solve --data {huge_scale}", 0, None),
+    (_SKETCH, 0, None),
+    (f"{_SKETCH} --estimator shrinkage-fro", 1, None),
+    ("sketch-solve --data {data} --family srht --m 0 --seed 3", 2, "sketch size m must be >= 1"),
+    ("sketch-solve --data {data} --family srht --m 24 --seed -1", 2, "seed must fit"),
+    ("sketch-solve --data {data} --family gaussian --m 3 --seed 3", 3, "m=3 below column count"),
+    ("sketch-solve --data {zero_row} --family rownorm --m 8 --seed 1", 3, "strictly positive"),
+    ("sketch-solve --data {huge_scale} --family uniform --m 20 --seed 1 --estimator shrinkage",
+     0, None),
+    ("experiment --config {cfg}", 0, None),
+    ("experiment", 1, None),
+    ("experiment --config {cfg} --threads 0", 1, None),
+    ("experiment --config {missing}", 2, "no such config file"),
+    ("experiment --config {cfg_seed}", 2, "seed must fit"),
+    ("experiment --config {cfg_eps}", 2, "unknown key 'bounds.eps'"),
+    ("experiment --config {cfg_kappa_nan}", 2, "kappa must be finite"),
+    ("experiment --config {cfg_kappa_inf}", 2, "kappa must be finite"),
+    ("experiment --config {cfg_utf8}", 2, "not UTF-8"),
+    ("experiment --config {cfg_rank}", 3, "A is rank deficient"),
+    ("experiment --config {cfg_huge_scale}", 0, None),
+    (_BOUNDS, 0, None),
+    ("bounds --d 10 --m 40", 1, None),
+    (f"{_BOUNDS} --B 2", 1, None),
+    ("bounds --d 0 --m 10 --r2 1", 2, "d and m must be >= 1"),
+    ("bounds --d 10 --m 40 --r2 -1", 2, "r2 must be finite and nonnegative"),
+    (f"{_BOUNDS} --rho -1", 2, "rho must be nonnegative"),
+    (f"{_BOUNDS} --rho 1 --eps -1", 2, "eps must be finite and nonnegative"),
+    (f"{_BOUNDS} --B -1 --sigma-min 1", 2, "B must be positive"),
+    (f"{_BOUNDS} --sigma-min 2 --sigma-max 1", 2, "sigma_min must not exceed sigma_max"),
+    (f"{_BOUNDS} --eta2 -1 --sigma-min 1 --sigma-max 2", 2, "eta2, r2, d and sigma_max"),
+    (f"{_BOUNDS} --rho inf", 0, None),
+    ("bounds --d 10 --m 40 --r2 nan --rho 1", 2, "r2 must be a number"),
+    ("bounds --d 10 --m 40 --r2 inf --rho 1", 2, "r2 must be finite"),
+    (f"{_BOUNDS} --rho nan", 2, "rho must be a number"),
+    ("bounds --d 2 --m 40 --r2 1 --rho nan", 2, "rho must be a number"),
+    (f"{_BOUNDS} --rho 1 --eps nan", 2, "eps must be a number"),
+    (f"{_BOUNDS} --rho 1 --eps inf", 2, "eps must be finite"),
+    (f"{_BOUNDS} --B nan --sigma-min 1", 2, "B must be a number"),
+    (f"{_BOUNDS} --sigma-min nan", 2, "sigma_min must be a number"),
+    (f"{_BOUNDS} --eta2 nan --sigma-min 1 --sigma-max 2", 2, "eta2 must be a number"),
+    ("verify stein --samples 2000 --tol 1", 0, None),
+    ("verify stein --bogus", 1, None),
+    ("verify stein --samples 0", 2, "samples must be >= 1"),
+    ("verify stein --d 2", 2, "need --d > 2"),
+    ("verify stein --seed -1", 2, "seed must fit"),
+    ("verify stein --cond 0", 2, "0 < --cond < inf"),
+    ("verify stein --cond -1", 2, "0 < --cond < inf"),
+    ("verify stein --theta-norm nan", 2, "--theta-norm must be finite"),
+    ("verify stein --theta-norm inf", 2, "--theta-norm must be finite"),
+    ("verify stein --tol nan", 2, "--tol must be finite and positive"),
+    ("verify stein --tol inf", 2, "--tol must be finite and positive"),
+    ("verify stein --samples 2000 --tol 0", 2, "--tol must be finite and positive"),
+    ("verify stein --samples 2000 --tol 1e-12", 4, None),
+    (f"{_RESIDUAL} --tol 1", 0, None),
+    ("verify residual --family fourier", 1, None),
+    ("verify residual --reps 0", 2, "reps must be >= 1"),
+    ("verify residual --seed -1", 2, "seed must fit"),
+    ("verify residual --n 4 --d 4", 2, "need n > d >= 1"),
+    ("verify residual --n 64 --d 4 --m 3 --reps 5", 3, "m=3 below column count"),
+    (f"{_RESIDUAL} --tol nan", 2, "--tol must be finite and positive"),
+    (f"{_RESIDUAL} --tol 0", 2, "--tol must be finite and positive"),
+    (f"{_RESIDUAL} --tol 1e-12", 4, None),
+    (f"{_GRAM} --reps 20 --tol 10", 0, None),
+    ("verify gram --n 8 --m 4", 1, None),
+    ("verify gram --family gaussian --n 0 --m 4", 2, "n and reps must be >= 1"),
+    ("verify gram --family gaussian --n 8 --m 0", 2, "sketch size m must be >= 1"),
+    (f"{_GRAM} --reps 0", 2, "n and reps must be >= 1"),
+    (f"{_GRAM} --seed -1", 2, "seed must fit"),
+    (f"{_GRAM} --tol nan", 2, "--tol must be finite and positive"),
+    (f"{_GRAM} --tol=-inf", 2, "--tol must be finite and positive"),
+    (f"{_GRAM} --reps 20 --tol 0", 2, "--tol must be finite and positive"),
+    (f"{_GRAM} --reps 20 --tol 1e-12", 4, None),
 ]
 _STDERR_PREFIX = {1: ("usage error: ", "sketchls"), 2: ("error: ",),
                   3: ("numerical failure: ",)}
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("argv, expected", _EXIT_TABLE, ids=[a for a, _ in _EXIT_TABLE])
-def test_exit_code_table(capsys, inputs, argv, expected):
+@pytest.mark.parametrize("argv, expected, fragment", _EXIT_TABLE,
+                         ids=[a for a, _, _ in _EXIT_TABLE])
+def test_exit_code_table(capsys, inputs, argv, expected, fragment):
     try:
         code = main(argv.format(**inputs).split())
     except SystemExit as exc:
@@ -545,6 +560,9 @@ def test_exit_code_table(capsys, inputs, argv, expected):
         assert err == ""
     else:
         assert len(err.splitlines()) == 1 and err.startswith(_STDERR_PREFIX[expected]), err
+    assert (fragment is not None) == (expected in (2, 3)), fragment
+    if fragment is not None:
+        assert fragment in err, err
 
 
 _DOCUMENTED_EXIT = {

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ import scipy.linalg
 from sketchls import (
     ProblemInstance,
     SyntheticSpec,
+    classical,
     gen_gaussian_data,
     prediction_error,
     snr,
     solve_exact,
 )
+from sketchls.core import RANK_TOL
 from sketchls.errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -103,12 +106,6 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             p.A[0, 0] = 1.0
 
-    def test_spectrum_properties(self):
-        p = _random_instance(30, 5, seed=2)
-        eig = np.linalg.eigvalsh(p.A.T @ p.A)
-        assert p.sigma_min == pytest.approx(eig[0], rel=1e-9)
-        assert p.sigma_max == pytest.approx(eig[-1], rel=1e-9)
-
 
 class TestPredictionError:
     def test_zero_at_solution(self):
@@ -191,13 +188,75 @@ class TestSingleFactorization:
         with pytest.raises(InvalidInputError, match="overflow float64: r2 = inf"):
             solve_exact(p)
 
-    def test_spectrum_matches_svd_of_a(self):
-        p = _random_instance(50, 7, seed=13)
-        svals = np.linalg.svd(p.A, compute_uv=False)
-        assert p.sigma_min == pytest.approx(svals[-1] ** 2, rel=1e-12)
-        assert p.sigma_max == pytest.approx(svals[0] ** 2, rel=1e-12)
-
     def test_nonfinite_error_is_typed(self):
         with pytest.raises(InvalidInputError) as exc:
             ProblemInstance(np.ones((4, 2)), y=np.array([1.0, np.inf, 0.0, 2.0]))
         assert isinstance(exc.value, SketchLSError) and isinstance(exc.value, ValueError)
+
+
+def _with_condition(ratio, d=8, n=20):
+    # A = U diag(s) V^T with s_max = 1 and s_min = ratio
+    rng = np.random.default_rng(31)
+    U, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return (U * np.geomspace(1.0, ratio, d)) @ V.T, rng.standard_normal(n)
+
+
+def _assert_svd_rule_decides(A, y):
+    """`ProblemInstance` rejects A exactly when the SVD rule does, and with its message."""
+    d = A.shape[1]
+    U = np.linalg.qr(np.column_stack((A, y)), mode="r")
+    s = np.linalg.svd(U[:d, :d], compute_uv=False)
+    if s[-1] <= RANK_TOL * s[0]:
+        message = f"A is rank deficient: s_min/s_max = {s[-1] / s[0]:.3e}"
+        with pytest.raises(RankDeficientError, match=f"^{re.escape(message)}$"):
+            ProblemInstance(A, y=y)
+    else:
+        assert np.all(np.isfinite(solve_exact(ProblemInstance(A, y=y)).x_ls))
+
+
+class TestSharedRankRule:
+    """`ProblemInstance` factors, certifies and solves with the kernel `classical` uses."""
+
+    @pytest.mark.parametrize("ratio", [1e-3, 1e-6, 1e-9, 5e-10, 4e-10, 3e-10, 2.5e-10, 2.1e-10,
+                                       2e-10, 1.5e-10, 1.01e-10, 1e-10, 9.9e-11, 1e-11, 1e-12])
+    def test_decision_is_the_svd_rule(self, ratio):
+        _assert_svd_rule_decides(*_with_condition(ratio))
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_well_conditioned_instance_runs_no_svd(self, svd_calls, k):
+        rng = np.random.default_rng(40)
+        A = rng.standard_normal((40, 6))
+        b = rng.standard_normal(40 if k is None else (40, k))
+        p = ProblemInstance(A, y=b) if k is None else ProblemInstance(A, Y=b)
+        solve_exact(p)
+        assert svd_calls == []
+
+    @pytest.mark.parametrize("ratio, calls", [(1e-3, 0), (3e-10, 0), (1.5e-10, 1), (1e-11, 1)])
+    def test_svd_runs_only_where_the_certificate_cannot_decide(self, svd_calls, ratio, calls):
+        A, y = _with_condition(ratio)
+        try:
+            ProblemInstance(A, y=y)
+        except RankDeficientError:
+            assert ratio < RANK_TOL
+        assert len(svd_calls) == calls
+
+    def test_zero_matrix_has_ratio_zero(self):
+        with pytest.raises(RankDeficientError,
+                           match=r"^A is rank deficient: s_min/s_max = 0\.000e\+00$"):
+            ProblemInstance(np.zeros((6, 2)), y=np.ones(6))
+
+    def test_overflowing_norms_fall_to_the_svd_quietly(self, svd_calls):
+        # ||R||_F^2 overflows at this scale; the certificate fails and the SVD decides
+        rng = np.random.default_rng(41)
+        p = ProblemInstance(rng.standard_normal((60, 3)) * 1e155, y=rng.standard_normal(60))
+        assert len(svd_calls) == 1
+        assert np.all(np.isfinite(solve_exact(p).x_ls))
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_exact_solution_is_bitwise_the_classical_solve(self, k):
+        rng = np.random.default_rng(42)
+        A = rng.standard_normal((30, 5))
+        b = rng.standard_normal(30 if k is None else (30, k))
+        p = ProblemInstance(A, y=b) if k is None else ProblemInstance(A, Y=b)
+        assert np.array_equal(solve_exact(p).x_ls, classical(A, b).x_hat)

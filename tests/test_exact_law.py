@@ -90,7 +90,7 @@ class TestAugmentedFactor:
         p, _ = gen_gaussian_data(SyntheticSpec(n=40, d=5, rho=1.0, seed=33))
         assert np.allclose(p.R.T @ p.R, p.A.T @ p.A, rtol=REL, atol=0)
         assert p.AB.flags.c_contiguous
-        for arr in (p.R, p.qtb, p.R_tilde, p.AB):
+        for arr in (p.R, p.R_tilde, p.AB):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
