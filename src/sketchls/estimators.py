@@ -89,20 +89,24 @@ def _sq(a) -> float:
 
 
 def classical(SA, Sy) -> EstimateRecord:
-    """Solve the compressed problem min ||SA x - Sy||^2 by orthogonal factorization.
-
-    `core.lstsq_factor` factors [SA | Sy] by one QR, under the rank rule
-    `ProblemInstance` uses for A; then x solves U[:d, :d] x = U[:d, d:].
-    """
+    """Solve the compressed problem min ||SA x - Sy||^2: `classical_stacked` on [SA | Sy]."""
     SA = np.asarray(SA, dtype=np.float64)
     Sy = np.asarray(Sy, dtype=np.float64)
     if SA.ndim != 2 or Sy.ndim not in (1, 2) or Sy.shape[0] != SA.shape[0]:
         raise DimensionMismatchError(f"incompatible shapes SA={SA.shape}, Sy={Sy.shape}")
-    m, d = SA.shape
-    if m < d:
-        raise RankDeficientSketchError(f"sketch size m={m} below column count d={d}")
-    U = lstsq_factor(np.column_stack((SA, Sy)), d, RankDeficientSketchError, "SA")
-    return EstimateRecord(x_hat=lstsq_solve(U, d, Sy.ndim == 1), kind=CLASSICAL, shrink_factor=1.0)
+    return classical_stacked(np.column_stack((SA, Sy)), SA.shape[1], Sy.ndim == 1)
+
+
+def classical_stacked(SB, d: int, vector: bool) -> EstimateRecord:
+    """`classical` on SB = [SA | Sy], held as one m x (d+k') array (k' = 1 when `vector`).
+
+    `core.lstsq_factor` factors SB by one QR, under the rank rule
+    `ProblemInstance` uses for A; then x solves U[:d, :d] x = U[:d, d:].
+    """
+    if len(SB) < d:
+        raise RankDeficientSketchError(f"sketch size m={len(SB)} below column count d={d}")
+    U = lstsq_factor(SB, d, RankDeficientSketchError, "SA")
+    return EstimateRecord(x_hat=lstsq_solve(U, d, vector), kind=CLASSICAL, shrink_factor=1.0)
 
 
 def estimate_residual_full(A, y, x_hat, d: int, m: int) -> float:

@@ -13,10 +13,10 @@ m x (d+k') standard normal matrix and R~ the triangular factor of [A | b]
 (`ProblemInstance.R_tilde`); a repetition draws G and costs O(m (d+k')^2),
 independent of n.  Every other family realizes its operator explicitly
 and applies it once per realization, to `ProblemInstance.AB` = [A | b].
-Each realization is solved by `classical`, through `core.lstsq_factor`,
-the kernel that factored [A | b]; its rank or overflow error fails the
-cell, not the sweep.  Error metrics come from A's R factor for every
-family (see `_fit_error`).
+Each SB = S [A | b] is solved as it stands by `classical_stacked`, through
+`core.lstsq_factor`, the kernel that factored [A | b]; its rank or overflow
+error fails the cell, not the sweep.  Error metrics come from A's R factor
+for every family (see `_fit_error`).
 
 The verify_* functions are direct Monte Carlo checks of the identities
 the estimators rely on (shrinkage error identity, residual-estimate
@@ -163,7 +163,7 @@ def _fit_error(R, x_hat, x_ls) -> float:
 
 
 def _sketched_data(instance, family, m, seed, weights):
-    """(SA, S b) of one realization: views of one m x (d+k') array SB.
+    """(SB, SA, S b) of one realization: SB is one m x (d+k') array, SA and S b views of it.
 
     Gaussian cells draw SB from its exact law, G R~ / sqrt(m), with
     R~ = `instance.R_tilde` and G = default_rng(seed).standard_normal,
@@ -179,7 +179,7 @@ def _sketched_data(instance, family, m, seed, weights):
         op = make_operator(SketchSpec(family, m, seed), instance.n, weights=weights)
         SB = apply(op, instance.AB)
     d = instance.d
-    return SB[:, :d], (SB[:, d] if instance.Y is None else SB[:, d:])
+    return SB, SB[:, :d], (SB[:, d] if instance.Y is None else SB[:, d:])
 
 
 def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch, weights):
@@ -188,15 +188,15 @@ def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch, w
     `weights` are the family's sampling weights, `sampling_weights(family, A)`.
     """
     n, d, R = instance.n, instance.d, instance.R
-    SA, St = _sketched_data(instance, family, m, seed, weights)
-    rec0 = est_mod.classical(SA, St)
+    SB, SA, St = _sketched_data(instance, family, m, seed, weights)
+    rec0 = est_mod.classical_stacked(SB, d, St.ndim == 1)
 
     # residual energies by source, of the classical or (two sketches) the auxiliary solution
     residuals: dict = {}
     x_res = rec0.x_hat
     if two_sketch:
-        SA2, St2 = _sketched_data(instance, family, m, aux_seed, weights)
-        x_res = est_mod.classical(SA2, St2).x_hat
+        SB2, SA2, St2 = _sketched_data(instance, family, m, aux_seed, weights)
+        x_res = est_mod.classical_stacked(SB2, d, St2.ndim == 1).x_hat
         diff_skt = SA2 @ x_res - St2
         residuals["sketched"] = float(np.sum(diff_skt * diff_skt))
     residuals["full"] = _fit_error(R, x_res, sol.x_ls) + sol.r2

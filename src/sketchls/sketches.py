@@ -7,9 +7,9 @@ score).  Sampling families draw rows i.i.d. with replacement, which
 keeps the Gram identity E[S^T S] = I exact.  Operators realize all of
 their randomness eagerly at construction from a 64-bit seed, so repeated
 applications are cheap and bitwise reproducible.  Dense families apply
-as one matrix product, SRHT as an in-place fast Hadamard transform,
-CountSketch as one sparse (CSC) product and sampling families as a row
-gather.
+as one matrix product, SRHT as a split Hadamard product (two GEMMs per
+block of columns), CountSketch as one sparse (CSC) product and sampling
+families as a row gather.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg import hadamard
 
 from .errors import DimensionMismatchError, InvalidInputError, InvalidWeightsError
 
@@ -32,6 +33,8 @@ _ROW_WEIGHTS = {
 WEIGHTED_FAMILIES = tuple(_ROW_WEIGHTS)
 _WEIGHT_SUM_TOL = 1e-12
 _MASK64 = (1 << 64) - 1
+_RADIX_BITS = 6  # SRHT applies H_b in Kronecker factors of at most 2**6 rows, one GEMM each
+_SRHT_BLOCK = 32  # columns per SRHT block; bounds its two n_pad-row scratch buffers
 
 
 def check_seed(seed: int, error: type[Exception] = InvalidInputError) -> None:
@@ -116,31 +119,6 @@ class SketchOperator:
         return self.spec.family
 
 
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform along axis 0, in place.
-
-    `a` must be a C-contiguous array with a power-of-two number of rows;
-    it is overwritten with H @ a (H the Sylvester-ordered Hadamard
-    matrix) and returned.  O(n log n) per column, with one half-size
-    scratch array for the whole transform.
-    """
-    n, c = a.shape
-    if n & (n - 1):
-        raise ValueError("row count must be a power of two")
-    if not a.flags.c_contiguous:
-        raise ValueError("the transform runs in place on a C-contiguous array")
-    t = np.empty((n // 2) * c)
-    h = 1
-    while h < n:
-        v = a.reshape(n // (2 * h), 2, h, c)
-        tv = t.reshape(n // (2 * h), h, c)
-        np.subtract(v[:, 0], v[:, 1], out=tv)
-        v[:, 0] += v[:, 1]
-        v[:, 1] = tv
-        h *= 2
-    return a
-
-
 def sampling_weights(family: str, A) -> np.ndarray | None:
     """Row-sampling probabilities that `family` derives from the data matrix A.
 
@@ -199,19 +177,52 @@ class _Rademacher(_Dense):
 
 
 class _Srht(SketchOperator):
-    """Sign flips, the Hadamard transform of the zero-padded input, and sampled rows."""
+    """The sampled rows of H z, z the signed, zero-padded input, by H = H_b kron H_a.
+
+    With b = 2**floor(k/2) for n_pad = 2**k, row i = h a + l of H z is H_a[l] @ W[h],
+    W = H_b z viewed as b blocks of a rows.
+    """
 
     def _realize(self, rng, weights):
-        self.n_pad = 1 << (self.n - 1).bit_length()  # the next power of two
+        k = (self.n - 1).bit_length()  # n_pad = 2**k, the next power of two
+        self.n_pad, self.a, kb = 1 << k, 1 << (k - k // 2), k // 2
         self.signs = _frozen(2.0 * rng.integers(0, 2, size=self.n_pad) - 1.0)
         self.indices = _frozen(rng.integers(0, self.n_pad, size=self.m))
+        # H_r is the leading r x r block of H_a for every power of two r <= a
+        H_a = hadamard(self.a, dtype=np.float64)
+        passes = -(-kb // _RADIX_BITS)
+        radices = [1 << (kb // passes + (i < kb % passes)) for i in range(passes)]
+        self.b_factors = tuple(_frozen(H_a[:r, :r]) for r in radices)
+        # the sampled rows grouped by their block h, in draw order within each group
+        self.order = _frozen(np.argsort(self.indices // self.a, kind="stable"))
+        high, low = np.divmod(self.indices[self.order], self.a)
+        cuts = [0, *(np.flatnonzero(np.diff(high)) + 1).tolist(), self.m]
+        self.groups = tuple(zip(high[cuts[:-1]].tolist(), cuts, cuts[1:]))
+        self.a_rows = _frozen(H_a[low])
 
     def _apply(self, M):
-        z = np.zeros((self.n_pad, M.shape[1]))
-        np.multiply(M, self.signs[: self.n, None], out=z[: self.n])
-        _fwht(z)
+        n, c = M.shape
+        n_pad, a = self.n_pad, self.a
+        rows = np.empty((self.m, c))
+        buffers = [np.empty(n_pad * min(c, _SRHT_BLOCK)) for _ in range(2)]
+        for c0 in range(0, c, _SRHT_BLOCK):
+            w = min(_SRHT_BLOCK, c - c0)
+            z, spare = (buf[: n_pad * w] for buf in buffers)
+            np.multiply(M[:, c0:c0 + w], self.signs[:n, None], out=z.reshape(n_pad, w)[:n])
+            z[n * w:] = 0.0
+            # W = (H_b kron I_a) z, one factor of H_b per pass, between the two buffers
+            lead = 1
+            for H in self.b_factors:
+                shape = (lead, len(H), -1)
+                np.matmul(H, z.reshape(shape), out=spare.reshape(shape))
+                z, spare = spare, z
+                lead *= len(H)
+            W = z.reshape(-1, a, w)
+            for h, start, stop in self.groups:
+                np.matmul(self.a_rows[start:stop], W[h], out=rows[start:stop, c0:c0 + w])
+        out = np.empty_like(rows)
+        out[self.order] = rows
         # sqrt(n_pad/m) * (H/sqrt(n_pad)) collapses to 1/sqrt(m) on the raw transform
-        out = z[self.indices]
         out /= math.sqrt(self.m)
         return out
 
@@ -278,15 +289,15 @@ FAMILIES = tuple(_KERNELS)
 def make_operator(spec: SketchSpec, n: int, weights=None) -> SketchOperator:
     """Realize a sketch operator for inputs of length n.
 
-    Conventions: Gaussian and Rademacher entries are scaled by 1/sqrt(m).
-    Sampling families draw m rows i.i.d. with replacement from
-    probabilities p and scale each selected row by 1/sqrt(m * p_i).
-    SRHT zero-pads inputs to the next power of two n_pad and applies
-    sign flips, the normalized Hadamard transform, and row sampling with
-    an overall scale sqrt(n_pad / m).  CountSketch gives each of the n
-    input coordinates one uniformly random output row and a random sign;
-    it is stored as an m x n CSC matrix with one entry per column, and
-    its product sums each output row's inputs in input order.
+    Conventions: Gaussian and Rademacher entries are scaled by 1/sqrt(m).  Sampling families
+    draw m rows i.i.d. with replacement from probabilities p and scale each selected row by
+    1/sqrt(m * p_i).  SRHT zero-pads inputs to the next power of two n_pad and applies sign
+    flips, the normalized Hadamard transform, and row sampling with an overall scale
+    sqrt(n_pad / m); it forms only the sampled rows, from m x a stored rows of H_a, 32
+    columns at a time in two n_pad x 32 buffers.  CountSketch gives each of the n input
+    coordinates one uniformly random output row and a random sign; it is stored as an m x n
+    CSC matrix with one entry per column, and its product sums each output row's inputs in
+    input order.
 
     Row-norm and leverage sampling take their probabilities from
     `weights`, as returned by `sampling_weights(family, A)`.  They are

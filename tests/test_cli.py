@@ -428,7 +428,7 @@ def inputs(tmp_path, dataset):
         "nodir": str(tmp_path / "no" / "out.csv"),
         "cfg": config("ok", base),
         "cfg_seed": config("seed", base + "experiment.seed = -1\n"),
-        "cfg_eps": config("eps", base + "bounds.eps = 0.0\n"),
+        "cfg_unknown_key": config("unknown_key", base + "bounds.eps = 0.0\n"),
         "cfg_kappa_nan": config("kappa_nan", base + "noise.kappa = nan\n"),
         "cfg_kappa_inf": config("kappa_inf", base + "noise.kappa = inf\n"),
         "cfg_rank": config("rank", f"data.path = {rank}\n" + "".join(
@@ -482,7 +482,7 @@ _EXIT_TABLE = [
     ("experiment --config {cfg} --threads 0", 1, None),
     ("experiment --config {missing}", 2, "no such config file"),
     ("experiment --config {cfg_seed}", 2, "seed must fit"),
-    ("experiment --config {cfg_eps}", 2, "unknown key 'bounds.eps'"),
+    ("experiment --config {cfg_unknown_key}", 2, "unknown key 'bounds.eps'"),
     ("experiment --config {cfg_kappa_nan}", 2, "kappa must be finite"),
     ("experiment --config {cfg_kappa_inf}", 2, "kappa must be finite"),
     ("experiment --config {cfg_utf8}", 2, "not UTF-8"),

@@ -28,6 +28,7 @@ from sketchls import (
 )
 from sketchls.core import RANK_TOL
 from sketchls.errors import InvalidInputError, InvalidSketchSizeError, RankDeficientSketchError
+from sketchls.estimators import classical_stacked
 
 
 def _sketched(spec, p, sol):
@@ -189,6 +190,9 @@ class TestClassicalByQr:
         U = np.linalg.qr(np.column_stack((SA, Sy)), mode="r")
         expected = scipy.linalg.solve_triangular(U[:d, :d], U[:d, d] if k is None else U[:d, d:])
         assert np.array_equal(classical(SA, Sy).x_hat, expected)
+        # the harness's spelling, on the stacked array it already holds
+        SB = np.column_stack((SA, Sy))
+        assert np.array_equal(classical_stacked(SB, d, k is None).x_hat, expected)
 
 
 class TestResidualEstimates:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
@@ -17,7 +17,6 @@ from sketchls import (
     sampling_weights,
 )
 from sketchls.errors import DimensionMismatchError, InvalidInputError, InvalidWeightsError
-from sketchls.sketches import _fwht
 
 
 def _aux(n, d=8, seed=0):
@@ -94,17 +93,6 @@ class TestDenseRealization:
         assert np.all(np.abs(dense) == 1.0 / math.sqrt(m))
 
 
-class TestFwht:
-    @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
-    def test_matches_dense_hadamard(self, n):
-        X = np.random.default_rng(n).standard_normal((n, 3))
-        np.testing.assert_allclose(_fwht(X.copy()), hadamard(n) @ X, atol=1e-9)
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            _fwht(np.ones((6, 1)))
-
-
 class TestOperators:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_zero_maps_to_zero(self, family):
@@ -164,13 +152,19 @@ class TestOperators:
             assert np.all(np.abs(nonzero) == 1.0)
 
     def test_srht_sign_hadamard_composition_is_orthogonal(self):
-        # with every padded row kept and m = n_pad the map is an isometry
+        # the frozen full transform of the signed input, over sqrt(n), is an isometry,
+        # and each row the kernel keeps is that transform's row at its index
         n = 32
         op = make_operator(SketchSpec("srht", n, 9), n)
-        signs = op.signs
         x = np.random.default_rng(4).standard_normal((n, 1))
-        z = _fwht(x * signs[:, None]) / math.sqrt(n)
+        z = _reference_fwht(x * op.signs[:, None]) / math.sqrt(n)
         assert np.linalg.norm(z) == pytest.approx(np.linalg.norm(x), rel=1e-12)
+        np.testing.assert_allclose(apply(op, x), z[op.indices] * math.sqrt(n / op.m),
+                                   rtol=1e-13, atol=1e-13)
+        # so the kept rows are orthonormal up to the scale, where their indices differ
+        rows = as_matrix(op) * math.sqrt(op.m / n)
+        np.testing.assert_allclose(rows @ rows.T, op.indices[:, None] == op.indices,
+                                   rtol=0, atol=1e-13)
 
     def test_srht_pads_to_power_of_two(self):
         op = _op("srht", n=20, m=8)
@@ -180,7 +174,7 @@ class TestOperators:
 
 
 def _reference_fwht(a):
-    # the stack-based transform that preceded the in-place kernel, kept frozen
+    # the full butterfly transform H @ a, stack-based as before the split product, kept frozen
     n, c = a.shape
     h = 1
     while h < n:
@@ -192,30 +186,48 @@ def _reference_fwht(a):
 
 
 def _reference_apply(op, M):
-    # the SRHT and CountSketch products that preceded the in-place kernels, kept frozen
+    # the CountSketch product that preceded the CSC kernel, kept frozen
     M = np.asarray(M, dtype=np.float64)
     vector = M.ndim == 1
     if vector:
         M = M[:, None]
-    if op.family == "srht":
-        z = np.zeros((op.n_pad, M.shape[1]))
-        z[: op.n] = M
-        z *= op.signs[:, None]
-        out = _reference_fwht(z)[op.indices] / math.sqrt(op.m)
-    else:
-        out = np.zeros((op.m, M.shape[1]))
-        np.add.at(out, op.buckets, M * op.signs[:, None])
+    out = np.zeros((op.m, M.shape[1]))
+    np.add.at(out, op.buckets, M * op.signs[:, None])
     return out[:, 0] if vector else out
 
 
+def _hadamard_rows(rows, size):
+    # rows of the Sylvester-ordered Hadamard matrix, H[i, j] = (-1) ** popcount(i & j),
+    # without forming all size x size entries
+    bits = np.asarray(rows)[:, None] & np.arange(size)
+    parity = np.zeros(bits.shape, dtype=np.int64)
+    while bits.any():
+        parity ^= bits & 1
+        bits >>= 1
+    return 1.0 - 2.0 * parity
+
+
+def _explicit_srht(op):
+    # the SRHT matrix from its ingredients: sampled Hadamard rows, signs and 1/sqrt(m)
+    return _hadamard_rows(op.indices, op.n_pad)[:, : op.n] * op.signs[: op.n] / math.sqrt(op.m)
+
+
+_STRUCTURED_N = (1, 2, 3, 16, 20, 64, 100, 257, 1024)
+
+
 class TestStructuredKernels:
-    @pytest.mark.parametrize("family", ["srht", "countsketch"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 16, 20, 64, 100, 257, 1024])
+    @pytest.mark.parametrize("n, family", [(n, f) for f in ("srht", "countsketch")
+                                           for n in _STRUCTURED_N]
+                             + [(3000, "srht"), (4000, "srht")])
     def test_bitwise_equal_to_the_frozen_reference(self, family, n):
+        # CountSketch is bitwise its frozen np.add.at product.  SRHT's GEMMs sum in
+        # another order than a butterfly, so it matches its explicit matrix within
+        # rtol 1e-13 and atol 1e-13 * max|M| * sqrt(n_pad)
         for m in (1, 7, 40, 300):
-            for cols in (None, 3, 101):
-                for seed in (0, 5, 2**64 - 1):
-                    op = make_operator(SketchSpec(family, m, seed), n)
+            for seed in (0, 5, 2**64 - 1):
+                op = make_operator(SketchSpec(family, m, seed), n)
+                S = _explicit_srht(op) if family == "srht" else None
+                for cols in (None, 3, 101) if n in _STRUCTURED_N else (101, 90):
                     shape = n if cols is None else (n, cols)
                     M = np.random.default_rng(seed % 1000 + n).standard_normal(shape)
                     # C order, F order, and every other column (entry, for a vector)
@@ -223,18 +235,11 @@ class TestStructuredKernels:
                     for laid_out in (M, np.asfortranarray(M), np.repeat(M, 2, axis=-1)[..., ::2]):
                         out = apply(op, laid_out)
                         assert out.shape == ((m,) if cols is None else (m, cols))
-                        assert np.array_equal(out, _reference_apply(op, laid_out))
-
-    @pytest.mark.parametrize("n", [1, 2, 64])
-    def test_fwht_in_place_matches_reference(self, n):
-        X = np.random.default_rng(n).standard_normal((n, 4))
-        reference = _reference_fwht(X.copy())
-        assert _fwht(X) is X
-        assert np.array_equal(X, reference)
-
-    def test_fwht_rejects_non_contiguous_input(self):
-        with pytest.raises(ValueError):
-            _fwht(np.ones((8, 2))[:, :1])
+                        if S is None:
+                            assert np.array_equal(out, _reference_apply(op, laid_out))
+                        else:
+                            atol = 1e-13 * np.max(np.abs(M)) * math.sqrt(op.n_pad)
+                            np.testing.assert_allclose(out, S @ laid_out, rtol=1e-13, atol=atol)
 
     @pytest.mark.parametrize("n, m, seed", [(1, 3, 0), (20, 8, 1), (64, 64, 2), (100, 300, 3)])
     def test_srht_matrix_from_its_ingredients(self, n, m, seed):
@@ -267,6 +272,19 @@ def _operator_cases(draw):
     return family, n, m, seed, cols
 
 
+def _check_linear_map(op, S, rng, cols):
+    shape = op.n if cols is None else (op.n, cols)
+    M1, M2 = rng.standard_normal(shape), rng.standard_normal(shape)
+    out = apply(op, M1)
+    assert out.shape == ((op.m,) if cols is None else (op.m, cols))
+    scale = np.max(np.abs(S)) * np.max(np.abs(M1)) * op.n
+    np.testing.assert_allclose(out, S @ M1, rtol=1e-12, atol=1e-12 * scale)
+    lhs = apply(op, 2.5 * M1 - M2)
+    rhs = 2.5 * apply(op, M1) - apply(op, M2)
+    scale = np.max(np.abs(S)) * (2.5 * np.max(np.abs(M1)) + np.max(np.abs(M2))) * op.n
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * scale)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_operator_cases())
 def test_apply_is_the_linear_map_of_its_matrix(case):
@@ -274,18 +292,20 @@ def test_apply_is_the_linear_map_of_its_matrix(case):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, min(n, 3))) if family in ("rownorm", "leverage") else None
     op = make_operator(SketchSpec(family, m, seed), n, weights=sampling_weights(family, A))
-    shape = n if cols is None else (n, cols)
-    M1, M2 = rng.standard_normal(shape), rng.standard_normal(shape)
     S = as_matrix(op)
     assert S.shape == (m, n)
-    out = apply(op, M1)
-    assert out.shape == ((m,) if cols is None else (m, cols))
-    scale = np.max(np.abs(S)) * np.max(np.abs(M1)) * n
-    np.testing.assert_allclose(out, S @ M1, rtol=1e-12, atol=1e-12 * scale)
-    lhs = apply(op, 2.5 * M1 - M2)
-    rhs = 2.5 * apply(op, M1) - apply(op, M2)
-    scale = np.max(np.abs(S)) * (2.5 * np.max(np.abs(M1)) + np.max(np.abs(M2))) * n
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * scale)
+    _check_linear_map(op, S, rng, cols)
+
+
+# n past 4096 makes H_a larger than H_b = H_64; past 8192, H_b takes two GEMM passes
+@settings(max_examples=25, deadline=None)
+@example(9000, 40, 5, 101)
+@example(40000, 7, 1, 3)
+@given(st.integers(1, 20000), st.integers(1, 40), st.integers(0, 2**64 - 1),
+       st.one_of(st.none(), st.integers(1, 101)))
+def test_srht_apply_is_the_linear_map_of_its_explicit_matrix(n, m, seed, cols):
+    op = make_operator(SketchSpec("srht", m, seed), n)
+    _check_linear_map(op, _explicit_srht(op), np.random.default_rng(seed), cols)
 
 
 class TestSamplingWeights:
