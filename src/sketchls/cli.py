@@ -23,24 +23,17 @@ from .config import load_config
 from .core import prediction_error, snr, solve_exact
 from .dataio import FORMATS, DatasetFile, load, save_dense_csv, write_results_csv
 from .datagen import SyntheticSpec, gen_gaussian_data
-from .errors import InvalidInputError, SketchLSError
-from .estimators import ESTIMATORS, SHRINKAGE, classical, estimate
+from .errors import InvalidInputError, InvalidSketchSizeError, SketchLSError
+from .estimators import ESTIMATORS, SHRINKAGE, estimate, skip_reason
 from .harness import (
     SteinInstance,
     run_experiment,
+    sketch_factor,
     verify_gram_identity,
     verify_residual_unbiased,
     verify_stein,
 )
-from .sketches import (
-    FAMILIES,
-    SketchSpec,
-    apply,
-    check_seed,
-    derive_seed,
-    make_operator,
-    sampling_weights,
-)
+from .sketches import FAMILIES, check_seed, derive_seed, sampling_weights
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -115,20 +108,22 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sketch_solve(args) -> int:
     instance = load(DatasetFile(path=args.data, format=args.format))
-    A, y, n, d, m = instance.A, instance.y, instance.n, instance.d, args.m
-    op = make_operator(SketchSpec(args.family, m, args.seed), n,
-                       weights=sampling_weights(args.family, A))
-    SA, Sy = apply(op, A), apply(op, y)
-    rec0 = classical(SA, Sy)
+    d, m, R_tilde = instance.d, args.m, instance.R_tilde
+    rec0, UA, Ub = sketch_factor(instance, args.family, m, args.seed,
+                                 sampling_weights(args.family, instance.A))
+    reason = skip_reason(args.estimator, d, m, False)
+    if reason is not None:
+        raise InvalidSketchSizeError(reason)
     sol = solve_exact(instance)
-    rec = estimate(args.estimator, rec0, SA, Sy, A, y, sol.r2, d, m)
+    # R~'s blocks stand in for (A, y) as U's do for (SA, Sy): the estimators read only norms
+    rec = estimate(args.estimator, rec0, UA, Ub, R_tilde[:, :d], R_tilde[:, d], sol.r2, d, m)
     pairs = {
         "estimator": rec.kind,
         "shrink_factor": rec.shrink_factor,
         "r2_estimate": rec.r2_estimate if rec.r2_estimate is not None else "NA",
         "degenerate": str(rec.degenerate).lower(),
         "x_hat": [float(v) for v in rec.x_hat],
-        "pred_err": prediction_error(A, rec.x_hat, sol.x_ls),
+        "pred_err": prediction_error(instance.R, rec.x_hat, sol.x_ls),
     }
     _emit(args, pairs)
     return EXIT_OK

@@ -12,7 +12,10 @@ differ only in how the residual energy entering the factor is obtained:
 * ``shrinkage_matrix`` is the Frobenius-norm variant for matrix targets.
 
 All variants leave the input unchanged (flagged) when d <= 2, where
-shrinking cannot help.
+shrinking cannot help.  Every function reads SA and Sy (A and y) only
+through norms ||SA v - Sy w||, so any pair with the same Gram matrix serves:
+callers pass the (d+k')-row blocks of the triangular factors of [SA | Sy]
+(from `classical_stacked`) and [A | y] (`ProblemInstance.R_tilde`).
 """
 
 from __future__ import annotations
@@ -94,19 +97,22 @@ def classical(SA, Sy) -> EstimateRecord:
     Sy = np.asarray(Sy, dtype=np.float64)
     if SA.ndim != 2 or Sy.ndim not in (1, 2) or Sy.shape[0] != SA.shape[0]:
         raise DimensionMismatchError(f"incompatible shapes SA={SA.shape}, Sy={Sy.shape}")
-    return classical_stacked(np.column_stack((SA, Sy)), SA.shape[1], Sy.ndim == 1)
+    return classical_stacked(np.column_stack((SA, Sy)), SA.shape[1], Sy.ndim == 1)[0]
 
 
-def classical_stacked(SB, d: int, vector: bool) -> EstimateRecord:
+def classical_stacked(SB, d: int, vector: bool) -> tuple[EstimateRecord, np.ndarray, np.ndarray]:
     """`classical` on SB = [SA | Sy], held as one m x (d+k') array (k' = 1 when `vector`).
 
-    `core.lstsq_factor` factors SB by one QR, under the rank rule
+    `core.lstsq_factor` factors SB = Q U by one QR, under the rank rule
     `ProblemInstance` uses for A; then x solves U[:d, :d] x = U[:d, d:].
+    Returns its record with U_A = U[:, :d] and U_b = U[:, d:] (U[:, d] when `vector`):
+    ||SA v - Sy w|| = ||U_A v - U_b w||, so they stand in for SA and Sy.
     """
     if len(SB) < d:
         raise RankDeficientSketchError(f"sketch size m={len(SB)} below column count d={d}")
     U = lstsq_factor(SB, d, RankDeficientSketchError, "SA")
-    return EstimateRecord(x_hat=lstsq_solve(U, d, vector), kind=CLASSICAL, shrink_factor=1.0)
+    rec = EstimateRecord(x_hat=lstsq_solve(U, d, vector), kind=CLASSICAL, shrink_factor=1.0)
+    return rec, U[:, :d], (U[:, d] if vector else U[:, d:])
 
 
 def estimate_residual_full(A, y, x_hat, d: int, m: int) -> float:

@@ -13,10 +13,10 @@ m x (d+k') standard normal matrix and R~ the triangular factor of [A | b]
 (`ProblemInstance.R_tilde`); a repetition draws G and costs O(m (d+k')^2),
 independent of n.  Every other family realizes its operator explicitly
 and applies it once per realization, to `ProblemInstance.AB` = [A | b].
-Each SB = S [A | b] is solved as it stands by `classical_stacked`, through
-`core.lstsq_factor`, the kernel that factored [A | b]; its rank or overflow
-error fails the cell, not the sweep.  Error metrics come from A's R factor
-for every family (see `_fit_error`).
+`classical_stacked` factors SB = S [A | b] = Q U; a rank or overflow error
+fails the cell, not the sweep.  Every norm after it comes from U's
+(d+k')-row blocks, ||SA v - S b w|| = ||U_A v - U_b w||, or from A's R
+factor (`_fit_error`).
 
 The verify_* functions are direct Monte Carlo checks of the identities
 the estimators rely on (shrinkage error identity, residual-estimate
@@ -153,33 +153,35 @@ def resolve_instance(cfg: ExperimentConfig) -> tuple[ProblemInstance, ExactSolut
 
 
 def _fit_error(R, x_hat, x_ls) -> float:
-    """||A(x_hat - x_ls)||^2 computed as ||R(x_hat - x_ls)||^2, with A = QR: O(d^2).
+    """||X(x_hat - x_ls)||^2 computed as ||R(x_hat - x_ls)||^2, with X = QR: O(d^2).
 
-    The full-data residual follows from it: ||A x_hat - b||^2 = this + r2,
-    because the residual b - A x_ls is orthogonal to range(A).
+    X is A (R = `instance.R`) or SA (R = U_A).  For A, ||A x_hat - b||^2 = this
+    + r2, because the residual b - A x_ls is orthogonal to range(A).
     """
     diff = R @ (x_hat - x_ls)
     return float(np.sum(diff * diff))
 
 
-def _sketched_data(instance, family, m, seed, weights):
-    """(SB, SA, S b) of one realization: SB is one m x (d+k') array, SA and S b views of it.
+def sketch_factor(instance: ProblemInstance, family: str, m: int, seed: int, weights):
+    """`classical_stacked` on S [A | b], one application of S = `make_operator`'s."""
+    op = make_operator(SketchSpec(family, m, seed), instance.n, weights=weights)
+    return est_mod.classical_stacked(apply(op, instance.AB), instance.d, instance.Y is None)
 
-    Gaussian cells draw SB from its exact law, G R~ / sqrt(m), with
-    R~ = `instance.R_tilde` and G = default_rng(seed).standard_normal,
-    m x (d+k').  Every other family computes SB = S [A | b], one
-    application of the realized operator to `instance.AB`.  SA is the
-    first d columns of SB and S b the rest.
+
+def _sketched_data(instance, family, m, seed, weights):
+    """One realization, factored: `classical_stacked`'s (classical record, U_A, U_b).
+
+    Gaussian cells draw SB = S [A | b] from its exact law, G R~ / sqrt(m),
+    with R~ = `instance.R_tilde` and G = default_rng(seed).standard_normal,
+    m x (d+k'); every other family realizes S (`sketch_factor`).  SB is
+    factored as it stands and not kept: U's blocks replace SA and S b.
     """
-    if family == "gaussian":
-        G = np.random.default_rng(seed).standard_normal((m, instance.AB.shape[1]))
-        SB = G @ instance.R_tilde
-        SB /= math.sqrt(m)
-    else:
-        op = make_operator(SketchSpec(family, m, seed), instance.n, weights=weights)
-        SB = apply(op, instance.AB)
-    d = instance.d
-    return SB, SB[:, :d], (SB[:, d] if instance.Y is None else SB[:, d:])
+    if family != "gaussian":
+        return sketch_factor(instance, family, m, seed, weights)
+    G = np.random.default_rng(seed).standard_normal((m, instance.AB.shape[1]))
+    SB = G @ instance.R_tilde
+    SB /= math.sqrt(m)
+    return est_mod.classical_stacked(SB, instance.d, instance.Y is None)
 
 
 def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch, weights):
@@ -188,27 +190,24 @@ def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch, w
     `weights` are the family's sampling weights, `sampling_weights(family, A)`.
     """
     n, d, R = instance.n, instance.d, instance.R
-    SB, SA, St = _sketched_data(instance, family, m, seed, weights)
-    rec0 = est_mod.classical_stacked(SB, d, St.ndim == 1)
+    rec0, UA, Ub = _sketched_data(instance, family, m, seed, weights)
 
     # residual energies by source, of the classical or (two sketches) the auxiliary solution
     residuals: dict = {}
     x_res = rec0.x_hat
     if two_sketch:
-        SB2, SA2, St2 = _sketched_data(instance, family, m, aux_seed, weights)
-        x_res = est_mod.classical_stacked(SB2, d, St2.ndim == 1).x_hat
-        diff_skt = SA2 @ x_res - St2
+        rec_aux, UA2, Ub2 = _sketched_data(instance, family, m, aux_seed, weights)
+        x_res = rec_aux.x_hat
+        diff_skt = UA2 @ x_res - Ub2
         residuals["sketched"] = float(np.sum(diff_skt * diff_skt))
     residuals["full"] = _fit_error(R, x_res, sol.x_ls) + sol.r2
 
     out = {}
     for kind in estimators:
-        rec = est_mod.estimate(kind, rec0, SA, St, instance.A, instance.target, sol.r2, d, m,
+        rec = est_mod.estimate(kind, rec0, UA, Ub, instance.A, instance.target, sol.r2, d, m,
                                residuals)
         pred = _fit_error(R, rec.x_hat, sol.x_ls) / n
-        sa_diff = SA @ (rec.x_hat - sol.x_ls)
-        sa = float(np.sum(sa_diff * sa_diff)) / n
-        out[kind] = (pred, sa, rec.shrink_factor)
+        out[kind] = (pred, _fit_error(UA, rec.x_hat, sol.x_ls) / n, rec.shrink_factor)
     return out
 
 
@@ -356,17 +355,15 @@ def verify_residual_unbiased(p: ProblemInstance, family: str, m: int, reps: int,
     """Monte Carlo means of the two residual-energy estimates, which both target r2."""
     if reps < 1:
         raise InvalidInputError(f"reps must be >= 1, got {reps}")
-    A, target, n, d = p.A, p.target, p.n, p.d
-    weights = sampling_weights(family, A)
+    d = p.d
+    weights = sampling_weights(family, p.A)
+    RA, Rb = p.R_tilde[:, :d], (p.R_tilde[:, d] if p.Y is None else p.R_tilde[:, d:])
     full = np.empty(reps)
     sketched = np.empty(reps)
     for r in range(reps):
-        op = make_operator(SketchSpec(family, m, derive_seed(seed, family, m, r)), n,
-                           weights=weights)
-        SA, St = apply(op, A), apply(op, target)
-        rec = est_mod.classical(SA, St)
-        full[r] = est_mod.estimate_residual_full(A, target, rec.x_hat, d, m)
-        sketched[r] = est_mod.estimate_residual_sketched(SA, St, rec.x_hat, d, m)
+        rec, UA, Ub = sketch_factor(p, family, m, derive_seed(seed, family, m, r), weights)
+        full[r] = est_mod.estimate_residual_full(RA, Rb, rec.x_hat, d, m)
+        sketched[r] = est_mod.estimate_residual_sketched(UA, Ub, rec.x_hat, d, m)
     return float(full.mean()), float(sketched.mean())
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from sketchls import cli, errors
 from sketchls.cli import main
-from sketchls.core import solve_exact
+from sketchls.core import prediction_error, solve_exact
 from sketchls.datagen import SyntheticSpec, gen_gaussian_data
 from sketchls.dataio import DatasetFile, load, save_dense_csv
 from sketchls.estimators import (
@@ -348,10 +348,35 @@ def test_sketch_solve_matches_the_reference_dispatch(capsys, dataset, family, m,
     payload = json.loads(out)
     ref = _reference_sketch_solve(dataset, family, m, seed, kind)
     assert payload["estimator"] == ref.kind == kind
-    assert payload["x_hat"] == [float(v) for v in ref.x_hat]
-    assert payload["shrink_factor"] == ref.shrink_factor
-    assert payload["r2_estimate"] == (ref.r2_estimate if ref.r2_estimate is not None else "NA")
     assert payload["degenerate"] == str(ref.degenerate).lower()
+    # sketch-solve applies S once to [A | y] and reads norms from the factors U and R~, so
+    # dense and SRHT x_hat and every norm move in their last digits; sampling and
+    # CountSketch sketch each column alike, so their classical x_hat stays bitwise
+    if kind == "classical" and family in ("leverage", "countsketch"):
+        assert payload["x_hat"] == [float(v) for v in ref.x_hat]
+    np.testing.assert_allclose(payload["x_hat"], ref.x_hat, rtol=1e-12, atol=0)
+    assert payload["shrink_factor"] == pytest.approx(ref.shrink_factor, rel=1e-12, abs=0)
+    if ref.r2_estimate is None:
+        assert payload["r2_estimate"] == "NA"
+    else:
+        assert payload["r2_estimate"] == pytest.approx(ref.r2_estimate, rel=1e-12, abs=0)
+    instance = load(DatasetFile(path=dataset))
+    A, y, d, sol = instance.A, instance.y, instance.d, solve_exact(instance)
+    expected = prediction_error(A, ref.x_hat, sol.x_ls)
+    assert payload["pred_err"] == pytest.approx(expected, rel=1e-12, abs=0)
+    if kind == "classical":
+        return
+    # the reference shares the estimator functions; check the factor against the README's
+    # 1 - (d-2) r2_hat / (m ||SA x||^2), from explicit products, to catch a formula change
+    op = make_operator(SketchSpec(family, m, seed), len(A), weights=sampling_weights(family, A))
+    SA, Sy = apply(op, A), apply(op, y)
+    x = classical(SA, Sy).x_hat
+    r2_hat = {"js-oracle": sol.r2, "shrinkage-alt": m / (m - d) * np.sum((SA @ x - Sy) ** 2)}.get(
+        kind, (m - d - 1) / (m - 1) * np.sum((A @ x - y) ** 2))
+    factor = 1 - (d - 2) * r2_hat / (m * np.sum((SA @ x) ** 2))
+    if kind == "positive-part":
+        factor = max(factor, 0.0)
+    assert payload["shrink_factor"] == pytest.approx(factor, rel=1e-12, abs=1e-12)
 
 
 def test_sketch_solve_rejects_the_matrix_estimator(capsys, dataset):
@@ -474,6 +499,10 @@ _EXIT_TABLE = [
     ("sketch-solve --data {data} --family srht --m 0 --seed 3", 2, "sketch size m must be >= 1"),
     ("sketch-solve --data {data} --family srht --m 24 --seed -1", 2, "seed must fit"),
     ("sketch-solve --data {data} --family gaussian --m 3 --seed 3", 3, "m=3 below column count"),
+    ("sketch-solve --data {data} --family gaussian --m 6 --seed 3 --estimator js-oracle", 3,
+     "m=6 <= d+3=9: shrinkage domain"),
+    ("sketch-solve --data {data} --family gaussian --m 7 --seed 3 --estimator shrinkage-alt", 3,
+     "m=7 <= d+3=9: shrinkage domain"),
     ("sketch-solve --data {zero_row} --family rownorm --m 8 --seed 1", 3, "strictly positive"),
     ("sketch-solve --data {huge_scale} --family uniform --m 20 --seed 1 --estimator shrinkage",
      0, None),
@@ -527,6 +556,7 @@ _EXIT_TABLE = [
     ("verify residual --seed -1", 2, "seed must fit"),
     ("verify residual --n 4 --d 4", 2, "need n > d >= 1"),
     ("verify residual --n 64 --d 4 --m 3 --reps 5", 3, "m=3 below column count"),
+    ("verify residual --n 64 --d 4 --m 5 --reps 5", 3, "residual estimate needs m > d+1"),
     (f"{_RESIDUAL} --tol nan", 2, "--tol must be finite and positive"),
     (f"{_RESIDUAL} --tol 0", 2, "--tol must be finite and positive"),
     (f"{_RESIDUAL} --tol 1e-12", 4, None),

@@ -192,7 +192,12 @@ class TestClassicalByQr:
         assert np.array_equal(classical(SA, Sy).x_hat, expected)
         # the harness's spelling, on the stacked array it already holds
         SB = np.column_stack((SA, Sy))
-        assert np.array_equal(classical_stacked(SB, d, k is None).x_hat, expected)
+        rec, UA, Ub = classical_stacked(SB, d, k is None)
+        assert np.array_equal(rec.x_hat, expected)
+        # with U's blocks: the QR's rows, zero-padded to d+k' rows when m < d+k'
+        padded = np.vstack((U, np.zeros((SB.shape[1] - len(U), SB.shape[1]))))
+        assert UA.shape == (SB.shape[1], d) and Ub.ndim == Sy.ndim
+        assert np.array_equal(np.column_stack((UA, Ub)), padded)
 
 
 class TestResidualEstimates:

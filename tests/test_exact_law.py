@@ -33,6 +33,7 @@ from sketchls import (
 )
 from sketchls import estimators as est
 from sketchls import harness
+from sketchls.errors import RankDeficientSketchError
 from sketchls.harness import resolve_instance
 
 REL = 1e-10
@@ -123,8 +124,37 @@ def _reference_rep(p, sol, family, m, seed, aux_seed, kinds, two_sketch, weights
     out = {}
     for kind in kinds:
         rec = recs[kind]()
-        out[kind] = (prediction_error(A, rec.x_hat, sol.x_ls) / n, rec.shrink_factor)
+        out[kind] = (prediction_error(A, rec.x_hat, sol.x_ls) / n,
+                     prediction_error(SA, rec.x_hat, sol.x_ls) / n, rec.shrink_factor)
     return out
+
+
+def _check_logs_against_the_explicit_route(k, kinds, m, two_sketch):
+    """Each repetition's logs equal `_reference_rep`'s; a cell fails where a draw loses rank."""
+    families = tuple(f for f in FAMILIES if f != "gaussian")
+    cfg = _cfg(SyntheticSpec(n=128, d=10, rho=0.1, seed=35, k=k), families=families,
+               m_values=(m,), estimators=kinds, two_sketch=two_sketch)
+    res = run_experiment(cfg)
+    p, sol = resolve_instance(cfg)
+    for family in families:
+        weights = sampling_weights(family, p.A)
+        refs = []
+        for r in range(cfg.reps):
+            try:
+                refs.append(_reference_rep(p, sol, family, m, derive_seed(5, family, m, r),
+                                           derive_seed(5, family, m, r, "aux"), kinds,
+                                           two_sketch, weights))
+            except RankDeficientSketchError:
+                refs.append(None)
+        for kind in kinds:
+            cell = res.cell(family, m, kind)
+            if None in refs:
+                assert cell.skipped.startswith("failed: SA is rank deficient"), cell.skipped
+                continue
+            for r, ref in enumerate(refs):
+                assert cell.per_rep_pred_err[r] == pytest.approx(ref[kind][0], rel=REL)
+                assert cell.per_rep_sa_err[r] == pytest.approx(ref[kind][1], rel=REL)
+                assert cell.per_rep_factor[r] == pytest.approx(ref[kind][2], rel=REL)
 
 
 class TestRFactorMetrics:
@@ -146,21 +176,57 @@ class TestRFactorMetrics:
         (3, ("classical", "shrinkage-fro")),
     ])
     def test_harness_logs_match_the_explicit_route(self, two_sketch, k, kinds):
-        families = tuple(f for f in FAMILIES if f != "gaussian")
-        cfg = _cfg(SyntheticSpec(n=128, d=10, rho=0.1, seed=35, k=k), families=families,
-                   estimators=kinds, two_sketch=two_sketch)
+        _check_logs_against_the_explicit_route(k, kinds, 40, two_sketch)
+
+    # m = d and d + 1 lie below d + k' (k' = 1 or 3), so U is zero below row m
+    @pytest.mark.parametrize("two_sketch", [False, True])
+    @pytest.mark.parametrize("m", [10, 11])
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_classical_logs_match_where_u_is_padded(self, two_sketch, m, k):
+        _check_logs_against_the_explicit_route(k, ("classical",), m, two_sketch)
+
+
+# the positional arguments of each estimator function that hold sketched data
+_SKETCHED_ARGS = {"js_oracle": (1,), "shrinkage": (1,), "shrinkage_alt": (1, 2),
+                  "positive_part": (1,), "shrinkage_matrix": (1,)}
+
+
+@pytest.mark.parametrize("k, kinds", [
+    (None, ("classical", "js-oracle", "shrinkage", "shrinkage-alt", "positive-part")),
+    (3, ("classical", "shrinkage-fro")),
+])
+def test_a_repetition_reads_only_the_factor_blocks(monkeypatch, k, kinds):
+    """Past the sketched solve a sweep reads only (d+k')-row blocks, never SA, Sb, A or b."""
+    d, rows = 10, 10 + (k or 1)
+    sketched_rows, fit_rows, called = [], [], set()
+
+    def guarded(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            sketched_rows.extend(len(args[i]) for i in _SKETCHED_ARGS[name])
+            if name not in ("js_oracle", "shrinkage_alt"):
+                assert kwargs["residual_sq"] is not None  # so A and y are never read
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in _SKETCHED_ARGS:
+        monkeypatch.setattr(est, name, guarded(name, getattr(est, name)))
+    fit_error = harness._fit_error
+
+    def guarded_fit(R, *args):
+        fit_rows.append(len(R))
+        return fit_error(R, *args)
+
+    monkeypatch.setattr(harness, "_fit_error", guarded_fit)
+    for two_sketch in (False, True):
+        cfg = _cfg(SyntheticSpec(n=128, d=d, rho=0.1, seed=38, k=k), families=FAMILIES,
+                   estimators=kinds, reps=2, two_sketch=two_sketch)
         res = run_experiment(cfg)
-        p, sol = resolve_instance(cfg)
-        for family in families:
-            weights = sampling_weights(family, p.A)
-            for r in range(cfg.reps):
-                ref = _reference_rep(p, sol, family, 40, derive_seed(5, family, 40, r),
-                                     derive_seed(5, family, 40, r, "aux"), kinds,
-                                     two_sketch, weights)
-                for kind in kinds:
-                    cell = res.cell(family, 40, kind)
-                    assert cell.per_rep_pred_err[r] == pytest.approx(ref[kind][0], rel=REL)
-                    assert cell.per_rep_factor[r] == pytest.approx(ref[kind][1], rel=REL)
+        assert all(c.skipped is None for c in res.cells)
+    expected = {est.ESTIMATORS[kind].function for kind in kinds} - {"classical"}
+    assert called >= expected
+    assert set(sketched_rows) == {rows}
+    assert set(fit_rows) == {d, rows}
 
 
 class TestGaussianCells:
@@ -226,7 +292,7 @@ def _problems(draw):
     d = draw(st.integers(1, 8))
     n = draw(st.integers(d + 2, 48))
     k = draw(st.one_of(st.none(), st.integers(1, 4)))
-    m = draw(st.integers(d + 1, d + 20))
+    m = draw(st.integers(d, d + 20))
     seed = draw(st.integers(0, 2**32 - 1))
     return n, d, k, m, seed
 
@@ -243,7 +309,25 @@ def test_factor_and_metric_identities(problem):
     assert _gram_gap(p, p.R_tilde) <= REL
 
     op = make_operator(SketchSpec("gaussian", m, seed), n)
-    x_hat = est.classical(apply(op, A), apply(op, b)).x_hat
+    SA, Sb = apply(op, A), apply(op, b)
+    x_hat = est.classical(SA, Sb).x_hat
     fit = harness._fit_error(p.R, x_hat, sol.x_ls)
     assert fit == pytest.approx(prediction_error(A, x_hat, sol.x_ls), rel=REL, abs=1e-300)
     assert fit + sol.r2 == pytest.approx(_sq(A @ x_hat - b), rel=REL)
+
+    # U's blocks stand in for (SA, Sb), zero-padded below row m when m < d+k'
+    rec, UA, Ub = est.classical_stacked(np.column_stack((SA, Sb)), d, k is None)
+    assert np.array_equal(rec.x_hat, x_hat)
+    on_u, on_s = [], []
+    if m > d + 1:
+        on_u.append(est.shrinkage(x_hat, UA, A, b, d, m))
+        on_s.append(est.shrinkage(x_hat, SA, A, b, d, m))
+    if m > d:
+        on_u.append(est.shrinkage_alt(x_hat, UA, Ub, d, m))
+        on_s.append(est.shrinkage_alt(x_hat, SA, Sb, d, m))
+    for u, s in zip(on_u, on_s):
+        assert (u.kind, u.degenerate) == (s.kind, s.degenerate)
+        assert u.shrink_factor == pytest.approx(s.shrink_factor, rel=REL, abs=REL)
+        assert u.r2_estimate == pytest.approx(s.r2_estimate, rel=REL)
+        np.testing.assert_allclose(u.x_hat, s.x_hat, rtol=REL,
+                                   atol=REL * float(np.max(np.abs(x_hat))))
