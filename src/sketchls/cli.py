@@ -27,6 +27,7 @@ from .errors import InvalidInputError, InvalidSketchSizeError, SketchLSError
 from .estimators import ESTIMATORS, SHRINKAGE, estimate, skip_reason
 from .harness import (
     SteinInstance,
+    residual_estimates,
     run_experiment,
     sketch_factor,
     verify_gram_identity,
@@ -108,15 +109,16 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sketch_solve(args) -> int:
     instance = load(DatasetFile(path=args.data, format=args.format))
-    d, m, R_tilde = instance.d, args.m, instance.R_tilde
+    d, m = instance.d, args.m
     rec0, UA, Ub = sketch_factor(instance, args.family, m, args.seed,
                                  sampling_weights(args.family, instance.A))
     reason = skip_reason(args.estimator, d, m, False)
     if reason is not None:
         raise InvalidSketchSizeError(reason)
     sol = solve_exact(instance)
-    # R~'s blocks stand in for (A, y) as U's do for (SA, Sy): the estimators read only norms
-    rec = estimate(args.estimator, rec0, UA, Ub, R_tilde[:, :d], R_tilde[:, d], sol.r2, d, m)
+    sources = {ESTIMATORS[args.estimator].residual}
+    r2_hat = {"true": sol.r2, **residual_estimates(sources, instance, rec0.x_hat, UA, Ub, m)}
+    rec = estimate(args.estimator, rec0, UA, r2_hat, d, m)
     pairs = {
         "estimator": rec.kind,
         "shrink_factor": rec.shrink_factor,
@@ -209,6 +211,8 @@ def _cmd_verify_stein(args) -> int:
 
 def _cmd_verify_residual(args) -> int:
     _check_tol(args)
+    if args.rho == math.inf:  # the planted r2 is 1/rho, and the relative differences divide by it
+        raise InvalidInputError(f"--rho {args.rho} plants r2 = 0, but the check needs r2 > 0")
     instance, sol = gen_gaussian_data(SyntheticSpec(n=args.n, d=args.d, rho=args.rho,
                                                     seed=derive_seed(args.seed, "datagen")))
     mean_full, mean_sketched = verify_residual_unbiased(

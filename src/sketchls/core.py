@@ -99,10 +99,19 @@ def lstsq_factor(M, d: int, error: type[SketchLSError], name: str) -> np.ndarray
     return U
 
 
+def factor_blocks(U: np.ndarray, d: int, vector: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks U_X = U[:, :d] and U_t = U[:, d:] (U[:, d] when `vector`) of `lstsq_factor`'s U.
+
+    With [X | t] = Q U, ||X v - t w|| = ||U_X v - U_t w||, so the blocks stand
+    in for X and t in every such norm.
+    """
+    return U[:, :d], (U[:, d] if vector else U[:, d:])
+
+
 def lstsq_solve(U: np.ndarray, d: int, vector: bool) -> np.ndarray:
     """Solve U[:d, :d] x = U[:d, d:] (U[:d, d], a vector x, when `vector`) on `lstsq_factor`'s U."""
-    return scipy.linalg.solve_triangular(U[:d, :d], U[:d, d] if vector else U[:d, d:],
-                                         check_finite=False)
+    UX, Ut = factor_blocks(U, d, vector)
+    return scipy.linalg.solve_triangular(UX[:d], Ut[:d], check_finite=False)
 
 
 class ProblemInstance:

@@ -1,21 +1,24 @@
 """Sketch-and-solve estimators and the shrinkage family built on them.
 
 The classical estimator solves the compressed problem directly and is
-unbiased.  The shrinkage variants rescale it toward the origin by a
-data-dependent factor, trading a small bias for lower variance; they
-differ only in how the residual energy entering the factor is obtained:
+unbiased.  The shrinkage variants rescale it toward the origin by the
+data-dependent factor 1 - (d-2) r2_hat / (m ||SA x_hat||^2), trading a
+small bias for lower variance.  Every variant has the signature
+(x_hat, SA, r2_hat, d, m); they differ only in where the caller takes the
+residual-energy estimate r2_hat from (`Estimator.residual`):
 
-* ``js_oracle``      uses the true residual energy (not observable in practice),
-* ``shrinkage``      estimates it from the full data as (m-d-1)/(m-1) * ||A x_hat - y||^2,
-* ``shrinkage_alt``  estimates it from sketched data only as m/(m-d) * ||SA x_hat - Sy||^2,
-* ``positive_part``  clamps the shrinkage factor at zero,
-* ``shrinkage_matrix`` is the Frobenius-norm variant for matrix targets.
+* ``js_oracle``      the true residual energy r2 (not observable in practice),
+* ``shrinkage``      the full data, `estimate_residual_full`: (m-d-1)/(m-1) * ||A x_hat - y||^2,
+* ``shrinkage_alt``  sketched data only, `estimate_residual_sketched`: m/(m-d) * ||SA x_hat - Sy||^2,
+* ``positive_part``  as ``shrinkage``, with the factor clamped at zero,
+* ``shrinkage_matrix`` as ``shrinkage``, in Frobenius norms, for matrix targets.
 
 All variants leave the input unchanged (flagged) when d <= 2, where
-shrinking cannot help.  Every function reads SA and Sy (A and y) only
-through norms ||SA v - Sy w||, so any pair with the same Gram matrix serves:
-callers pass the (d+k')-row blocks of the triangular factors of [SA | Sy]
-(from `classical_stacked`) and [A | y] (`ProblemInstance.R_tilde`).
+shrinking cannot help.  SA, and the data of the two residual estimates,
+are read only through norms ||X v - t w||, so any pair with the same Gram
+matrix serves: callers pass the (d+k')-row blocks (`core.factor_blocks`)
+of the triangular factors of [SA | Sy] (from `classical_stacked`) and
+[A | y] (`ProblemInstance.R_tilde`).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import lstsq_factor, lstsq_solve
+from .core import factor_blocks, lstsq_factor, lstsq_solve
 from .errors import DimensionMismatchError, InvalidSketchSizeError, RankDeficientSketchError
 
 
@@ -72,6 +75,7 @@ class EstimateRecord:
     factor; absent for classical and for the oracle fed the true value.
     `degenerate` flags the fallback paths (d <= 2 or a vanishing
     sketched direction) where the input is returned unchanged.
+    `x_hat` is a read-only copy of the array the record was given.
     """
 
     x_hat: np.ndarray
@@ -81,7 +85,7 @@ class EstimateRecord:
     degenerate: bool = False
 
     def __post_init__(self):
-        arr = np.asarray(self.x_hat, dtype=np.float64)
+        arr = np.array(self.x_hat, dtype=np.float64)  # own a copy: the caller's stays writeable
         arr.setflags(write=False)
         object.__setattr__(self, "x_hat", arr)
 
@@ -89,6 +93,11 @@ class EstimateRecord:
 def _sq(a) -> float:
     a = np.asarray(a, dtype=np.float64)
     return float(np.sum(a * a))
+
+
+def _residual_energy(X, t, x_hat) -> float:
+    """||X x_hat - t||^2 (squared Frobenius norm for a matrix target)."""
+    return _sq(np.asarray(X) @ np.asarray(x_hat) - np.asarray(t))
 
 
 def classical(SA, Sy) -> EstimateRecord:
@@ -105,14 +114,14 @@ def classical_stacked(SB, d: int, vector: bool) -> tuple[EstimateRecord, np.ndar
 
     `core.lstsq_factor` factors SB = Q U by one QR, under the rank rule
     `ProblemInstance` uses for A; then x solves U[:d, :d] x = U[:d, d:].
-    Returns its record with U_A = U[:, :d] and U_b = U[:, d:] (U[:, d] when `vector`):
+    Returns its record and U's blocks U_A, U_b (`core.factor_blocks`):
     ||SA v - Sy w|| = ||U_A v - U_b w||, so they stand in for SA and Sy.
     """
     if len(SB) < d:
         raise RankDeficientSketchError(f"sketch size m={len(SB)} below column count d={d}")
     U = lstsq_factor(SB, d, RankDeficientSketchError, "SA")
     rec = EstimateRecord(x_hat=lstsq_solve(U, d, vector), kind=CLASSICAL, shrink_factor=1.0)
-    return rec, U[:, :d], (U[:, d] if vector else U[:, d:])
+    return (rec, *factor_blocks(U, d, vector))
 
 
 def estimate_residual_full(A, y, x_hat, d: int, m: int) -> float:
@@ -122,7 +131,7 @@ def estimate_residual_full(A, y, x_hat, d: int, m: int) -> float:
     """
     if m <= d + 1:
         raise InvalidSketchSizeError(f"residual estimate needs m > d+1, got m={m}, d={d}")
-    return (m - d - 1) / (m - 1) * _sq(np.asarray(A) @ np.asarray(x_hat) - np.asarray(y))
+    return (m - d - 1) / (m - 1) * _residual_energy(A, y, x_hat)
 
 
 def estimate_residual_sketched(SA, Sy, x_hat, d: int, m: int) -> float:
@@ -133,79 +142,56 @@ def estimate_residual_sketched(SA, Sy, x_hat, d: int, m: int) -> float:
     """
     if m <= d:
         raise InvalidSketchSizeError(f"sketched residual estimate needs m > d, got m={m}, d={d}")
-    return m / (m - d) * _sq(np.asarray(SA) @ np.asarray(x_hat) - np.asarray(Sy))
+    return m / (m - d) * _residual_energy(SA, Sy, x_hat)
 
 
-def _shrink(x_hat, SA, r2_value: float, d: int, m: int, kind: str,
-            r2_estimate: float | None) -> EstimateRecord:
-    """Common James-Stein style rescaling: factor = 1 - (d-2) r2 / (m ||SA x_hat||^2)."""
+def _shrink(x_hat, SA, r2_hat: float, d: int, m: int, kind: str) -> EstimateRecord:
+    """The body of every shrinkage kind: factor = 1 - (d-2) r2_hat / (m ||SA x_hat||^2)."""
     x_hat = np.asarray(x_hat, dtype=np.float64)
     energy = _sq(np.asarray(SA) @ x_hat)
+    r2_estimate = None if kind == JS_ORACLE else r2_hat  # the oracle's r2 is no estimate
     if d <= 2 or energy == 0.0:
         return EstimateRecord(x_hat=x_hat, kind=kind, shrink_factor=1.0,
                               r2_estimate=r2_estimate, degenerate=True)
-    factor = 1.0 - (d - 2) * r2_value / (m * energy)
+    factor = 1.0 - (d - 2) * r2_hat / (m * energy)
     return EstimateRecord(x_hat=factor * x_hat, kind=kind, shrink_factor=factor,
                           r2_estimate=r2_estimate)
 
 
-def js_oracle(x_hat, SA, r2_true: float, d: int, m: int) -> EstimateRecord:
-    """Shrink with the true residual energy (oracle reference)."""
-    return _shrink(x_hat, SA, r2_true, d, m, JS_ORACLE, None)
+def js_oracle(x_hat, SA, r2_hat: float, d: int, m: int) -> EstimateRecord:
+    """Shrink with the true residual energy r2_hat = r2 (oracle reference)."""
+    return _shrink(x_hat, SA, r2_hat, d, m, JS_ORACLE)
 
 
-def _shrink_full(x_hat, SA, A, y, d: int, m: int, residual_sq: float | None,
-                 kind: str) -> EstimateRecord:
-    """The body of `shrinkage` and `shrinkage_matrix`, which differ only in `kind`."""
-    if m <= d + 1:
-        raise InvalidSketchSizeError(f"{kind} needs m > d+1, got m={m}, d={d}")
-    if residual_sq is None:
-        residual_sq = _sq(np.asarray(A) @ np.asarray(x_hat) - np.asarray(y))
-    r2_est = (m - d - 1) / (m - 1) * residual_sq
-    return _shrink(x_hat, SA, r2_est, d, m, kind, r2_est)
+def shrinkage(x_hat, SA, r2_hat: float, d: int, m: int) -> EstimateRecord:
+    """Practical shrinkage estimator; r2_hat is `estimate_residual_full`.
 
-
-def shrinkage(x_hat, SA, A, y, d: int, m: int, residual_sq: float | None = None) -> EstimateRecord:
-    """Practical shrinkage estimator with the full-data residual estimate.
-
-    factor = 1 - (d-2)(m-d-1) ||A x_hat - y||^2 / (m (m-1) ||SA x_hat||^2).
-    The factor is not clamped and may go negative.  `residual_sq`
-    overrides ||A x_hat - y||^2, e.g. with a value computed from an
-    independent second sketch.
+    The factor is not clamped and may go negative.
     """
-    return _shrink_full(x_hat, SA, A, y, d, m, residual_sq, SHRINKAGE)
+    return _shrink(x_hat, SA, r2_hat, d, m, SHRINKAGE)
 
 
-def shrinkage_alt(x_hat, SA, Sy, d: int, m: int, residual_sq: float | None = None) -> EstimateRecord:
-    """Shrinkage variant that sees only the sketched data.
-
-    factor = 1 - (d-2) ||SA x_hat - Sy||^2 / ((m-d) ||SA x_hat||^2).
-    `residual_sq` overrides ||SA x_hat - Sy||^2.
-    """
-    if m <= d:
-        raise InvalidSketchSizeError(f"shrinkage-alt needs m > d, got m={m}, d={d}")
-    if residual_sq is None:
-        residual_sq = _sq(np.asarray(SA) @ np.asarray(x_hat) - np.asarray(Sy))
-    r2_est = m / (m - d) * residual_sq
-    return _shrink(x_hat, SA, r2_est, d, m, SHRINKAGE_ALT, r2_est)
+def shrinkage_alt(x_hat, SA, r2_hat: float, d: int, m: int) -> EstimateRecord:
+    """Shrinkage that sees only sketched data; r2_hat is `estimate_residual_sketched`."""
+    return _shrink(x_hat, SA, r2_hat, d, m, SHRINKAGE_ALT)
 
 
-def positive_part(x_hat, SA, A, y, d: int, m: int, residual_sq: float | None = None) -> EstimateRecord:
-    """Shrinkage with the factor clamped at zero (never flips sign)."""
-    rec = replace(shrinkage(x_hat, SA, A, y, d, m, residual_sq=residual_sq), kind=POSITIVE_PART)
+def positive_part(x_hat, SA, r2_hat: float, d: int, m: int) -> EstimateRecord:
+    """`shrinkage` with the factor clamped at zero (never flips sign)."""
+    rec = _shrink(x_hat, SA, r2_hat, d, m, POSITIVE_PART)
     if rec.shrink_factor >= 0.0:
         return rec
     return replace(rec, x_hat=np.zeros_like(rec.x_hat), shrink_factor=0.0)
 
 
-def shrinkage_matrix(X_hat, SA, A, Y, d: int, m: int, residual_sq: float | None = None) -> EstimateRecord:
+def shrinkage_matrix(X_hat, SA, r2_hat: float, d: int, m: int) -> EstimateRecord:
     """Frobenius-norm shrinkage for matrix regression targets.
 
     Same factor as `shrinkage` with vector norms replaced by Frobenius
     norms; with a single target column it reduces exactly to the vector
     estimator.
     """
-    return _shrink_full(X_hat, SA, A, Y, d, m, residual_sq, SHRINKAGE_FRO)
+    return _shrink(X_hat, SA, r2_hat, d, m, SHRINKAGE_FRO)
 
 
 def skip_reason(kind: str, d: int, m: int, matrix_target: bool) -> str | None:
@@ -216,18 +202,13 @@ def skip_reason(kind: str, d: int, m: int, matrix_target: bool) -> str | None:
     return entry.gate(d, m)
 
 
-def estimate(kind: str, rec0: EstimateRecord, SA, Sy, A, y, r2_true: float, d: int, m: int,
-             residual_sq: dict | None = None) -> EstimateRecord:
+def estimate(kind: str, rec0: EstimateRecord, SA, r2_hat: dict, d: int, m: int) -> EstimateRecord:
     """The `kind` record on one realization, built on its classical record `rec0`.
 
-    `residual_sq` maps a residual source ("full" or "sketched") to a precomputed
-    residual energy that replaces the one the estimator computes from (A, y) or Sy.
+    `r2_hat` maps the kind's residual source ("true", "full" or "sketched") to
+    its residual-energy estimate; classical reads none.
     """
     entry = ESTIMATORS[kind]
     if entry.residual == "none":
         return rec0
-    fn = globals()[entry.function]
-    if entry.residual == "true":
-        return fn(rec0.x_hat, SA, r2_true, d, m)
-    data = (A, y) if entry.residual == "full" else (Sy,)
-    return fn(rec0.x_hat, SA, *data, d, m, residual_sq=(residual_sq or {}).get(entry.residual))
+    return globals()[entry.function](rec0.x_hat, SA, r2_hat[entry.residual], d, m)

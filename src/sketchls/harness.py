@@ -14,9 +14,11 @@ m x (d+k') standard normal matrix and R~ the triangular factor of [A | b]
 independent of n.  Every other family realizes its operator explicitly
 and applies it once per realization, to `ProblemInstance.AB` = [A | b].
 `classical_stacked` factors SB = S [A | b] = Q U; a rank or overflow error
-fails the cell, not the sweep.  Every norm after it comes from U's
-(d+k')-row blocks, ||SA v - S b w|| = ||U_A v - U_b w||, or from A's R
-factor (`_fit_error`).
+fails the cell, not the sweep.  Every norm after it comes from a
+triangular factor's blocks (`core.factor_blocks`): U's (d+k')-row blocks,
+||SA v - S b w|| = ||U_A v - U_b w||, R~'s for the full-data residual
+(`residual_estimates`), and A's R factor for the prediction error
+(`prediction_error(R, ...)`).
 
 The verify_* functions are direct Monte Carlo checks of the identities
 the estimators rely on (shrinkage error identity, residual-estimate
@@ -34,9 +36,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import estimators as est_mod
-from .core import ExactSolution, ProblemInstance, snr, solve_exact
-# not called here, but the benchmark's tracer wraps harness.prediction_error
-from .core import prediction_error  # noqa: F401
+from .core import ExactSolution, ProblemInstance, factor_blocks, prediction_error, snr, solve_exact
 from .datagen import SyntheticSpec, add_noise, gen_gaussian_data
 from .dataio import DatasetFile, load
 from .errors import ConfigError, InvalidInputError, NotSpdError, SketchLSError
@@ -152,16 +152,6 @@ def resolve_instance(cfg: ExperimentConfig) -> tuple[ProblemInstance, ExactSolut
     return instance, sol
 
 
-def _fit_error(R, x_hat, x_ls) -> float:
-    """||X(x_hat - x_ls)||^2 computed as ||R(x_hat - x_ls)||^2, with X = QR: O(d^2).
-
-    X is A (R = `instance.R`) or SA (R = U_A).  For A, ||A x_hat - b||^2 = this
-    + r2, because the residual b - A x_ls is orthogonal to range(A).
-    """
-    diff = R @ (x_hat - x_ls)
-    return float(np.sum(diff * diff))
-
-
 def sketch_factor(instance: ProblemInstance, family: str, m: int, seed: int, weights):
     """`classical_stacked` on S [A | b], one application of S = `make_operator`'s."""
     op = make_operator(SketchSpec(family, m, seed), instance.n, weights=weights)
@@ -184,30 +174,44 @@ def _sketched_data(instance, family, m, seed, weights):
     return est_mod.classical_stacked(SB, instance.d, instance.Y is None)
 
 
+def residual_estimates(sources, instance: ProblemInstance, x_hat, UA, Ub, m: int) -> dict:
+    """The estimates r2_hat at x_hat from the residual sources named in `sources`.
+
+    "full" is `estimate_residual_full` on R~'s blocks, which stand in for
+    (A, b); "sketched" is `estimate_residual_sketched` on U's blocks (UA, Ub).
+    Other sources (`Estimator.residual` "none" and "true") estimate nothing.
+    """
+    d, r2_hat = instance.d, {}
+    if "full" in sources:
+        RA, Rb = factor_blocks(instance.R_tilde, d, instance.Y is None)
+        r2_hat["full"] = est_mod.estimate_residual_full(RA, Rb, x_hat, d, m)
+    if "sketched" in sources:
+        r2_hat["sketched"] = est_mod.estimate_residual_sketched(UA, Ub, x_hat, d, m)
+    return r2_hat
+
+
 def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch, weights):
     """One repetition of one cell: returns {kind: (pred/n, sa/n, factor)}.
 
     `weights` are the family's sampling weights, `sampling_weights(family, A)`.
+    r2_hat is taken at the classical solution, or with `two_sketch` at the
+    solution of an auxiliary sketch, which is drawn only when a kind reads
+    a residual.
     """
     n, d, R = instance.n, instance.d, instance.R
     rec0, UA, Ub = _sketched_data(instance, family, m, seed, weights)
-
-    # residual energies by source, of the classical or (two sketches) the auxiliary solution
-    residuals: dict = {}
-    x_res = rec0.x_hat
-    if two_sketch:
-        rec_aux, UA2, Ub2 = _sketched_data(instance, family, m, aux_seed, weights)
-        x_res = rec_aux.x_hat
-        diff_skt = UA2 @ x_res - Ub2
-        residuals["sketched"] = float(np.sum(diff_skt * diff_skt))
-    residuals["full"] = _fit_error(R, x_res, sol.x_ls) + sol.r2
+    sources = {est_mod.ESTIMATORS[kind].residual for kind in estimators}
+    rec_res, UA_res, Ub_res = rec0, UA, Ub
+    if two_sketch and sources & {"full", "sketched"}:
+        rec_res, UA_res, Ub_res = _sketched_data(instance, family, m, aux_seed, weights)
+    r2_hat = {"true": sol.r2,
+              **residual_estimates(sources, instance, rec_res.x_hat, UA_res, Ub_res, m)}
 
     out = {}
     for kind in estimators:
-        rec = est_mod.estimate(kind, rec0, UA, Ub, instance.A, instance.target, sol.r2, d, m,
-                               residuals)
-        pred = _fit_error(R, rec.x_hat, sol.x_ls) / n
-        out[kind] = (pred, _fit_error(UA, rec.x_hat, sol.x_ls) / n, rec.shrink_factor)
+        rec = est_mod.estimate(kind, rec0, UA, r2_hat, d, m)
+        out[kind] = (prediction_error(R, rec.x_hat, sol.x_ls) / n,
+                     prediction_error(UA, rec.x_hat, sol.x_ls) / n, rec.shrink_factor)
     return out
 
 
@@ -355,15 +359,13 @@ def verify_residual_unbiased(p: ProblemInstance, family: str, m: int, reps: int,
     """Monte Carlo means of the two residual-energy estimates, which both target r2."""
     if reps < 1:
         raise InvalidInputError(f"reps must be >= 1, got {reps}")
-    d = p.d
     weights = sampling_weights(family, p.A)
-    RA, Rb = p.R_tilde[:, :d], (p.R_tilde[:, d] if p.Y is None else p.R_tilde[:, d:])
     full = np.empty(reps)
     sketched = np.empty(reps)
     for r in range(reps):
         rec, UA, Ub = sketch_factor(p, family, m, derive_seed(seed, family, m, r), weights)
-        full[r] = est_mod.estimate_residual_full(RA, Rb, rec.x_hat, d, m)
-        sketched[r] = est_mod.estimate_residual_sketched(UA, Ub, rec.x_hat, d, m)
+        r2_hat = residual_estimates(("full", "sketched"), p, rec.x_hat, UA, Ub, m)
+        full[r], sketched[r] = r2_hat["full"], r2_hat["sketched"]
     return float(full.mean()), float(sketched.mean())
 
 

@@ -15,6 +15,8 @@ from sketchls.dataio import DatasetFile, load, save_dense_csv
 from sketchls.estimators import (
     ESTIMATORS,
     classical,
+    estimate_residual_full,
+    estimate_residual_sketched,
     js_oracle,
     positive_part,
     shrinkage,
@@ -322,11 +324,12 @@ def _reference_sketch_solve(data, family, m, seed, estimator):
     if estimator == "js-oracle":
         return js_oracle(rec0.x_hat, SA, sol.r2, d, m)
     if estimator == "shrinkage":
-        return shrinkage(rec0.x_hat, SA, A, y, d, m)
+        return shrinkage(rec0.x_hat, SA, estimate_residual_full(A, y, rec0.x_hat, d, m), d, m)
     if estimator == "shrinkage-alt":
-        return shrinkage_alt(rec0.x_hat, SA, Sy, d, m)
+        return shrinkage_alt(rec0.x_hat, SA, estimate_residual_sketched(SA, Sy, rec0.x_hat, d, m),
+                             d, m)
     if estimator == "positive-part":
-        return positive_part(rec0.x_hat, SA, A, y, d, m)
+        return positive_part(rec0.x_hat, SA, estimate_residual_full(A, y, rec0.x_hat, d, m), d, m)
     raise AssertionError(f"no reference for {estimator!r}")
 
 
@@ -557,6 +560,8 @@ _EXIT_TABLE = [
     ("verify residual --n 4 --d 4", 2, "need n > d >= 1"),
     ("verify residual --n 64 --d 4 --m 3 --reps 5", 3, "m=3 below column count"),
     ("verify residual --n 64 --d 4 --m 5 --reps 5", 3, "residual estimate needs m > d+1"),
+    ("verify residual --rho inf", 2, "plants r2 = 0"),
+    ("verify residual --rho 1e400", 2, "plants r2 = 0"),
     (f"{_RESIDUAL} --tol nan", 2, "--tol must be finite and positive"),
     (f"{_RESIDUAL} --tol 0", 2, "--tol must be finite and positive"),
     (f"{_RESIDUAL} --tol 1e-12", 4, None),

@@ -238,7 +238,7 @@ class TestResidualEstimates:
 class TestJsOracle:
     def test_small_dimension_returns_input(self):
         x = np.array([1.0, 2.0])
-        rec = js_oracle(x, np.eye(2), r2_true=1.0, d=2, m=8)
+        rec = js_oracle(x, np.eye(2), r2_hat=1.0, d=2, m=8)
         assert rec.shrink_factor == 1.0 and rec.degenerate
         np.testing.assert_array_equal(rec.x_hat, x)
 
@@ -246,12 +246,12 @@ class TestJsOracle:
         # d=4, m=20, r2=2, ||SA x||^2 = 1  ->  factor 0.8
         SA = np.vstack([np.eye(4), np.zeros((16, 4))])
         x = np.array([1.0, 0.0, 0.0, 0.0])
-        rec = js_oracle(x, SA, r2_true=2.0, d=4, m=20)
+        rec = js_oracle(x, SA, r2_hat=2.0, d=4, m=20)
         assert rec.shrink_factor == pytest.approx(0.8, rel=1e-12)
         np.testing.assert_allclose(rec.x_hat, 0.8 * x)
 
     def test_degenerate_direction_flagged(self):
-        rec = js_oracle(np.zeros(4), np.eye(4), r2_true=1.0, d=4, m=9)
+        rec = js_oracle(np.zeros(4), np.eye(4), r2_hat=1.0, d=4, m=9)
         assert rec.shrink_factor == 1.0 and rec.degenerate
 
     def test_dominates_classical_at_low_snr(self):
@@ -283,7 +283,7 @@ class TestShrinkage:
         x = np.array([1.0, 0.0, 0.0, 0.0])
         A = np.vstack([np.eye(4), np.zeros((2, 4))])
         y = np.concatenate([x[:4], np.sqrt([1.0, 1.0])])  # residual^2 = 2
-        rec = shrinkage(x, SA, A, y, d=4, m=20)
+        rec = shrinkage(x, SA, estimate_residual_full(A, y, x, 4, 20), d=4, m=20)
         assert rec.shrink_factor == pytest.approx(1 - 60 / 380, rel=1e-12)
 
     def test_noiseless_factor_is_one(self):
@@ -294,12 +294,16 @@ class TestShrinkage:
         op = make_operator(SketchSpec("gaussian", 16, 9), 32)
         SA = apply(op, A)
         rec0 = classical(SA, apply(op, p.y))
-        rec = shrinkage(rec0.x_hat, SA, A, p.y, d=4, m=16)
+        rec = shrinkage(rec0.x_hat, SA, estimate_residual_full(A, p.y, rec0.x_hat, 4, 16),
+                        d=4, m=16)
         assert rec.shrink_factor == pytest.approx(1.0, abs=1e-12)
 
     def test_sketch_size_boundary(self):
-        with pytest.raises(InvalidSketchSizeError):
-            shrinkage(np.ones(4), np.ones((5, 4)), np.ones((6, 4)), np.ones(6), d=4, m=5)
+        # the domain check lives in the kind's r2_hat, the full-data residual estimate
+        with pytest.raises(InvalidSketchSizeError, match="needs m > d\\+1"):
+            shrinkage(np.ones(4), np.ones((5, 4)),
+                      estimate_residual_full(np.ones((6, 4)), np.ones(6), np.ones(4), 4, 5),
+                      d=4, m=5)
 
     def test_matches_oracle_when_fed_true_residual_energy(self):
         p, sol = gen_gaussian_data(SyntheticSpec(n=128, d=10, rho=0.2, seed=10))
@@ -307,12 +311,12 @@ class TestShrinkage:
         op = make_operator(SketchSpec("gaussian", m, 11), p.n)
         SA = apply(op, p.A)
         rec0 = classical(SA, apply(op, p.y))
-        # residual chosen so the internal estimate equals the true r2
-        residual_sq = sol.r2 * (m - 1) / (m - d - 1)
-        rec = shrinkage(rec0.x_hat, SA, p.A, p.y, d, m, residual_sq=residual_sq)
+        # the kinds share one body, so fed r2_hat = r2 shrinkage is the oracle bitwise
+        rec = shrinkage(rec0.x_hat, SA, sol.r2, d, m)
         oracle = js_oracle(rec0.x_hat, SA, sol.r2, d, m)
-        assert rec.shrink_factor == pytest.approx(oracle.shrink_factor, abs=1e-12)
-        np.testing.assert_allclose(rec.x_hat, oracle.x_hat, atol=1e-12)
+        assert rec.shrink_factor == oracle.shrink_factor
+        np.testing.assert_array_equal(rec.x_hat, oracle.x_hat)
+        assert (rec.r2_estimate, oracle.r2_estimate) == (sol.r2, None)
 
     def test_beats_classical_at_low_snr(self):
         n, d, m, reps = 256, 32, 96, 100
@@ -321,7 +325,8 @@ class TestShrinkage:
         for r in range(reps):
             spec = SketchSpec("gaussian", m, derive_seed(12, "gaussian", m, r))
             SA, Sy, rec = _sketched(spec, p, sol)
-            rec_s = shrinkage(rec.x_hat, SA, p.A, p.y, d, m)
+            rec_s = shrinkage(rec.x_hat, SA, estimate_residual_full(p.A, p.y, rec.x_hat, d, m),
+                              d, m)
             diffs[r] = (prediction_error(p.A, rec.x_hat, sol.x_ls)
                         - prediction_error(p.A, rec_s.x_hat, sol.x_ls))
         se = diffs.std(ddof=1) / math.sqrt(reps)
@@ -333,7 +338,7 @@ class TestShrinkage:
         op = make_operator(SketchSpec("gaussian", m, 14), n)
         SA = apply(op, p.A)
         rec0 = classical(SA, apply(op, p.y))
-        rec = shrinkage(rec0.x_hat, SA, p.A, p.y, d, m)
+        rec = shrinkage(rec0.x_hat, SA, estimate_residual_full(p.A, p.y, rec0.x_hat, d, m), d, m)
         assert rec.shrink_factor >= 0.99
 
 
@@ -341,7 +346,7 @@ class TestShrinkageAlt:
     def test_interpolating_factor_is_one(self):
         SA = np.random.default_rng(17).standard_normal((12, 4))
         x = np.ones(4)
-        rec = shrinkage_alt(x, SA, SA @ x, d=4, m=12)
+        rec = shrinkage_alt(x, SA, estimate_residual_sketched(SA, SA @ x, x, 4, 12), d=4, m=12)
         assert rec.shrink_factor == pytest.approx(1.0)
 
     def test_closed_form_factor(self):
@@ -349,12 +354,15 @@ class TestShrinkageAlt:
         SA = np.vstack([np.eye(4), np.zeros((16, 4))])
         x = np.array([1.0, 0.0, 0.0, 0.0])
         Sy = SA @ x - np.concatenate([[0.0] * 4, [math.sqrt(1.6)], [0.0] * 15])
-        rec = shrinkage_alt(x, SA, Sy, d=4, m=20)
+        rec = shrinkage_alt(x, SA, estimate_residual_sketched(SA, Sy, x, 4, 20), d=4, m=20)
         assert rec.shrink_factor == pytest.approx(0.8, rel=1e-12)
 
     def test_boundary(self):
-        with pytest.raises(InvalidSketchSizeError):
-            shrinkage_alt(np.ones(4), np.ones((4, 4)), np.ones(4), d=4, m=4)
+        # the domain check lives in the kind's r2_hat, the sketched residual estimate
+        with pytest.raises(InvalidSketchSizeError, match="needs m > d,"):
+            shrinkage_alt(np.ones(4), np.ones((4, 4)),
+                          estimate_residual_sketched(np.ones((4, 4)), np.ones(4), np.ones(4), 4, 4),
+                          d=4, m=4)
 
     def test_tracks_full_data_variant(self):
         # across an m-grid at low SNR the alt variant stays inside the
@@ -369,8 +377,10 @@ class TestShrinkageAlt:
             for r in range(reps):
                 spec = SketchSpec("gaussian", m, derive_seed(18, "gaussian", m, r))
                 SA, Sy, rec = _sketched(spec, p, sol)
-                rec_f = shrinkage(rec.x_hat, SA, p.A, p.y, d, m)
-                rec_a = shrinkage_alt(rec.x_hat, SA, Sy, d, m)
+                rec_f = shrinkage(rec.x_hat, SA,
+                                  estimate_residual_full(p.A, p.y, rec.x_hat, d, m), d, m)
+                rec_a = shrinkage_alt(rec.x_hat, SA,
+                                      estimate_residual_sketched(SA, Sy, rec.x_hat, d, m), d, m)
                 err_cls[r] = prediction_error(p.A, rec.x_hat, sol.x_ls)
                 err_full[r] = prediction_error(p.A, rec_f.x_hat, sol.x_ls)
                 err_alt[r] = prediction_error(p.A, rec_a.x_hat, sol.x_ls)
@@ -390,9 +400,10 @@ class TestPositivePart:
         x = np.array([1.0, 0.0, 0.0, 0.0])
         A = np.vstack([np.eye(4), np.zeros((2, 4))])
         y = np.concatenate([x[:4], [10.0, 0.0]])  # residual^2 = 100
-        raw = shrinkage(x, SA, A, y, d=4, m=20)
+        r2_hat = estimate_residual_full(A, y, x, 4, 20)
+        raw = shrinkage(x, SA, r2_hat, d=4, m=20)
         assert raw.shrink_factor < 0
-        rec = positive_part(x, SA, A, y, d=4, m=20)
+        rec = positive_part(x, SA, r2_hat, d=4, m=20)
         assert rec.shrink_factor == 0.0
         assert np.all(rec.x_hat == 0.0)
 
@@ -401,8 +412,9 @@ class TestPositivePart:
         x = np.array([1.0, 0.0, 0.0, 0.0])
         A = np.vstack([np.eye(4), np.zeros((2, 4))])
         y = np.concatenate([x[:4], np.sqrt([1.0, 1.0])])
-        raw = shrinkage(x, SA, A, y, d=4, m=20)
-        rec = positive_part(x, SA, A, y, d=4, m=20)
+        r2_hat = estimate_residual_full(A, y, x, 4, 20)
+        raw = shrinkage(x, SA, r2_hat, d=4, m=20)
+        rec = positive_part(x, SA, r2_hat, d=4, m=20)
         assert rec.shrink_factor == raw.shrink_factor
         np.testing.assert_array_equal(rec.x_hat, raw.x_hat)
 
@@ -414,8 +426,10 @@ class TestShrinkageMatrix:
         op = make_operator(SketchSpec("gaussian", m, 20), p.n)
         SA = apply(op, p.A)
         rec0 = classical(SA, apply(op, p.y))
-        vec = shrinkage(rec0.x_hat, SA, p.A, p.y, d, m)
-        mat = shrinkage_matrix(rec0.x_hat[:, None], SA, p.A, p.y[:, None], d, m)
+        vec = shrinkage(rec0.x_hat, SA, estimate_residual_full(p.A, p.y, rec0.x_hat, d, m), d, m)
+        X_hat = rec0.x_hat[:, None]
+        mat = shrinkage_matrix(X_hat, SA, estimate_residual_full(p.A, p.y[:, None], X_hat, d, m),
+                               d, m)
         assert mat.shrink_factor == pytest.approx(vec.shrink_factor, rel=1e-12)
 
     def test_zero_residual_factor_is_one(self):
@@ -426,7 +440,8 @@ class TestShrinkageMatrix:
         op = make_operator(SketchSpec("gaussian", 16, 22), 32)
         SA = apply(op, A)
         rec0 = classical(SA, apply(op, Y))
-        rec = shrinkage_matrix(rec0.x_hat, SA, A, Y, d=4, m=16)
+        rec = shrinkage_matrix(rec0.x_hat, SA, estimate_residual_full(A, Y, rec0.x_hat, 4, 16),
+                               d=4, m=16)
         assert rec.shrink_factor == pytest.approx(1.0, abs=1e-12)
 
 
@@ -440,9 +455,11 @@ class TestRecordInvariants:
         rec0 = classical(SA, Sy)
         for rec in (
             js_oracle(rec0.x_hat, SA, sol.r2, 12, m),
-            shrinkage(rec0.x_hat, SA, p.A, p.y, 12, m),
-            shrinkage_alt(rec0.x_hat, SA, Sy, 12, m),
-            positive_part(rec0.x_hat, SA, p.A, p.y, 12, m),
+            shrinkage(rec0.x_hat, SA, estimate_residual_full(p.A, p.y, rec0.x_hat, 12, m), 12, m),
+            shrinkage_alt(rec0.x_hat, SA, estimate_residual_sketched(SA, Sy, rec0.x_hat, 12, m),
+                          12, m),
+            positive_part(rec0.x_hat, SA, estimate_residual_full(p.A, p.y, rec0.x_hat, 12, m),
+                          12, m),
         ):
             assert rec.shrink_factor <= 1.0
             np.testing.assert_array_equal(rec.x_hat, rec.shrink_factor * rec0.x_hat)
@@ -455,9 +472,21 @@ class TestRecordInvariants:
         x = rng.standard_normal(2)
         for rec in (
             js_oracle(x, SA, 1.0, 2, 8),
-            shrinkage(x, SA, A, y, 2, 8),
-            shrinkage_alt(x, SA, SA @ x + 1.0, 2, 8),
-            positive_part(x, SA, A, y, 2, 8),
+            shrinkage(x, SA, estimate_residual_full(A, y, x, 2, 8), 2, 8),
+            shrinkage_alt(x, SA, estimate_residual_sketched(SA, SA @ x + 1.0, x, 2, 8), 2, 8),
+            positive_part(x, SA, estimate_residual_full(A, y, x, 2, 8), 2, 8),
         ):
             assert rec.degenerate and rec.shrink_factor == 1.0
             np.testing.assert_array_equal(rec.x_hat, x)
+
+    @pytest.mark.parametrize("fn", [js_oracle, shrinkage, shrinkage_alt, positive_part,
+                                    shrinkage_matrix])
+    @pytest.mark.parametrize("d, SA", [(2, np.eye(2)), (4, np.zeros((6, 4)))])
+    def test_record_owns_its_array(self, fn, d, SA):
+        # d <= 2 and a zero ||SA x|| are the paths that return the input unchanged
+        x = np.arange(1.0, d + 1.0)
+        rec = fn(x, SA, 1.0, d, 8)
+        assert rec.degenerate
+        assert x.flags.writeable and not rec.x_hat.flags.writeable
+        x[0] = -1.0
+        assert rec.x_hat[0] == 1.0

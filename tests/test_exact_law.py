@@ -1,9 +1,10 @@
-"""Gaussian cells drawn from their exact law, and error metrics from A's R factor.
+"""Gaussian cells drawn from their exact law, and norms from triangular factors.
 
 The harness never realizes a Gaussian operator: S[A | b] has the law of
-G R~ / sqrt(m), with R~ = `instance.R_tilde`.  Errors and
-full-data residuals come from R for every family.  These tests compare
-both against the explicit, A-based route they replace.
+G R~ / sqrt(m), with R~ = `instance.R_tilde`.  Errors come from A's R
+factor, full-data residuals from R~'s blocks and sketched norms from U's,
+for every family.  These tests compare all of them against the explicit,
+A-based route they replace.
 """
 
 import math
@@ -33,6 +34,7 @@ from sketchls import (
 )
 from sketchls import estimators as est
 from sketchls import harness
+from sketchls.core import factor_blocks
 from sketchls.errors import RankDeficientSketchError
 from sketchls.harness import resolve_instance
 
@@ -96,8 +98,17 @@ class TestAugmentedFactor:
                 arr[0] = 1.0
 
 
+def _explicit_r2_hat(A, b, SA, Sb, x, d, m):
+    """Each residual source's r2_hat at x, from explicit products and the written-out scales."""
+    return {"full": (m - d - 1) / (m - 1) * _sq(A @ x - b),
+            "sketched": m / (m - d) * _sq(SA @ x - Sb)}
+
+
 def _reference_rep(p, sol, family, m, seed, aux_seed, kinds, two_sketch, weights):
-    """One repetition on the explicit route: errors and residuals from n-row products."""
+    """One repetition on the explicit route: errors and residuals from n-row products.
+
+    The auxiliary sketch is drawn only when a kind reads a residual estimate.
+    """
     A, b, n, d = p.A, p.target, p.n, p.d
 
     def sketch(s):
@@ -106,24 +117,19 @@ def _reference_rep(p, sol, family, m, seed, aux_seed, kinds, two_sketch, weights
 
     SA, Sb = sketch(seed)
     rec0 = est.classical(SA, Sb)
-    full = sketched = None
-    if two_sketch:
-        SA2, Sb2 = sketch(aux_seed)
-        x_aux = est.classical(SA2, Sb2).x_hat
-        full, sketched = _sq(A @ x_aux - b), _sq(SA2 @ x_aux - Sb2)
-    recs = {
-        "classical": lambda: rec0,
-        "shrinkage": lambda: est.shrinkage(rec0.x_hat, SA, A, b, d, m, residual_sq=full),
-        "shrinkage-alt": lambda: est.shrinkage_alt(rec0.x_hat, SA, Sb, d, m,
-                                                   residual_sq=sketched),
-        "positive-part": lambda: est.positive_part(rec0.x_hat, SA, A, b, d, m,
-                                                   residual_sq=full),
-        "shrinkage-fro": lambda: est.shrinkage_matrix(rec0.x_hat, SA, A, b, d, m,
-                                                      residual_sq=full),
-    }
+    SA_r, Sb_r, x_r = SA, Sb, rec0.x_hat
+    reads = {est.ESTIMATORS[kind].residual for kind in kinds} & {"full", "sketched"}
+    if two_sketch and reads:
+        SA_r, Sb_r = sketch(aux_seed)
+        x_r = est.classical(SA_r, Sb_r).x_hat
+    r2_hat = {"true": sol.r2}
+    if reads:  # the scales divide by zero at m = d, where only classical runs
+        r2_hat.update(_explicit_r2_hat(A, b, SA_r, Sb_r, x_r, d, m))
     out = {}
     for kind in kinds:
-        rec = recs[kind]()
+        entry = est.ESTIMATORS[kind]
+        rec = rec0 if kind == "classical" else getattr(est, entry.function)(
+            rec0.x_hat, SA, r2_hat[entry.residual], d, m)
         out[kind] = (prediction_error(A, rec.x_hat, sol.x_ls) / n,
                      prediction_error(SA, rec.x_hat, sol.x_ls) / n, rec.shrink_factor)
     return out
@@ -164,9 +170,10 @@ class TestRFactorMetrics:
         op = make_operator(SketchSpec(family, 40, 7), p.n, weights=sampling_weights(family, p.A))
         SA, Sy = apply(op, p.A), apply(op, p.y)
         x_cl = est.classical(SA, Sy).x_hat
-        x_sh = est.shrinkage(x_cl, SA, p.A, p.y, p.d, 40).x_hat
+        x_sh = est.shrinkage(x_cl, SA, est.estimate_residual_full(p.A, p.y, x_cl, p.d, 40),
+                             p.d, 40).x_hat
         for x_hat in (x_cl, x_sh):
-            fit = harness._fit_error(p.R, x_hat, sol.x_ls)
+            fit = prediction_error(p.R, x_hat, sol.x_ls)
             assert fit == pytest.approx(prediction_error(p.A, x_hat, sol.x_ls), rel=REL)
             assert fit + sol.r2 == pytest.approx(_sq(p.A @ x_hat - p.y), rel=REL)
 
@@ -186,47 +193,57 @@ class TestRFactorMetrics:
         _check_logs_against_the_explicit_route(k, ("classical",), m, two_sketch)
 
 
-# the positional arguments of each estimator function that hold sketched data
-_SKETCHED_ARGS = {"js_oracle": (1,), "shrinkage": (1,), "shrinkage_alt": (1, 2),
-                  "positive_part": (1,), "shrinkage_matrix": (1,)}
-
-
 @pytest.mark.parametrize("k, kinds", [
     (None, ("classical", "js-oracle", "shrinkage", "shrinkage-alt", "positive-part")),
     (3, ("classical", "shrinkage-fro")),
 ])
 def test_a_repetition_reads_only_the_factor_blocks(monkeypatch, k, kinds):
-    """Past the sketched solve a sweep reads only (d+k')-row blocks, never SA, Sb, A or b."""
+    """Past the sketched solve a sweep reads only triangular-factor blocks, never SA, Sb, A or b.
+
+    Every shrinkage call gets U_A (d+k' rows) and a float r2_hat; `prediction_error`
+    gets only R (d rows) or U_A.
+    """
     d, rows = 10, 10 + (k or 1)
-    sketched_rows, fit_rows, called = [], [], set()
+    sa_rows, r2_types, error_rows, called = [], set(), [], set()
 
     def guarded(name, fn):
-        def wrapper(*args, **kwargs):
+        def wrapper(x_hat, SA, r2_hat, d, m):
             called.add(name)
-            sketched_rows.extend(len(args[i]) for i in _SKETCHED_ARGS[name])
-            if name not in ("js_oracle", "shrinkage_alt"):
-                assert kwargs["residual_sq"] is not None  # so A and y are never read
-            return fn(*args, **kwargs)
+            sa_rows.append(len(SA))
+            r2_types.add(type(r2_hat))
+            return fn(x_hat, SA, r2_hat, d, m)
         return wrapper
 
-    for name in _SKETCHED_ARGS:
+    shrinkage_fns = {est.ESTIMATORS[kind].function for kind in est.KINDS} - {"classical"}
+    for name in shrinkage_fns:
         monkeypatch.setattr(est, name, guarded(name, getattr(est, name)))
-    fit_error = harness._fit_error
 
-    def guarded_fit(R, *args):
-        fit_rows.append(len(R))
-        return fit_error(R, *args)
+    def guarded_error(X, *args):
+        error_rows.append(len(X))
+        return prediction_error(X, *args)
 
-    monkeypatch.setattr(harness, "_fit_error", guarded_fit)
+    monkeypatch.setattr(harness, "prediction_error", guarded_error)
     for two_sketch in (False, True):
         cfg = _cfg(SyntheticSpec(n=128, d=d, rho=0.1, seed=38, k=k), families=FAMILIES,
                    estimators=kinds, reps=2, two_sketch=two_sketch)
         res = run_experiment(cfg)
         assert all(c.skipped is None for c in res.cells)
-    expected = {est.ESTIMATORS[kind].function for kind in kinds} - {"classical"}
-    assert called >= expected
-    assert set(sketched_rows) == {rows}
-    assert set(fit_rows) == {d, rows}
+    assert called == {est.ESTIMATORS[kind].function for kind in kinds} - {"classical"}
+    assert set(sa_rows) == {rows}
+    assert r2_types == {float}
+    assert set(error_rows) == {d, rows}
+
+
+def test_two_sketch_draws_the_auxiliary_sketch_only_for_a_residual():
+    """At m = d+1 every shrinkage kind is gated out, so a lost-rank auxiliary draw is unread."""
+    base = dict(source=SyntheticSpec(n=128, d=10, rho=0.1, seed=35), families=("uniform",),
+                m_values=(11,), estimators=("classical", "shrinkage"), reps=10, master_seed=1)
+    one, two = (run_experiment(ExperimentConfig(**base, two_sketch=t)) for t in (False, True))
+    for res in (one, two):
+        assert res.cell("uniform", 11, "classical").skipped is None
+        assert res.cell("uniform", 11, "shrinkage").skipped.startswith("m=11 <= d+3")
+    assert (two.cell("uniform", 11, "classical").per_rep_pred_err
+            == one.cell("uniform", 11, "classical").per_rep_pred_err)
 
 
 class TestGaussianCells:
@@ -237,8 +254,14 @@ class TestGaussianCells:
         def refuse(*args, **kwargs):
             raise AssertionError("a Gaussian cell touched an n-row operation")
 
-        for name in ("make_operator", "apply", "prediction_error"):
+        def refuse_n_rows(X, *args):
+            if len(X) == cfg.source.n:
+                refuse()
+            return prediction_error(X, *args)
+
+        for name in ("make_operator", "apply"):
             monkeypatch.setattr(harness, name, refuse)
+        monkeypatch.setattr(harness, "prediction_error", refuse_n_rows)
         res = run_experiment(cfg)
         p, sol = resolve_instance(cfg)
         r_tilde = p.R_tilde
@@ -246,7 +269,7 @@ class TestGaussianCells:
             assert seed == derive_seed(5, "gaussian", 40, r)
             SB = np.random.default_rng(seed).standard_normal((40, 12)) @ r_tilde / math.sqrt(40)
             x_hat = est.classical(SB[:, :10], SB[:, 10:]).x_hat
-            expected = harness._fit_error(p.R, x_hat, sol.x_ls) / p.n
+            expected = prediction_error(p.R, x_hat, sol.x_ls) / p.n
             assert res.cell("gaussian", 40, "classical").per_rep_pred_err[r] == expected
 
     @pytest.mark.parametrize("two_sketch", [False, True])
@@ -275,7 +298,8 @@ class TestGaussianCells:
             op = make_operator(SketchSpec("gaussian", m, derive_seed(11, "explicit", r)), n)
             SA, Sy = apply(op, p.A), apply(op, p.y)
             x_cl = est.classical(SA, Sy).x_hat
-            x_sh = est.shrinkage(x_cl, SA, p.A, p.y, d, m).x_hat
+            x_sh = est.shrinkage(x_cl, SA, est.estimate_residual_full(p.A, p.y, x_cl, d, m),
+                                 d, m).x_hat
             explicit["classical"].append(prediction_error(p.A, x_cl, sol.x_ls) / n)
             explicit["shrinkage"].append(prediction_error(p.A, x_sh, sol.x_ls) / n)
         for kind, errs in explicit.items():
@@ -311,23 +335,36 @@ def test_factor_and_metric_identities(problem):
     op = make_operator(SketchSpec("gaussian", m, seed), n)
     SA, Sb = apply(op, A), apply(op, b)
     x_hat = est.classical(SA, Sb).x_hat
-    fit = harness._fit_error(p.R, x_hat, sol.x_ls)
+    fit = prediction_error(p.R, x_hat, sol.x_ls)
     assert fit == pytest.approx(prediction_error(A, x_hat, sol.x_ls), rel=REL, abs=1e-300)
     assert fit + sol.r2 == pytest.approx(_sq(A @ x_hat - b), rel=REL)
 
     # U's blocks stand in for (SA, Sb), zero-padded below row m when m < d+k'
     rec, UA, Ub = est.classical_stacked(np.column_stack((SA, Sb)), d, k is None)
     assert np.array_equal(rec.x_hat, x_hat)
-    on_u, on_s = [], []
-    if m > d + 1:
-        on_u.append(est.shrinkage(x_hat, UA, A, b, d, m))
-        on_s.append(est.shrinkage(x_hat, SA, A, b, d, m))
-    if m > d:
-        on_u.append(est.shrinkage_alt(x_hat, UA, Ub, d, m))
-        on_s.append(est.shrinkage_alt(x_hat, SA, Sb, d, m))
-    for u, s in zip(on_u, on_s):
-        assert (u.kind, u.degenerate) == (s.kind, s.degenerate)
+    if m <= d + 1:  # outside the full-data residual estimate's domain
+        return
+    # R~'s blocks stand in for (A, b) in the full-data residual estimate
+    RA, Rb = factor_blocks(p.R_tilde, d, k is None)
+    assert est.estimate_residual_full(RA, Rb, x_hat, d, m) == pytest.approx(
+        est.estimate_residual_full(A, b, x_hat, d, m), rel=REL)
+
+    # each kind's record on (U_A, r2_hat from the blocks) is its record on the explicit route
+    on_blocks = {"true": sol.r2, **harness.residual_estimates(("full", "sketched"), p, x_hat,
+                                                              UA, Ub, m)}
+    explicit = {"true": sol.r2, **_explicit_r2_hat(A, b, SA, Sb, x_hat, d, m)}
+    kinds = [kind for kind, e in est.ESTIMATORS.items()
+             if e.residual != "none" and (k is None or e.targets != "vector")]
+    for kind in kinds:
+        entry = est.ESTIMATORS[kind]
+        fn = getattr(est, entry.function)
+        u = fn(x_hat, UA, on_blocks[entry.residual], d, m)
+        s = fn(x_hat, SA, explicit[entry.residual], d, m)
+        assert (u.kind, u.degenerate) == (s.kind, s.degenerate) == (kind, d <= 2)
         assert u.shrink_factor == pytest.approx(s.shrink_factor, rel=REL, abs=REL)
-        assert u.r2_estimate == pytest.approx(s.r2_estimate, rel=REL)
+        if entry.residual == "true":
+            assert u.r2_estimate is s.r2_estimate is None
+        else:
+            assert u.r2_estimate == pytest.approx(s.r2_estimate, rel=REL)
         np.testing.assert_allclose(u.x_hat, s.x_hat, rtol=REL,
                                    atol=REL * float(np.max(np.abs(x_hat))))
