@@ -117,7 +117,7 @@ def _cmd_sketch_solve(args) -> int:
         raise InvalidSketchSizeError(reason)
     sol = solve_exact(instance)
     sources = {ESTIMATORS[args.estimator].residual}
-    r2_hat = {"true": sol.r2, **residual_estimates(sources, instance, rec0.x_hat, UA, Ub, m)}
+    r2_hat = residual_estimates(sources, instance, sol.r2, rec0.x_hat, UA, Ub, m)
     rec = estimate(args.estimator, rec0, UA, r2_hat, d, m)
     pairs = {
         "estimator": rec.kind,

@@ -148,19 +148,19 @@ def estimate_residual_sketched(SA, Sy, x_hat, d: int, m: int) -> float:
 def _shrink(x_hat, SA, r2_hat: float, d: int, m: int, kind: str) -> EstimateRecord:
     """The body of every shrinkage kind: factor = 1 - (d-2) r2_hat / (m ||SA x_hat||^2)."""
     x_hat = np.asarray(x_hat, dtype=np.float64)
+    r2_hat = float(r2_hat)  # a scalar: an array here is a caller passing data, not r2_hat
     energy = _sq(np.asarray(SA) @ x_hat)
-    r2_estimate = None if kind == JS_ORACLE else r2_hat  # the oracle's r2 is no estimate
     if d <= 2 or energy == 0.0:
         return EstimateRecord(x_hat=x_hat, kind=kind, shrink_factor=1.0,
-                              r2_estimate=r2_estimate, degenerate=True)
+                              r2_estimate=r2_hat, degenerate=True)
     factor = 1.0 - (d - 2) * r2_hat / (m * energy)
     return EstimateRecord(x_hat=factor * x_hat, kind=kind, shrink_factor=factor,
-                          r2_estimate=r2_estimate)
+                          r2_estimate=r2_hat)
 
 
 def js_oracle(x_hat, SA, r2_hat: float, d: int, m: int) -> EstimateRecord:
-    """Shrink with the true residual energy r2_hat = r2 (oracle reference)."""
-    return _shrink(x_hat, SA, r2_hat, d, m, JS_ORACLE)
+    """Shrink with the true residual energy r2_hat = r2 (oracle reference; no r2_estimate)."""
+    return replace(_shrink(x_hat, SA, r2_hat, d, m, JS_ORACLE), r2_estimate=None)
 
 
 def shrinkage(x_hat, SA, r2_hat: float, d: int, m: int) -> EstimateRecord:

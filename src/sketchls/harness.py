@@ -174,14 +174,15 @@ def _sketched_data(instance, family, m, seed, weights):
     return est_mod.classical_stacked(SB, instance.d, instance.Y is None)
 
 
-def residual_estimates(sources, instance: ProblemInstance, x_hat, UA, Ub, m: int) -> dict:
-    """The estimates r2_hat at x_hat from the residual sources named in `sources`.
+def residual_estimates(sources, instance: ProblemInstance, r2, x_hat, UA, Ub, m: int) -> dict:
+    """The r2_hat that each residual source named in `sources` gives at x_hat.
 
-    "full" is `estimate_residual_full` on R~'s blocks, which stand in for
-    (A, b); "sketched" is `estimate_residual_sketched` on U's blocks (UA, Ub).
-    Other sources (`Estimator.residual` "none" and "true") estimate nothing.
+    "true" is the residual energy r2 itself; "full" is `estimate_residual_full`
+    on R~'s blocks, which stand in for (A, b); "sketched" is
+    `estimate_residual_sketched` on U's blocks (UA, Ub).  "none" reads nothing.
     """
-    d, r2_hat = instance.d, {}
+    d = instance.d
+    r2_hat = {"true": r2} if "true" in sources else {}
     if "full" in sources:
         RA, Rb = factor_blocks(instance.R_tilde, d, instance.Y is None)
         r2_hat["full"] = est_mod.estimate_residual_full(RA, Rb, x_hat, d, m)
@@ -204,8 +205,7 @@ def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch, w
     rec_res, UA_res, Ub_res = rec0, UA, Ub
     if two_sketch and sources & {"full", "sketched"}:
         rec_res, UA_res, Ub_res = _sketched_data(instance, family, m, aux_seed, weights)
-    r2_hat = {"true": sol.r2,
-              **residual_estimates(sources, instance, rec_res.x_hat, UA_res, Ub_res, m)}
+    r2_hat = residual_estimates(sources, instance, sol.r2, rec_res.x_hat, UA_res, Ub_res, m)
 
     out = {}
     for kind in estimators:
@@ -364,7 +364,7 @@ def verify_residual_unbiased(p: ProblemInstance, family: str, m: int, reps: int,
     sketched = np.empty(reps)
     for r in range(reps):
         rec, UA, Ub = sketch_factor(p, family, m, derive_seed(seed, family, m, r), weights)
-        r2_hat = residual_estimates(("full", "sketched"), p, rec.x_hat, UA, Ub, m)
+        r2_hat = residual_estimates(("full", "sketched"), p, None, rec.x_hat, UA, Ub, m)
         full[r], sketched[r] = r2_hat["full"], r2_hat["sketched"]
     return float(full.mean()), float(sketched.mean())
 

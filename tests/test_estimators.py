@@ -490,3 +490,13 @@ class TestRecordInvariants:
         assert x.flags.writeable and not rec.x_hat.flags.writeable
         x[0] = -1.0
         assert rec.x_hat[0] == 1.0
+
+    @pytest.mark.parametrize("fn", [js_oracle, shrinkage, shrinkage_alt, positive_part,
+                                    shrinkage_matrix])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_r2_hat_must_be_a_scalar(self, fn, d):
+        # the old (x, SA, Sy, d, m) call shape passes the sketched target as r2_hat
+        rng = np.random.default_rng(d)
+        SA = rng.standard_normal((8, d))
+        with pytest.raises(TypeError):
+            fn(rng.standard_normal(d), SA, rng.standard_normal(8), d, 8)

@@ -342,21 +342,25 @@ def test_factor_and_metric_identities(problem):
     # U's blocks stand in for (SA, Sb), zero-padded below row m when m < d+k'
     rec, UA, Ub = est.classical_stacked(np.column_stack((SA, Sb)), d, k is None)
     assert np.array_equal(rec.x_hat, x_hat)
-    if m <= d + 1:  # outside the full-data residual estimate's domain
+    if m <= d:  # outside every residual estimate's domain
         return
-    # R~'s blocks stand in for (A, b) in the full-data residual estimate
-    RA, Rb = factor_blocks(p.R_tilde, d, k is None)
-    assert est.estimate_residual_full(RA, Rb, x_hat, d, m) == pytest.approx(
-        est.estimate_residual_full(A, b, x_hat, d, m), rel=REL)
+    assert est.estimate_residual_sketched(UA, Ub, x_hat, d, m) == pytest.approx(
+        est.estimate_residual_sketched(SA, Sb, x_hat, d, m), rel=REL)
+    sources = {"true", "sketched"}
+    if m > d + 1:  # inside the full-data residual estimate's domain
+        # R~'s blocks stand in for (A, b) in the full-data residual estimate
+        RA, Rb = factor_blocks(p.R_tilde, d, k is None)
+        assert est.estimate_residual_full(RA, Rb, x_hat, d, m) == pytest.approx(
+            est.estimate_residual_full(A, b, x_hat, d, m), rel=REL)
+        sources.add("full")
 
-    # each kind's record on (U_A, r2_hat from the blocks) is its record on the explicit route
-    on_blocks = {"true": sol.r2, **harness.residual_estimates(("full", "sketched"), p, x_hat,
-                                                              UA, Ub, m)}
+    # each kind's record on (U_A, r2_hat from the blocks) is its record on the explicit route;
+    # every shrinkage function is checked on vector and matrix targets alike
+    on_blocks = harness.residual_estimates(sources, p, sol.r2, x_hat, UA, Ub, m)
     explicit = {"true": sol.r2, **_explicit_r2_hat(A, b, SA, Sb, x_hat, d, m)}
-    kinds = [kind for kind, e in est.ESTIMATORS.items()
-             if e.residual != "none" and (k is None or e.targets != "vector")]
-    for kind in kinds:
-        entry = est.ESTIMATORS[kind]
+    for kind, entry in est.ESTIMATORS.items():
+        if entry.residual not in sources:
+            continue
         fn = getattr(est, entry.function)
         u = fn(x_hat, UA, on_blocks[entry.residual], d, m)
         s = fn(x_hat, SA, explicit[entry.residual], d, m)
