@@ -24,17 +24,16 @@ from .core import prediction_error, snr, solve_exact
 from .dataio import FORMATS, DatasetFile, load, save_dense_csv, write_results_csv
 from .datagen import SyntheticSpec, gen_gaussian_data
 from .errors import InvalidInputError, InvalidSketchSizeError, SketchLSError
-from .estimators import ESTIMATORS, SHRINKAGE, estimate, skip_reason
+from .estimators import ESTIMATORS, SHRINKAGE, skip_reason
 from .harness import (
     SteinInstance,
-    residual_estimates,
+    repetition,
     run_experiment,
-    sketch_factor,
     verify_gram_identity,
     verify_residual_unbiased,
     verify_stein,
 )
-from .sketches import FAMILIES, check_seed, derive_seed, sampling_weights
+from .sketches import FAMILIES, SketchSpec, check_seed, derive_seed, sampling_weights
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,16 +108,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sketch_solve(args) -> int:
     instance = load(DatasetFile(path=args.data, format=args.format))
-    d, m = instance.d, args.m
-    rec0, UA, Ub = sketch_factor(instance, args.family, m, args.seed,
-                                 sampling_weights(args.family, instance.A))
-    reason = skip_reason(args.estimator, d, m, False)
+    SketchSpec(args.family, args.m, args.seed)  # a sweep's order: size and seed, gate, repetition
+    reason = skip_reason(args.estimator, instance.d, args.m, False)
     if reason is not None:
         raise InvalidSketchSizeError(reason)
     sol = solve_exact(instance)
-    sources = {ESTIMATORS[args.estimator].residual}
-    r2_hat = residual_estimates(sources, instance, sol.r2, rec0.x_hat, UA, Ub, m)
-    rec = estimate(args.estimator, rec0, UA, r2_hat, d, m)
+    _, records = repetition(instance, sol, args.family, args.m, args.seed, (args.estimator,),
+                            False, sampling_weights(args.family, instance.A))
+    rec = records[args.estimator]
     pairs = {
         "estimator": rec.kind,
         "shrink_factor": rec.shrink_factor,
@@ -211,10 +208,13 @@ def _cmd_verify_stein(args) -> int:
 
 def _cmd_verify_residual(args) -> int:
     _check_tol(args)
-    if args.rho == math.inf:  # the planted r2 is 1/rho, and the relative differences divide by it
-        raise InvalidInputError(f"--rho {args.rho} plants r2 = 0, but the check needs r2 > 0")
     instance, sol = gen_gaussian_data(SyntheticSpec(n=args.n, d=args.d, rho=args.rho,
                                                     seed=derive_seed(args.seed, "datagen")))
+    # the check divides by the planted r2 = 1/rho, so it must be > 0 and survive the data's rounding
+    fit_r2 = instance.solution.r2
+    if not abs(fit_r2 - sol.r2) < args.tol * sol.r2:
+        raise InvalidInputError(f"--rho {args.rho} plants r2 = {sol.r2:.3e}, but float64 data "
+                                f"carry {fit_r2:.3e}: the check needs them to agree within --tol")
     mean_full, mean_sketched = verify_residual_unbiased(
         instance, args.family, args.m, args.reps, args.seed)
     rel_full = abs(mean_full - sol.r2) / sol.r2

@@ -7,23 +7,23 @@ comparisons.  Per-repetition seeds are derived from the master seed and
 the cell key alone, so results are independent of thread count and
 iteration order, and any cell can be replayed in isolation.
 
-Gaussian cells never realize their m x n operator.  A Gaussian S is
-rotation invariant, so S[A | b] has the law of G R~ / sqrt(m), with G an
+A repetition (`repetition`) factors one realization (`sketch_factor`) and
+runs every estimator kind on it; a sweep adds the error metrics, and
+`sketch-solve` is one repetition of one kind.  A Gaussian S is rotation
+invariant, so S[A | b] is drawn from its law G R~ / sqrt(m), with G an
 m x (d+k') standard normal matrix and R~ the triangular factor of [A | b]
-(`ProblemInstance.R_tilde`); a repetition draws G and costs O(m (d+k')^2),
-independent of n.  Every other family realizes its operator explicitly
-and applies it once per realization, to `ProblemInstance.AB` = [A | b].
+(`ProblemInstance.R_tilde`): O(m (d+k')^2), independent of n.  Every other
+family applies its realized operator once, to `ProblemInstance.AB`.
 `classical_stacked` factors SB = S [A | b] = Q U; a rank or overflow error
 fails the cell, not the sweep.  Every norm after it comes from a
 triangular factor's blocks (`core.factor_blocks`): U's (d+k')-row blocks,
 ||SA v - S b w|| = ||U_A v - U_b w||, R~'s for the full-data residual
-(`residual_estimates`), and A's R factor for the prediction error
-(`prediction_error(R, ...)`).
+(`residual_estimates`), and A's R factor for the prediction error.
 
 The verify_* functions are direct Monte Carlo checks of the identities
 the estimators rely on (shrinkage error identity, residual-estimate
-unbiasedness, the Gram identity E[S^T S] = I).  They, and `sketch-solve`,
-use explicit operators for every family.
+unbiasedness, the Gram identity E[S^T S] = I).  They realize explicit
+operators for every family: these identities are about S itself.
 """
 
 from __future__ import annotations
@@ -153,24 +153,19 @@ def resolve_instance(cfg: ExperimentConfig) -> tuple[ProblemInstance, ExactSolut
 
 
 def sketch_factor(instance: ProblemInstance, family: str, m: int, seed: int, weights):
-    """`classical_stacked` on S [A | b], one application of S = `make_operator`'s."""
-    op = make_operator(SketchSpec(family, m, seed), instance.n, weights=weights)
-    return est_mod.classical_stacked(apply(op, instance.AB), instance.d, instance.Y is None)
-
-
-def _sketched_data(instance, family, m, seed, weights):
     """One realization, factored: `classical_stacked`'s (classical record, U_A, U_b).
 
-    Gaussian cells draw SB = S [A | b] from its exact law, G R~ / sqrt(m),
-    with R~ = `instance.R_tilde` and G = default_rng(seed).standard_normal,
-    m x (d+k'); every other family realizes S (`sketch_factor`).  SB is
-    factored as it stands and not kept: U's blocks replace SA and S b.
+    A Gaussian SB = S [A | b] is G R~ / sqrt(m), G = default_rng(seed).standard_normal
+    m x (d+k'); any other family applies `make_operator`'s S to `instance.AB`.  Both
+    take `SketchSpec`'s checks.  SB is not kept: U's blocks replace SA and S b.
     """
-    if family != "gaussian":
-        return sketch_factor(instance, family, m, seed, weights)
-    G = np.random.default_rng(seed).standard_normal((m, instance.AB.shape[1]))
-    SB = G @ instance.R_tilde
-    SB /= math.sqrt(m)
+    spec = SketchSpec(family, m, seed)
+    if family == "gaussian":
+        G = np.random.default_rng(seed).standard_normal((m, instance.AB.shape[1]))
+        SB = G @ instance.R_tilde
+        SB /= math.sqrt(m)
+    else:
+        SB = apply(make_operator(spec, instance.n, weights=weights), instance.AB)
     return est_mod.classical_stacked(SB, instance.d, instance.Y is None)
 
 
@@ -191,28 +186,30 @@ def residual_estimates(sources, instance: ProblemInstance, r2, x_hat, UA, Ub, m:
     return r2_hat
 
 
-def _run_rep(instance, sol, family, m, seed, aux_seed, estimators, two_sketch, weights):
-    """One repetition of one cell: returns {kind: (pred/n, sa/n, factor)}.
+def repetition(instance, sol, family, m, seed, kinds, two_sketch, weights):
+    """One repetition on the realization `seed`: (U_A, {kind: EstimateRecord}).
 
     `weights` are the family's sampling weights, `sampling_weights(family, A)`.
     r2_hat is taken at the classical solution, or with `two_sketch` at the
-    solution of an auxiliary sketch, which is drawn only when a kind reads
-    a residual.
+    solution of an auxiliary sketch, seeded `derive_seed(seed, "aux")`, which
+    is drawn only when a kind reads a residual.
     """
-    n, d, R = instance.n, instance.d, instance.R
-    rec0, UA, Ub = _sketched_data(instance, family, m, seed, weights)
-    sources = {est_mod.ESTIMATORS[kind].residual for kind in estimators}
+    rec0, UA, Ub = sketch_factor(instance, family, m, seed, weights)
+    sources = {est_mod.ESTIMATORS[kind].residual for kind in kinds}
     rec_res, UA_res, Ub_res = rec0, UA, Ub
     if two_sketch and sources & {"full", "sketched"}:
-        rec_res, UA_res, Ub_res = _sketched_data(instance, family, m, aux_seed, weights)
+        rec_res, UA_res, Ub_res = sketch_factor(instance, family, m, derive_seed(seed, "aux"),
+                                                weights)
     r2_hat = residual_estimates(sources, instance, sol.r2, rec_res.x_hat, UA_res, Ub_res, m)
+    return UA, {kind: est_mod.estimate(kind, rec0, UA, r2_hat, instance.d, m) for kind in kinds}
 
-    out = {}
-    for kind in estimators:
-        rec = est_mod.estimate(kind, rec0, UA, r2_hat, d, m)
-        out[kind] = (prediction_error(R, rec.x_hat, sol.x_ls) / n,
-                     prediction_error(UA, rec.x_hat, sol.x_ls) / n, rec.shrink_factor)
-    return out
+
+def _run_rep(instance, sol, family, m, seed, kinds, two_sketch, weights):
+    """`repetition` and its error metrics: {kind: (pred/n, sa/n, factor)}."""
+    UA, records = repetition(instance, sol, family, m, seed, kinds, two_sketch, weights)
+    return {kind: (prediction_error(instance.R, rec.x_hat, sol.x_ls) / instance.n,
+                   prediction_error(UA, rec.x_hat, sol.x_ls) / instance.n, rec.shrink_factor)
+            for kind, rec in records.items()}
 
 
 def _bound_columns(d, m, r2, rho, n):
@@ -254,8 +251,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             for m in cfg.m_values:
                 bounds = _bound_columns(d, m, r2, rho, n)
                 seeds = tuple(derive_seed(cfg.master_seed, family, m, r) for r in range(cfg.reps))
-                aux_seeds = tuple(derive_seed(cfg.master_seed, family, m, r, "aux")
-                                  for r in range(cfg.reps))
                 reasons = {k: est_mod.skip_reason(k, d, m, is_matrix) for k in cfg.estimators}
                 cells += [_empty_cell(family, m, k, bounds, reason)
                           for k, reason in reasons.items() if reason is not None]
@@ -266,8 +261,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
                 # closes over the loop variables: the map below finishes in this iteration
                 def one(r):
                     try:
-                        return _run_rep(instance, sol, family, m, seeds[r], aux_seeds[r],
-                                        runnable, cfg.two_sketch, weights)
+                        return _run_rep(instance, sol, family, m, seeds[r], runnable,
+                                        cfg.two_sketch, weights)
                     except SketchLSError as exc:
                         return exc
 
@@ -363,7 +358,9 @@ def verify_residual_unbiased(p: ProblemInstance, family: str, m: int, reps: int,
     full = np.empty(reps)
     sketched = np.empty(reps)
     for r in range(reps):
-        rec, UA, Ub = sketch_factor(p, family, m, derive_seed(seed, family, m, r), weights)
+        op = make_operator(SketchSpec(family, m, derive_seed(seed, family, m, r)), p.n,
+                           weights=weights)
+        rec, UA, Ub = est_mod.classical_stacked(apply(op, p.AB), p.d, p.Y is None)
         r2_hat = residual_estimates(("full", "sketched"), p, None, rec.x_hat, UA, Ub, m)
         full[r], sketched[r] = r2_hat["full"], r2_hat["sketched"]
     return float(full.mean()), float(sketched.mean())

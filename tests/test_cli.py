@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sketchls import cli, errors
+from sketchls import FAMILIES, ExperimentConfig, cli, derive_seed, errors, run_experiment
 from sketchls.cli import main
 from sketchls.core import prediction_error, solve_exact
 from sketchls.datagen import SyntheticSpec, gen_gaussian_data
@@ -226,10 +226,11 @@ class TestInvalidInputExits2:
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits(self, capsys, dataset, seed):
-        code, out, err = _run(capsys, "sketch-solve", "--data", dataset, "--family",
-                              "srht", "--m", "20", "--seed", seed)
-        assert code == 2 and out == ""
-        assert err == f"error: seed must fit in 64 unsigned bits, got {seed}\n"
+        for family in ("srht", "gaussian"):  # a Gaussian draw takes SketchSpec's checks too
+            code, out, err = _run(capsys, "sketch-solve", "--data", dataset, "--family",
+                                  family, "--m", "20", "--seed", seed)
+            assert code == 2 and out == ""
+            assert err == f"error: seed must fit in 64 unsigned bits, got {seed}\n"
 
     def test_unknown_data_format_in_config(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -310,13 +311,22 @@ def test_repeated_sketch_size_in_config_exits_2(capsys, tmp_path):
     assert not (tmp_path / "res.csv").exists()
 
 
+def _reference_sketch(instance, family, m, seed):
+    """(SA, Sy): a Gaussian draw from its law, G R~ / sqrt(m); any other family's explicit S."""
+    if family == "gaussian":
+        G = np.random.default_rng(seed).standard_normal((m, instance.d + 1))
+        SB = G @ instance.R_tilde / np.sqrt(m)
+        return SB[:, :instance.d], SB[:, instance.d]
+    A, y = instance.A, instance.y
+    op = make_operator(SketchSpec(family, m, seed), len(A), weights=sampling_weights(family, A))
+    return apply(op, A), apply(op, y)
+
+
 def _reference_sketch_solve(data, family, m, seed, estimator):
     """The sketch-solve dispatch as an explicit if-chain, kept frozen as a reference."""
     instance = load(DatasetFile(path=data))
-    A, y, n, d = instance.A, instance.y, instance.n, instance.d
-    op = make_operator(SketchSpec(family, m, seed), n, weights=sampling_weights(family, A))
-    SA = apply(op, A)
-    Sy = apply(op, y)
+    A, y, d = instance.A, instance.y, instance.d
+    SA, Sy = _reference_sketch(instance, family, m, seed)
     rec0 = classical(SA, Sy)
     sol = solve_exact(instance)
     if estimator == "classical":
@@ -354,8 +364,9 @@ def test_sketch_solve_matches_the_reference_dispatch(capsys, dataset, family, m,
     assert payload["degenerate"] == str(ref.degenerate).lower()
     # sketch-solve applies S once to [A | y] and reads norms from the factors U and R~, so
     # dense and SRHT x_hat and every norm move in their last digits; sampling and
-    # CountSketch sketch each column alike, so their classical x_hat stays bitwise
-    if kind == "classical" and family in ("leverage", "countsketch"):
+    # CountSketch sketch each column alike, so their classical x_hat stays bitwise, and so
+    # does Gaussian's, whose reference draws the same [SA | Sy]
+    if kind == "classical" and family in ("leverage", "countsketch", "gaussian"):
         assert payload["x_hat"] == [float(v) for v in ref.x_hat]
     np.testing.assert_allclose(payload["x_hat"], ref.x_hat, rtol=1e-12, atol=0)
     assert payload["shrink_factor"] == pytest.approx(ref.shrink_factor, rel=1e-12, abs=0)
@@ -371,8 +382,7 @@ def test_sketch_solve_matches_the_reference_dispatch(capsys, dataset, family, m,
         return
     # the reference shares the estimator functions; check the factor against the README's
     # 1 - (d-2) r2_hat / (m ||SA x||^2), from explicit products, to catch a formula change
-    op = make_operator(SketchSpec(family, m, seed), len(A), weights=sampling_weights(family, A))
-    SA, Sy = apply(op, A), apply(op, y)
+    SA, Sy = _reference_sketch(instance, family, m, seed)
     x = classical(SA, Sy).x_hat
     r2_hat = {"js-oracle": sol.r2, "shrinkage-alt": m / (m - d) * np.sum((SA @ x - Sy) ** 2)}.get(
         kind, (m - d - 1) / (m - 1) * np.sum((A @ x - y) ** 2))
@@ -380,6 +390,25 @@ def test_sketch_solve_matches_the_reference_dispatch(capsys, dataset, family, m,
     if kind == "positive-part":
         factor = max(factor, 0.0)
     assert payload["shrink_factor"] == pytest.approx(factor, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sketch_solve_reproduces_a_sweep_repetition(capsys, dataset, family):
+    """sketch-solve at a repetition's seed gives that repetition's logs bitwise, every kind."""
+    m, reps = 24, 3
+    res = run_experiment(ExperimentConfig(source=DatasetFile(path=dataset), families=(family,),
+                                          m_values=(m,), estimators=tuple(_VECTOR_KINDS),
+                                          reps=reps, master_seed=13))
+    for kind in _VECTOR_KINDS:
+        cell = res.cell(family, m, kind)
+        for r in range(reps):
+            code, out, err = _run(capsys, "sketch-solve", "--data", dataset, "--family", family,
+                                  "--m", str(m), "--seed", str(derive_seed(13, family, m, r)),
+                                  "--estimator", kind, "--json")
+            assert code == 0, err
+            payload = json.loads(out)
+            assert payload["pred_err"] / res.n == cell.per_rep_pred_err[r], (kind, r)
+            assert payload["shrink_factor"] == cell.per_rep_factor[r], (kind, r)
 
 
 def test_sketch_solve_rejects_the_matrix_estimator(capsys, dataset):
@@ -501,7 +530,10 @@ _EXIT_TABLE = [
     (f"{_SKETCH} --estimator shrinkage-fro", 1, None),
     ("sketch-solve --data {data} --family srht --m 0 --seed 3", 2, "sketch size m must be >= 1"),
     ("sketch-solve --data {data} --family srht --m 24 --seed -1", 2, "seed must fit"),
-    ("sketch-solve --data {data} --family gaussian --m 3 --seed 3", 3, "m=3 below column count"),
+    ("sketch-solve --data {data} --family gaussian --m 3 --seed 3", 3,
+     "m=3 <= d+3=9: shrinkage domain"),
+    ("sketch-solve --data {data} --family gaussian --m 3 --seed 3 --estimator classical", 3,
+     "m=3 < d=6: sketched problem is rank deficient"),
     ("sketch-solve --data {data} --family gaussian --m 6 --seed 3 --estimator js-oracle", 3,
      "m=6 <= d+3=9: shrinkage domain"),
     ("sketch-solve --data {data} --family gaussian --m 7 --seed 3 --estimator shrinkage-alt", 3,
@@ -562,6 +594,7 @@ _EXIT_TABLE = [
     ("verify residual --n 64 --d 4 --m 5 --reps 5", 3, "residual estimate needs m > d+1"),
     ("verify residual --rho inf", 2, "plants r2 = 0"),
     ("verify residual --rho 1e400", 2, "plants r2 = 0"),
+    ("verify residual --rho 1e30", 2, "but float64 data carry"),
     (f"{_RESIDUAL} --tol nan", 2, "--tol must be finite and positive"),
     (f"{_RESIDUAL} --tol 0", 2, "--tol must be finite and positive"),
     (f"{_RESIDUAL} --tol 1e-12", 4, None),
