@@ -61,7 +61,8 @@ def general_lower_bound(d: int, m: int, r2: float, B: float = math.inf,
         return base, False
     if sigma_min is None or not sigma_min > 0:
         raise InvalidInputError("finite B requires sigma_min > 0")
-    value = base * (1.0 - math.pi**2 * r2 / (m * B**2 * sigma_min))
+    # dividing by B twice: B**2 raises OverflowError past 1e154, and B * B underflows to 0
+    value = base * (1.0 - math.pi**2 * r2 / (m * sigma_min) / B / B)
     if value < 0.0:
         return 0.0, True
     return value, False

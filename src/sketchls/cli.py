@@ -4,7 +4,8 @@ Subcommands: datagen, solve, sketch-solve, experiment, bounds, verify.
 Outputs are line-oriented `name value` pairs; --json switches every
 subcommand to a single JSON object.  Exit codes: 0 success, 1 usage
 error, 2 invalid input, 3 numerical failure, 4 verification tolerance
-failure.  `main` picks 2 or 3 from the exception's class alone.
+failure.  `main` picks 2 or 3 from the exception's class alone; a
+MemoryError, sizes this machine cannot hold, is invalid input (2).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -40,6 +40,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 EXIT_TOLERANCE = 4
+_INDEX_MAX = np.iinfo(np.intp).max
 
 
 class UsageError(Exception):
@@ -64,22 +65,6 @@ def _emit(args, pairs: dict) -> None:
             print(key, repr(value))
         else:
             print(key, value)
-
-
-def _threads(args) -> int:
-    threads, source = getattr(args, "threads", None), "--threads"
-    if threads is None:
-        env = os.environ.get("SKETCHLS_THREADS")
-        if not env:
-            return 1
-        source = "SKETCHLS_THREADS"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise UsageError(f"SKETCHLS_THREADS must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise UsageError(f"{source} must be >= 1, got {threads}")
-    return threads
 
 
 def _cmd_datagen(args) -> int:
@@ -130,7 +115,9 @@ def _cmd_sketch_solve(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = load_config(args.config)
-    result = run_experiment(cfg, threads=_threads(args))
+    if args.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
+    result = run_experiment(cfg, threads=args.threads)
     write_results_csv(result.cells, cfg.out_path)
     _emit(args, {
         "cells": len(result.cells),
@@ -193,15 +180,18 @@ def _cmd_verify_stein(args) -> int:
         raise InvalidInputError(f"need --d > 2 and 0 < --cond < inf, got {args.d}, {args.cond}")
     if not math.isfinite(args.theta_norm):
         raise InvalidInputError(f"--theta-norm must be finite, got {args.theta_norm}")
+    if args.d ** 2 > _INDEX_MAX // 8:
+        raise InvalidInputError(f"--d {args.d} is too large for numpy to address a d x d matrix")
     check_seed(args.seed)
+    # the d x d draw is the first allocation, so a --d too large for memory builds nothing
     rng = np.random.default_rng(args.seed)
-    eigvals = np.geomspace(1.0, args.cond, args.d)
     Q, _ = np.linalg.qr(rng.standard_normal((args.d, args.d)))
-    sigma = (Q * eigvals) @ Q.T
+    sigma = (Q * np.geomspace(1.0, args.cond, args.d)) @ Q.T
     direction = rng.standard_normal(args.d)
-    theta = args.theta_norm * direction / np.linalg.norm(direction)
-    lhs, rhs = verify_stein(SteinInstance(theta=theta, sigma=sigma,
-                                          samples=args.samples, seed=args.seed))
+    # scaling a unit vector cannot overflow: every entry stays within |--theta-norm|
+    theta = args.theta_norm * (direction / np.linalg.norm(direction))
+    lhs, rhs = verify_stein(SteinInstance(theta=theta, sigma=sigma, samples=args.samples,
+                                          seed=args.seed), args.tol)
     rel = abs(lhs - rhs) / abs(rhs)
     return _verify_result(args, {"lhs": lhs, "rhs": rhs, "rel_diff": rel}, rel <= args.tol)
 
@@ -271,7 +261,7 @@ def build_parser() -> _Parser:
 
     p = command(sub, "experiment", _cmd_experiment, "run a Monte Carlo sweep from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, help="worker cap (default: SKETCHLS_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker cap (default: 1)")
 
     p = command(sub, "bounds", _cmd_bounds, "evaluate every closed-form bound")
     p.add_argument("--d", type=int, required=True)
@@ -319,12 +309,20 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a count sizes an array or a loop, and numpy indexes with a signed 64-bit integer
+        for name in ("n", "d", "m", "reps", "samples", "threads"):
+            value = getattr(args, name, None)
+            if value is not None and value > _INDEX_MAX:
+                raise InvalidInputError(f"--{name} must be at most {_INDEX_MAX}, got {value}")
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # sizes past this machine's memory: an input it cannot run
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SketchLSError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

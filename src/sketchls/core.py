@@ -1,7 +1,9 @@
 """Problem containers, exact least-squares solutions, and error metrics.
 
 Everything downstream (sketch operators, estimators, bounds, the
-experiment harness) consumes the types defined here.  All arithmetic is
+experiment harness) consumes the types defined here.  An instance has
+one target, a vector or a matrix, and its ``ndim`` alone says which;
+solutions and residuals take the target's shape.  All arithmetic is
 64-bit floating point and all containers are immutable after
 construction, so they can be shared freely across worker threads.
 """
@@ -37,9 +39,9 @@ class ExactSolution:
     ----------
     x_ls : ndarray, shape (d,) or (d, k)
         Minimizer of the squared residual.
-    y_perp : ndarray, shape (n,) or (n, k)
-        Residual vector (target minus fitted values), orthogonal to the
-        column space of the data matrix.
+    y_perp : ndarray, the target's shape, (n,) or (n, k)
+        Residual (target minus fitted values), orthogonal to the column
+        space of the data matrix.
     r2 : float
         Squared residual norm (squared Frobenius norm for matrix targets).
     pred_energy : float
@@ -117,63 +119,46 @@ def lstsq_solve(U: np.ndarray, d: int, vector: bool) -> np.ndarray:
 class ProblemInstance:
     """A dense overdetermined least-squares instance.
 
-    Holds an n-by-d data matrix together with a length-n target vector
-    ``y``, an n-by-k target matrix ``Y``, or both (``Y`` wins as the
-    regression target when present; ``y`` then carries raw labels).
-    Construction validates shapes, finiteness, and full column rank.
-    The instance keeps a read-only, C-contiguous ``AB`` = [A | b] (b the
-    target, k' columns) and factors it once with `lstsq_factor`:
+    Holds an n-by-d data matrix ``A`` and one target ``y``: a length-n
+    vector, or an n-by-k matrix for matrix regression.  ``y.ndim`` alone
+    says which.  Construction validates shapes, finiteness, and full
+    column rank.  The instance keeps a read-only, C-contiguous ``AB`` =
+    [A | y] (k' target columns) and factors it once with `lstsq_factor`:
     ``R_tilde`` is its (d+k') x (d+k') triangular factor, zero below row n
     when n < d+k', and ``R`` (A's R factor) a view of its leading block,
     both read-only.  `solution` is `lstsq_solve` on ``R_tilde``, cached.
     """
 
-    def __init__(self, A, y=None, Y=None):
+    def __init__(self, A, y=None):
         A = _readonly_f64(A, "A")
         if A.ndim != 2:
             raise DimensionMismatchError("A must be a 2-d matrix")
         n, d = A.shape
         if not n > d >= 1:
             raise DimensionMismatchError(f"need n > d >= 1, got A with shape {A.shape}")
-        if y is None and Y is None:
-            raise DimensionMismatchError("a target vector y or target matrix Y is required")
-        if y is not None:
-            y = _readonly_f64(y, "y")
-            if y.shape != (n,):
-                raise DimensionMismatchError(f"y must have shape ({n},), got {y.shape}")
-        if Y is not None:
-            Y = _readonly_f64(Y, "Y")
-            if Y.ndim != 2 or Y.shape[0] != n:
-                raise DimensionMismatchError(f"Y must have shape ({n}, k), got {Y.shape}")
-        AB = np.column_stack((A, Y if Y is not None else y))
+        if y is None:
+            raise DimensionMismatchError("a target y (vector or matrix) is required")
+        y = _readonly_f64(y, "y")
+        if y.ndim not in (1, 2) or y.shape[0] != n:
+            raise DimensionMismatchError(f"y must have shape ({n},) or ({n}, k), got {y.shape}")
+        AB = np.column_stack((A, y))
         AB.setflags(write=False)
         R_tilde = lstsq_factor(AB, d, RankDeficientError, "A")
         R_tilde.setflags(write=False)
         self.A = A
         self.y = y
-        self.Y = Y
         self.n = n
         self.d = d
         self.AB = AB
         self.R_tilde = R_tilde
         self.R = R_tilde[:d, :d]
 
-    @property
-    def target(self) -> np.ndarray:
-        """The regression target: Y when present, else y."""
-        return self.Y if self.Y is not None else self.y
-
-    @property
-    def k(self) -> int | None:
-        """Number of target columns for matrix regression, else None."""
-        return self.Y.shape[1] if self.Y is not None else None
-
     @cached_property
     def solution(self) -> ExactSolution:
-        x = lstsq_solve(self.R_tilde, self.d, self.Y is None)
+        x = lstsq_solve(self.R_tilde, self.d, self.y.ndim == 1)
         with np.errstate(over="ignore", invalid="ignore"):  # from_fit rejects a fit that overflows
             fitted = self.A @ x
-            residual = self.target - fitted
+            residual = self.y - fitted
         return ExactSolution.from_fit(x, fitted, residual)
 
 

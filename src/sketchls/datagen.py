@@ -96,7 +96,7 @@ def gen_gaussian_data(spec: SyntheticSpec) -> tuple[ProblemInstance, ExactSoluti
     # time of the instance's own QR below with two BLAS threads.
     h, tau = np.linalg.qr(A, mode="raw")
     reflectors = h.T
-    noise_shape = (n - d,) if spec.k is None else (n - d, spec.k)
+    noise_shape = (n - d,) + shape[1:]
     for _ in range(2):
         w = rng.standard_normal(noise_shape)
         noise = _null_space_part(reflectors, tau, w)
@@ -109,10 +109,7 @@ def gen_gaussian_data(spec: SyntheticSpec) -> tuple[ProblemInstance, ExactSoluti
     alpha = 1.0 / (math.sqrt(spec.rho) * noise_norm)
     y_perp = alpha * noise
     fitted = A @ x_ls
-    target = fitted + y_perp
-
-    instance = ProblemInstance(A, y=target) if spec.k is None else ProblemInstance(A, Y=target)
-    return instance, ExactSolution.from_fit(x_ls, fitted, y_perp)
+    return ProblemInstance(A, fitted + y_perp), ExactSolution.from_fit(x_ls, fitted, y_perp)
 
 
 def add_noise(p: ProblemInstance, kappa: float, seed: int) -> ProblemInstance:
@@ -128,7 +125,4 @@ def add_noise(p: ProblemInstance, kappa: float, seed: int) -> ProblemInstance:
         raise InvalidInputError(f"kappa must be finite and nonnegative, got {kappa}")
     r2 = solve_exact(p).r2
     rng = np.random.default_rng(seed)
-    noise = math.sqrt(kappa * r2) * rng.standard_normal(p.target.shape)
-    if p.Y is not None:
-        return ProblemInstance(p.A, y=p.y, Y=p.Y + noise)
-    return ProblemInstance(p.A, y=p.y + noise)
+    return ProblemInstance(p.A, p.y + math.sqrt(kappa * r2) * rng.standard_normal(p.y.shape))

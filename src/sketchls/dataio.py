@@ -187,21 +187,23 @@ def _one_hot(labels: np.ndarray, k: int, line: Callable[[int], int]) -> np.ndarr
 
 
 def load(file: DatasetFile) -> ProblemInstance:
-    """Load a dataset file into a validated problem instance."""
+    """Load a dataset file into a validated problem instance.
+
+    With `file.onehot` the target is the indicator matrix; the labels are not kept.
+    """
     path = Path(file.path)
     if not path.is_file():
         raise DataFormatError(f"no such file: {path}")
     A, y = (_load_sparse if file.format == FORMAT_SPARSE else _load_dense)(path)
     if file.onehot is not None:
-        Y = _one_hot(y, file.onehot, lambda row: _data_line(path, row, file.format))
-        return ProblemInstance(A, y=y, Y=Y)
-    return ProblemInstance(A, y=y)
+        y = _one_hot(y, file.onehot, lambda row: _data_line(path, row, file.format))
+    return ProblemInstance(A, y)
 
 
 def save_dense_csv(p: ProblemInstance, path) -> None:
     """Write a vector-target instance in the dense CSV format."""
-    if p.y is None:
-        raise ValueError("dense CSV stores a single target column; instance has only Y")
+    if p.y.ndim != 1:
+        raise ValueError("dense CSV stores a single target column; instance has a matrix target")
     lines = ["y," + ",".join(f"x{j}" for j in range(1, p.d + 1))]
     for i in range(p.n):
         lines.append(",".join([repr(float(p.y[i]))] + [repr(float(v)) for v in p.A[i]]))

@@ -166,7 +166,7 @@ def sketch_factor(instance: ProblemInstance, family: str, m: int, seed: int, wei
         SB /= math.sqrt(m)
     else:
         SB = apply(make_operator(spec, instance.n, weights=weights), instance.AB)
-    return est_mod.classical_stacked(SB, instance.d, instance.Y is None)
+    return est_mod.classical_stacked(SB, instance.d, instance.y.ndim == 1)
 
 
 def residual_estimates(sources, instance: ProblemInstance, r2, x_hat, UA, Ub, m: int) -> dict:
@@ -179,7 +179,7 @@ def residual_estimates(sources, instance: ProblemInstance, r2, x_hat, UA, Ub, m:
     d = instance.d
     r2_hat = {"true": r2} if "true" in sources else {}
     if "full" in sources:
-        RA, Rb = factor_blocks(instance.R_tilde, d, instance.Y is None)
+        RA, Rb = factor_blocks(instance.R_tilde, d, instance.y.ndim == 1)
         r2_hat["full"] = est_mod.estimate_residual_full(RA, Rb, x_hat, d, m)
     if "sketched" in sources:
         r2_hat["sketched"] = est_mod.estimate_residual_sketched(UA, Ub, x_hat, d, m)
@@ -237,7 +237,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     instance, sol = resolve_instance(cfg)
     n, d = instance.n, instance.d
     r2, rho = sol.r2, snr(sol)
-    is_matrix = instance.Y is not None
+    is_matrix = instance.y.ndim == 2
 
     cells: list[CellResult] = []
     # one thread runs serially: a one-worker pool costs peak memory and buys nothing
@@ -326,7 +326,7 @@ class SteinInstance:
         check_seed(self.seed)
 
 
-def verify_stein(inst: SteinInstance) -> tuple[float, float]:
+def verify_stein(inst: SteinInstance, tol: float) -> tuple[float, float]:
     """Monte Carlo check of the shrinkage error identity.
 
     Draws X ~ N(theta, Sigma) and shrinks each sample by
@@ -334,18 +334,31 @@ def verify_stein(inst: SteinInstance) -> tuple[float, float]:
     sample mean of the normalized squared error of the shrunk estimate
     and rhs = d - (d-2)^2 * mean(1 / (X^T Sigma^-1 X)), both estimated
     from the same sample stream; they agree in expectation.
+
+    `tol` is the relative tolerance the caller holds lhs and rhs to, and
+    the sample must carry its noise to within it: InvalidInputError when
+    X - theta misses the drawn noise by more than `tol` relative
+    (Frobenius), as when float64 rounds theta + noise back to theta.
+    Where a larger `tol` lets such a sample through, an overflow shows
+    as an inf or NaN lhs or rhs, not as a warning.
     """
     d = inst.theta.shape[0]
     rng = np.random.default_rng(inst.seed)
     L = np.linalg.cholesky(inst.sigma)
-    X = inst.theta + rng.standard_normal((inst.samples, d)) @ L.T
-    sigma_inv_Xt = np.linalg.solve(inst.sigma, X.T)
-    quad = np.einsum("ij,ji->i", X, sigma_inv_Xt)
-    factors = 1.0 - (d - 2) / quad
-    diff = factors[:, None] * X - inst.theta
-    sigma_inv_diff = np.linalg.solve(inst.sigma, diff.T)
-    lhs = float(np.mean(np.einsum("ij,ji->i", diff, sigma_inv_diff)))
-    rhs = float(d - (d - 2) ** 2 * np.mean(1.0 / quad))
+    noise = rng.standard_normal((inst.samples, d)) @ L.T
+    X = inst.theta + noise
+    lost = np.linalg.norm((X - inst.theta) - noise) / np.linalg.norm(noise)
+    if lost > tol:
+        raise InvalidInputError(f"theta + noise does not carry its noise in float64: X - theta "
+                                f"misses the drawn noise by {lost:.3e} relative, above {tol}")
+    with np.errstate(over="ignore"):
+        sigma_inv_Xt = np.linalg.solve(inst.sigma, X.T)
+        quad = np.einsum("ij,ji->i", X, sigma_inv_Xt)
+        factors = 1.0 - (d - 2) / quad
+        diff = factors[:, None] * X - inst.theta
+        sigma_inv_diff = np.linalg.solve(inst.sigma, diff.T)
+        lhs = float(np.mean(np.einsum("ij,ji->i", diff, sigma_inv_diff)))
+        rhs = float(d - (d - 2) ** 2 * np.mean(1.0 / quad))
     return lhs, rhs
 
 
@@ -360,7 +373,7 @@ def verify_residual_unbiased(p: ProblemInstance, family: str, m: int, reps: int,
     for r in range(reps):
         op = make_operator(SketchSpec(family, m, derive_seed(seed, family, m, r)), p.n,
                            weights=weights)
-        rec, UA, Ub = est_mod.classical_stacked(apply(op, p.AB), p.d, p.Y is None)
+        rec, UA, Ub = est_mod.classical_stacked(apply(op, p.AB), p.d, p.y.ndim == 1)
         r2_hat = residual_estimates(("full", "sketched"), p, None, rec.x_hat, UA, Ub, m)
         full[r], sketched[r] = r2_hat["full"], r2_hat["sketched"]
     return float(full.mean()), float(sketched.mean())

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchls import FAMILIES, ExperimentConfig, cli, derive_seed, errors, run_experiment
 from sketchls.cli import main
@@ -151,13 +156,12 @@ class TestExperimentCommand:
         code, _, _ = _run(capsys, "experiment", "--config", "missing.cfg")
         assert code == 2
 
-    def test_threads_env_fallback(self, capsys, tmp_path, monkeypatch):
+    def test_default_thread_count_gives_the_csv_of_three(self, capsys, tmp_path):
         out = tmp_path / "res.csv"
         cfg = self._config(tmp_path, out)
         _run(capsys, "experiment", "--config", cfg)
         first = out.read_bytes()
-        monkeypatch.setenv("SKETCHLS_THREADS", "3")
-        _run(capsys, "experiment", "--config", cfg)
+        _run(capsys, "experiment", "--config", cfg, "--threads", "3")
         assert out.read_bytes() == first
 
 
@@ -260,29 +264,18 @@ def test_non_finite_kappa_is_named(capsys, tmp_path, kappa):
     assert not (tmp_path / "res.csv").exists()
 
 
-def test_non_integer_threads_env_exits_1(capsys, tmp_path, monkeypatch):
-    cfg = _small_config(tmp_path)
-    monkeypatch.setenv("SKETCHLS_THREADS", "abc")
-    code, out, err = _run(capsys, "experiment", "--config", str(cfg))
-    assert code == 1 and out == ""
-    assert err == "usage error: SKETCHLS_THREADS must be an integer, got 'abc'\n"
-    assert not (tmp_path / "res.csv").exists()
-
-
 @pytest.mark.parametrize("flag, env, message", [
     ("-3", None, "--threads must be >= 1, got -3"),
     ("0", "2", "--threads must be >= 1, got 0"),
-    (None, "-2", "SKETCHLS_THREADS must be >= 1, got -2"),
-    (None, "0", "SKETCHLS_THREADS must be >= 1, got 0"),
 ])
 def test_thread_count_below_one_exits_1(capsys, tmp_path, monkeypatch, flag, env, message):
+    # SKETCHLS_THREADS, once a fallback for --threads, is not read: it rescues no bad flag
     cfg = _small_config(tmp_path)
     if env is None:
         monkeypatch.delenv("SKETCHLS_THREADS", raising=False)
     else:
         monkeypatch.setenv("SKETCHLS_THREADS", env)
-    argv = ["experiment", "--config", str(cfg)] + (["--threads", flag] if flag else [])
-    code, out, err = _run(capsys, *argv)
+    code, out, err = _run(capsys, "experiment", "--config", str(cfg), "--threads", flag)
     assert code == 1 and out == ""
     assert err == f"usage error: {message}\n"
     assert not (tmp_path / "res.csv").exists()
@@ -560,6 +553,8 @@ _EXIT_TABLE = [
     (f"{_BOUNDS} --rho -1", 2, "rho must be nonnegative"),
     (f"{_BOUNDS} --rho 1 --eps -1", 2, "eps must be finite and nonnegative"),
     (f"{_BOUNDS} --B -1 --sigma-min 1", 2, "B must be positive"),
+    (f"{_BOUNDS} --B 1e308 --sigma-min 1", 0, None),
+    (f"{_BOUNDS} --B 1e-308 --sigma-min 1", 0, None),
     (f"{_BOUNDS} --sigma-min 2 --sigma-max 1", 2, "sigma_min must not exceed sigma_max"),
     (f"{_BOUNDS} --eta2 -1 --sigma-min 1 --sigma-max 2", 2, "eta2, r2, d and sigma_max"),
     (f"{_BOUNDS} --rho inf", 0, None),
@@ -581,6 +576,9 @@ _EXIT_TABLE = [
     ("verify stein --cond -1", 2, "0 < --cond < inf"),
     ("verify stein --theta-norm nan", 2, "--theta-norm must be finite"),
     ("verify stein --theta-norm inf", 2, "--theta-norm must be finite"),
+    ("verify stein --samples 2000 --theta-norm 1e100", 2, "does not carry its noise"),
+    ("verify stein --samples 2000 --theta-norm 1e308", 2, "does not carry its noise"),
+    (f"verify stein --d {2**64}", 2, "--d must be at most"),
     ("verify stein --tol nan", 2, "--tol must be finite and positive"),
     ("verify stein --tol inf", 2, "--tol must be finite and positive"),
     ("verify stein --samples 2000 --tol 0", 2, "--tol must be finite and positive"),
@@ -668,3 +666,114 @@ def test_main_maps_each_error_class_to_its_exit_code(capsys, monkeypatch, cls):
     assert code == _DOCUMENTED_EXIT[cls]
     prefix = "error" if code == 2 else "numerical failure"
     assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
+# Sizes stay at most 64, so no drawn argument vector asks for a large allocation; the
+# out-of-range integers and special floats are where a traceback would hide.
+_INTS = st.one_of(st.integers(1, 64), st.sampled_from([-1, 0, 2**64]))
+_SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64]))
+_FLOATS = st.one_of(st.floats(1e-3, 1e3),
+                    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, 1e-308,
+                                     1e100]))
+
+
+@st.composite
+def _argv(draw, paths):
+    """One argument vector for a subcommand, every size flag given and drawn."""
+    def flags(**kinds):
+        out = []
+        for name, strategy in kinds.items():
+            if strategy is _FLOATS and draw(st.booleans()):
+                continue  # an optional float flag keeps its default
+            out.append(f"--{name.replace('_', '-')}={draw(strategy)!r}")  # "=": negatives too
+        return out
+
+    family = ["--family", draw(st.sampled_from(FAMILIES))]
+    command = draw(st.sampled_from(["datagen", "solve", "sketch-solve", "experiment", "bounds",
+                                    "stein", "residual", "gram"]))
+    if command == "datagen":
+        return ["datagen", "--out", paths["out"]] + flags(n=_INTS, d=_INTS, seed=_SEEDS,
+                                                          rho=_FLOATS)
+    if command == "solve":
+        return ["solve", "--data", paths["data"]]
+    if command == "sketch-solve":
+        kind = ["--estimator", draw(st.sampled_from(_VECTOR_KINDS))]
+        return ["sketch-solve", "--data", paths["data"]] + family + kind + flags(m=_INTS,
+                                                                               seed=_SEEDS)
+    if command == "experiment":
+        return ["experiment", "--config", paths["cfg"]] + flags(threads=_INTS)
+    if command == "bounds":
+        return ["bounds"] + flags(d=_INTS, m=_INTS, r2=_FLOATS, rho=_FLOATS, eps=_FLOATS,
+                                  B=_FLOATS, eta2=_FLOATS, sigma_min=_FLOATS, sigma_max=_FLOATS)
+    if command == "stein":
+        return ["verify", "stein"] + flags(d=_INTS, samples=_INTS, seed=_SEEDS,
+                                           theta_norm=_FLOATS, cond=_FLOATS, tol=_FLOATS)
+    if command == "residual":
+        return ["verify", "residual"] + family + flags(n=_INTS, d=_INTS, m=_INTS, reps=_INTS,
+                                                       seed=_SEEDS, rho=_FLOATS, tol=_FLOATS)
+    return ["verify", "gram"] + family + flags(n=_INTS, m=_INTS, reps=_INTS, seed=_SEEDS,
+                                               tol=_FLOATS)
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    p, _ = gen_gaussian_data(SyntheticSpec(n=64, d=6, rho=0.5, seed=91))
+    save_dense_csv(p, root / "data.csv")
+    cfg = _small_config(root)
+    cfg.write_text(cfg.read_text() + "experiment.reps = 3\n")
+    return {"data": str(root / "data.csv"), "cfg": str(cfg), "out": str(root / "out.csv")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_no_argument_vector_ends_in_a_traceback(fuzz_paths, data):
+    argv = data.draw(_argv(fuzz_paths))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in range(5), (argv, err)
+    assert "Traceback" not in out + err, argv
+    if code in (1, 2, 3):
+        assert len(err.splitlines()) == 1, (argv, err)
+    else:
+        assert err == "", (argv, err)
+
+
+@pytest.fixture()
+def refused_allocation(monkeypatch):
+    """numpy's refusal of a draw past memory, simulated: no large array is ever requested."""
+    default_rng = np.random.default_rng
+    built = []
+
+    class Refusing:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def standard_normal(self, size):
+            if math.prod(np.atleast_1d(size)) > 10**6:
+                raise MemoryError(f"Unable to allocate an array with shape {size}")
+            return self._rng.standard_normal(size)
+
+    def geomspace(*args, **kwargs):
+        built.append(args)
+        return np.logspace(0, 0, 1)
+
+    monkeypatch.setattr(np.random, "default_rng", Refusing)
+    monkeypatch.setattr(np, "geomspace", geomspace)
+    return built
+
+
+@pytest.mark.parametrize("argv", [
+    "verify stein --d 100000000",
+    "sketch-solve --data {data} --family gaussian --m 100000000 --seed 3",
+])
+def test_an_allocation_past_memory_exits_2(capsys, dataset, refused_allocation, argv):
+    code, out, err = _run(capsys, *argv.format(data=dataset).split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+    assert refused_allocation == []  # verify stein draws its d x d matrix before the spectrum

@@ -76,7 +76,7 @@ class TestSolveExact:
         rng = np.random.default_rng(5)
         A = rng.standard_normal((20, 4))
         Y = rng.standard_normal((20, 3))
-        sol = solve_exact(ProblemInstance(A, Y=Y))
+        sol = solve_exact(ProblemInstance(A, Y))
         assert sol.x_ls.shape == (4, 3)
         assert np.max(np.abs(A.T @ sol.y_perp)) < 1e-10
 
@@ -169,7 +169,7 @@ class TestSingleFactorization:
         rng = np.random.default_rng(14)
         A = rng.standard_normal((50, 7))
         b = rng.standard_normal(50 if k is None else (50, k))
-        p = ProblemInstance(A, y=b) if k is None else ProblemInstance(A, Y=b)
+        p = ProblemInstance(A, b)
         ref = np.linalg.lstsq(A, b, rcond=None)[0]
         assert np.linalg.norm(solve_exact(p).x_ls - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -228,7 +228,7 @@ class TestSharedRankRule:
         rng = np.random.default_rng(40)
         A = rng.standard_normal((40, 6))
         b = rng.standard_normal(40 if k is None else (40, k))
-        p = ProblemInstance(A, y=b) if k is None else ProblemInstance(A, Y=b)
+        p = ProblemInstance(A, b)
         solve_exact(p)
         assert svd_calls == []
 
@@ -258,5 +258,5 @@ class TestSharedRankRule:
         rng = np.random.default_rng(42)
         A = rng.standard_normal((30, 5))
         b = rng.standard_normal(30 if k is None else (30, k))
-        p = ProblemInstance(A, y=b) if k is None else ProblemInstance(A, Y=b)
+        p = ProblemInstance(A, b)
         assert np.array_equal(solve_exact(p).x_ls, classical(A, b).x_hat)

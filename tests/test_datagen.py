@@ -64,7 +64,7 @@ class TestGeneration:
     def test_matrix_target(self):
         spec = SyntheticSpec(n=128, d=10, rho=0.1, seed=35, k=4)
         p, sol = gen_gaussian_data(spec)
-        assert p.Y.shape == (128, 4)
+        assert p.y.shape == (128, 4)
         assert sol.x_ls.shape == (10, 4)
         assert sol.pred_energy == pytest.approx(1.0, rel=1e-12)
         assert sol.r2 == pytest.approx(10.0, rel=1e-10)

@@ -167,9 +167,8 @@ class TestOneHot:
             rows.append(f"{i % 3},{feats}")
         path = _write(tmp_path, "f.csv", "\n".join(rows) + "\n")
         p = load(DatasetFile(path=str(path), onehot=3))
-        assert p.Y.shape == (12, 3)
-        assert np.all(p.Y.sum(axis=1) == 1.0)
-        assert p.target is p.Y
+        assert p.y.shape == (12, 3)
+        assert np.all(p.y.sum(axis=1) == 1.0)
 
     @pytest.mark.parametrize("kwargs", [dict(onehot=1), dict(format="xml")])
     def test_descriptor_errors_are_typed(self, kwargs):

@@ -34,7 +34,7 @@ from sketchls.estimators import classical_stacked
 def _sketched(spec, p, sol):
     op = make_operator(spec, p.n)
     SA = apply(op, p.A)
-    St = apply(op, p.target)
+    St = apply(op, p.y)
     return SA, St, classical(SA, St)
 
 

@@ -47,7 +47,7 @@ def _sq(a) -> float:
 
 def _gram_gap(instance, r_tilde) -> float:
     """max |R~^T R~ - [A|b]^T [A|b]|, relative to the largest Gram entry."""
-    AB = np.column_stack([instance.A, instance.target])
+    AB = np.column_stack([instance.A, instance.y])
     gram = AB.T @ AB
     return float(np.max(np.abs(r_tilde.T @ r_tilde - gram)) / np.max(np.abs(gram)))
 
@@ -77,14 +77,14 @@ class TestAugmentedFactor:
             kappa = 2.0 if case == "kappa" else 0.0
         instance, _ = resolve_instance(_cfg(source, kappa=kappa))
         r_tilde = instance.R_tilde
-        k = 1 if instance.Y is None else instance.Y.shape[1]
+        k = 1 if instance.y.ndim == 1 else instance.y.shape[1]
         assert r_tilde.shape == (instance.d + k, instance.d + k)
         assert np.all(np.tril(r_tilde, -1) == 0.0)
         assert _gram_gap(instance, r_tilde) <= REL
 
     def test_fewer_rows_than_columns_of_ab(self):
         rng = np.random.default_rng(37)
-        p = ProblemInstance(rng.standard_normal((6, 3)), Y=rng.standard_normal((6, 5)))
+        p = ProblemInstance(rng.standard_normal((6, 3)), rng.standard_normal((6, 5)))
         assert p.R_tilde.shape == (8, 8)
         assert np.all(p.R_tilde[6:] == 0.0)
         assert _gram_gap(p, p.R_tilde) <= REL
@@ -109,7 +109,7 @@ def _reference_rep(p, sol, family, m, seed, aux_seed, kinds, two_sketch, weights
 
     The auxiliary sketch is drawn only when a kind reads a residual estimate.
     """
-    A, b, n, d = p.A, p.target, p.n, p.d
+    A, b, n, d = p.A, p.y, p.n, p.d
 
     def sketch(s):
         op = make_operator(SketchSpec(family, m, s), n, weights=weights)
@@ -311,6 +311,42 @@ class TestGaussianCells:
         assert np.mean(explicit["classical"]) == pytest.approx(exact, rel=0.05)
 
 
+# (d, m, rho): d from 3 to 50 and m/d from 1.1 to 10; the law depends on neither n nor rho,
+# and at m <= d + 3 only classical runs
+_LAW_GRID = [(3, 4, 0.1), (3, 12, 1.0), (3, 30, 10.0), (10, 11, 1.0), (10, 30, 0.1),
+             (10, 100, 10.0), (25, 29, 10.0), (25, 250, 0.1), (50, 55, 1.0), (50, 150, 10.0)]
+
+
+def test_every_gaussian_cell_follows_its_exact_law():
+    """Classical errors follow F(d, m-d+1); js-oracle and shrinkage stay under bound_upper_sa.
+
+    With a Gaussian sketch, ||R(x_hat - x_ls)||^2 = r2 v^T W^-1 v (v ~ N(0, I_d), W Wishart),
+    so n pred_err / r2 (m-d+1)/d is F(d, m-d+1) by Hotelling's T^2, for any data.  Each
+    cell runs one KS test against that law, and each shrinkage kind one one-sided z test
+    of its mean sa_err against the paper's ceiling.  alpha = 0.01 bounds the chance that a
+    correct build fails anywhere on the grid: each of the K checks runs at level alpha / K.
+    About 2 s on one core.
+    """
+    alpha, reps = 0.01, 600
+    pvalues, zscores = {}, {}
+    for d, m, rho in _LAW_GRID:
+        res = run_experiment(_cfg(SyntheticSpec(n=d + 8, d=d, rho=rho,
+                                                seed=derive_seed(17, "datagen", d, m)),
+                                  m_values=(m,), estimators=("classical", "js-oracle", "shrinkage"),
+                                  reps=reps, master_seed=17))
+        f = np.array(res.cell("gaussian", m, "classical").per_rep_pred_err) * res.n / res.r2
+        pvalues[d, m, rho] = stats.kstest(f * (m - d + 1) / d, stats.f(d, m - d + 1).cdf).pvalue
+        for kind in ("js-oracle", "shrinkage"):
+            cell = res.cell("gaussian", m, kind)
+            if cell.skipped is None:
+                se = cell.std_sa_err / math.sqrt(cell.reps)
+                zscores[d, m, rho, kind] = (cell.mean_sa_err - cell.bound_upper_sa) / se
+    level = alpha / (len(pvalues) + len(zscores))
+    assert len(zscores) == 16  # every cell with m > d + 3, both kinds
+    assert {key: p for key, p in pvalues.items() if p <= level} == {}
+    assert {key: z for key, z in zscores.items() if z >= stats.norm.isf(level)} == {}
+
+
 @st.composite
 def _problems(draw):
     d = draw(st.integers(1, 8))
@@ -328,7 +364,7 @@ def test_factor_and_metric_identities(problem):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, d))
     b = rng.standard_normal(n if k is None else (n, k))
-    p = ProblemInstance(A, y=b) if k is None else ProblemInstance(A, Y=b)
+    p = ProblemInstance(A, b)
     sol = solve_exact(p)
     assert _gram_gap(p, p.R_tilde) <= REL
 

@@ -245,7 +245,7 @@ class TestRunExperiment:
 class TestSteinCheck:
     def test_identity_covariance(self):
         inst = SteinInstance(theta=np.zeros(10), sigma=np.eye(10), samples=100_000, seed=60)
-        lhs, rhs = verify_stein(inst)
+        lhs, rhs = verify_stein(inst, 0.02)
         assert abs(lhs - rhs) <= 0.02 * abs(rhs)
         # chi-square inverse moment: E[1/quad] = 1/(d-2), so both sides are near 2
         assert rhs == pytest.approx(10 - 64 / 8, abs=0.15)
@@ -253,8 +253,19 @@ class TestSteinCheck:
     def test_smallest_valid_dimension(self):
         inst = SteinInstance(theta=np.zeros(3), sigma=np.eye(3) * 2.0,
                              samples=200_000, seed=63)
-        lhs, rhs = verify_stein(inst)
+        lhs, rhs = verify_stein(inst, 0.03)
         assert abs(lhs - rhs) <= 0.03 * abs(rhs)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale, tol", [(1e100, 0.02), (1e300, 10.0)])
+    def test_a_theta_that_swallows_its_noise(self, scale, tol):
+        # theta + noise rounds to theta: invalid input within tol, and no overflow warning past it
+        inst = SteinInstance(theta=np.full(3, scale), sigma=np.eye(3), samples=100, seed=64)
+        if tol < 1:
+            with pytest.raises(InvalidInputError, match="does not carry its noise"):
+                verify_stein(inst, tol)
+        else:  # X is theta: quad overflows to inf, the factor is 1 and the error 0
+            assert verify_stein(inst, tol) == (0.0, 3.0)
 
     def test_naive_estimator_error_is_dimension(self):
         d, samples = 10, 100_000
