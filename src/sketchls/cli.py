@@ -33,7 +33,8 @@ from .harness import (
     verify_residual_unbiased,
     verify_stein,
 )
-from .sketches import FAMILIES, SketchSpec, check_seed, derive_seed, sampling_weights
+from .sketches import (FAMILIES, SketchSpec, check_addressable, check_seed, derive_seed,
+                       sampling_weights)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,8 +181,7 @@ def _cmd_verify_stein(args) -> int:
         raise InvalidInputError(f"need --d > 2 and 0 < --cond < inf, got {args.d}, {args.cond}")
     if not math.isfinite(args.theta_norm):
         raise InvalidInputError(f"--theta-norm must be finite, got {args.theta_norm}")
-    if args.d ** 2 > _INDEX_MAX // 8:
-        raise InvalidInputError(f"--d {args.d} is too large for numpy to address a d x d matrix")
+    check_addressable((args.d, args.d), "--d's covariance")
     check_seed(args.seed)
     # the d x d draw is the first allocation, so a --d too large for memory builds nothing
     rng = np.random.default_rng(args.seed)

@@ -23,14 +23,6 @@ from .errors import DimensionMismatchError, InvalidInputError, RankDeficientErro
 RANK_TOL = 1e-10
 
 
-def _readonly_f64(a, name: str) -> np.ndarray:
-    arr = np.array(a, dtype=np.float64, copy=True)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class ExactSolution:
     """Exact solution artifacts of a least-squares instance.
@@ -122,15 +114,15 @@ class ProblemInstance:
     Holds an n-by-d data matrix ``A`` and one target ``y``: a length-n
     vector, or an n-by-k matrix for matrix regression.  ``y.ndim`` alone
     says which.  Construction validates shapes, finiteness, and full
-    column rank.  The instance keeps a read-only, C-contiguous ``AB`` =
-    [A | y] (k' target columns) and factors it once with `lstsq_factor`:
+    column rank.  It copies [A | y] once, into a read-only, C-contiguous
+    ``AB`` (k' target columns) with views ``A`` and ``y``, and factors it once with `lstsq_factor`:
     ``R_tilde`` is its (d+k') x (d+k') triangular factor, zero below row n
     when n < d+k', and ``R`` (A's R factor) a view of its leading block,
     both read-only.  `solution` is `lstsq_solve` on ``R_tilde``, cached.
     """
 
     def __init__(self, A, y=None):
-        A = _readonly_f64(A, "A")
+        A = np.asarray(A, dtype=np.float64)
         if A.ndim != 2:
             raise DimensionMismatchError("A must be a 2-d matrix")
         n, d = A.shape
@@ -138,15 +130,19 @@ class ProblemInstance:
             raise DimensionMismatchError(f"need n > d >= 1, got A with shape {A.shape}")
         if y is None:
             raise DimensionMismatchError("a target y (vector or matrix) is required")
-        y = _readonly_f64(y, "y")
+        y = np.asarray(y, dtype=np.float64)
         if y.ndim not in (1, 2) or y.shape[0] != n:
             raise DimensionMismatchError(f"y must have shape ({n},) or ({n}, k), got {y.shape}")
-        AB = np.column_stack((A, y))
+        AB = np.empty((n, d + y.size // n))  # C-contiguous whatever the inputs' order
+        AB[:, :d], AB[:, d:] = A, y.reshape(n, y.size // n)
+        for name, block in (("A", AB[:, :d]), ("y", AB[:, d:])):
+            if not np.isfinite(block).all():
+                raise InvalidInputError(f"{name} contains non-finite entries")
         AB.setflags(write=False)
         R_tilde = lstsq_factor(AB, d, RankDeficientError, "A")
         R_tilde.setflags(write=False)
-        self.A = A
-        self.y = y
+        self.A = AB[:, :d]
+        self.y = AB[:, d:].reshape(y.shape)
         self.n = n
         self.d = d
         self.AB = AB

@@ -17,7 +17,7 @@ from scipy.linalg import lapack
 
 from .core import ExactSolution, ProblemInstance, solve_exact
 from .errors import DegenerateNoiseError, InvalidInputError
-from .sketches import check_seed
+from .sketches import check_addressable, check_seed
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,7 @@ class SyntheticSpec:
             raise InvalidInputError(f"rho must be positive, got {self.rho}")
         if self.k is not None and self.k < 1:
             raise InvalidInputError("k must be >= 1 when given")
+        check_addressable((self.n, self.d + (self.k or 1)), "an instance [A | y]")
         check_seed(self.seed)
 
 
@@ -77,15 +78,16 @@ def gen_gaussian_data(spec: SyntheticSpec) -> tuple[ProblemInstance, ExactSoluti
     noise V w scaled by alpha = 1/(sqrt(rho) ||V w||), which makes the
     residual energy exactly 1/rho.  The standard deviation of w cancels
     in that normalization, so w is drawn with unit variance.  V w comes
-    from A's Householder reflectors, so generation costs O(nd^2) time
-    and O(nd) memory.
+    from A's Householder reflectors in O(nd^2) time, freed before the
+    instance factors [A | y]: the peak holds A, AB and the QR's copy of AB.
 
     Returns the instance together with the planted solution artifacts.
     """
     rng = np.random.default_rng(spec.seed)
     n, d = spec.n, spec.d
     L = np.linalg.cholesky(ar1_covariance(d))
-    A = 1.0 + rng.standard_normal((n, d)) @ L.T
+    A = rng.standard_normal((n, d)) @ L.T
+    A += 1.0  # in place, bitwise 1.0 + A: no third n x d array
 
     shape = (d,) if spec.k is None else (d, spec.k)
     x0 = rng.standard_normal(shape)
@@ -94,18 +96,18 @@ def gen_gaussian_data(spec: SyntheticSpec) -> tuple[ProblemInstance, ExactSoluti
     # numpy's raw QR, not scipy's (the reflectors are the same): a level-3 call on
     # scipy's BLAS leaves its threads spinning against numpy's, which doubled the
     # time of the instance's own QR below with two BLAS threads.
-    h, tau = np.linalg.qr(A, mode="raw")
-    reflectors = h.T
+    h, tau = np.linalg.qr(A, mode="raw")  # h.T holds A's reflectors
     noise_shape = (n - d,) + shape[1:]
     for _ in range(2):
         w = rng.standard_normal(noise_shape)
-        noise = _null_space_part(reflectors, tau, w)
+        noise = _null_space_part(h.T, tau, w)
         noise_norm = np.linalg.norm(noise)
         if noise_norm > 0:
             break
     else:
         raise DegenerateNoiseError("null-space noise vanished twice in a row")
 
+    del h  # A's n x d reflectors are dead before the instance factors [A | y]
     alpha = 1.0 / (math.sqrt(spec.rho) * noise_norm)
     y_perp = alpha * noise
     fitted = A @ x_ls

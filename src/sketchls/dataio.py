@@ -176,13 +176,13 @@ def _data_line(path: Path, row: int, fmt: str) -> int:
 
 def _one_hot(labels: np.ndarray, k: int, line: Callable[[int], int]) -> np.ndarray:
     """The n-by-k indicator matrix of `labels`; `line(row)` names a bad label's file line."""
+    # NaN fails every comparison, and infinity the range test
+    bad = np.flatnonzero(~((0 <= labels) & (labels < k) & (labels == np.trunc(labels))))
+    if bad.size:
+        raise LabelOutOfRangeError(f"label {float(labels[bad[0]])!r} not an integer in [0, {k})",
+                                   line=line(int(bad[0])))
     Y = np.zeros((labels.shape[0], k))
-    for r, label in enumerate(labels):
-        # the range test comes first: it is False for NaN and infinity, which int() rejects
-        if not (0 <= label < k and label == int(label)):
-            raise LabelOutOfRangeError(f"label {float(label)!r} not an integer in [0, {k})",
-                                       line=line(r))
-        Y[r, int(label)] = 1.0
+    Y[np.arange(labels.shape[0]), labels.astype(np.intp)] = 1.0
     return Y
 
 

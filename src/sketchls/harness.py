@@ -46,6 +46,7 @@ from .sketches import (
     SketchSpec,
     apply,
     as_matrix,
+    check_addressable,
     check_seed,
     derive_seed,
     make_operator,
@@ -161,6 +162,7 @@ def sketch_factor(instance: ProblemInstance, family: str, m: int, seed: int, wei
     """
     spec = SketchSpec(family, m, seed)
     if family == "gaussian":
+        check_addressable((m, instance.AB.shape[1]), "a gaussian sketch")
         G = np.random.default_rng(seed).standard_normal((m, instance.AB.shape[1]))
         SB = G @ instance.R_tilde
         SB /= math.sqrt(m)
@@ -323,6 +325,7 @@ class SteinInstance:
             raise NotSpdError("covariance is not positive definite") from None
         if self.samples < 1:
             raise InvalidInputError(f"samples must be >= 1, got {self.samples}")
+        check_addressable((self.samples, d), "the Stein sample")
         check_seed(self.seed)
 
 
@@ -367,6 +370,7 @@ def verify_residual_unbiased(p: ProblemInstance, family: str, m: int, reps: int,
     """Monte Carlo means of the two residual-energy estimates, which both target r2."""
     if reps < 1:
         raise InvalidInputError(f"reps must be >= 1, got {reps}")
+    check_addressable((reps,), "a repetition log")
     weights = sampling_weights(family, p.A)
     full = np.empty(reps)
     sketched = np.empty(reps)
@@ -388,6 +392,7 @@ def verify_gram_identity(family: str, n: int, m: int, reps: int, seed: int) -> f
     """
     if n < 1 or reps < 1:
         raise InvalidInputError(f"n and reps must be >= 1, got n={n}, reps={reps}")
+    check_addressable((n, n), "the Gram accumulator")
     weights = None
     if family in WEIGHTED_FAMILIES:
         rng = np.random.default_rng(derive_seed(seed, "gram-aux"))

@@ -35,12 +35,24 @@ _WEIGHT_SUM_TOL = 1e-12
 _MASK64 = (1 << 64) - 1
 _RADIX_BITS = 6  # SRHT applies H_b in Kronecker factors of at most 2**6 rows, one GEMM each
 _SRHT_BLOCK = 32  # columns per SRHT block; bounds its two n_pad-row scratch buffers
+_UNPACK_ROWS = 64  # Rademacher rows per unpack; bounds its uint8 bit block at 64 x n
+_FLOAT64_COUNT_MAX = np.iinfo(np.intp).max // 8  # numpy sizes arrays in signed intp bytes
 
 
 def check_seed(seed: int, error: type[Exception] = InvalidInputError) -> None:
     """Raise `error` unless seed fits in 64 unsigned bits, the range every seed shares."""
     if not 0 <= seed <= _MASK64:
         raise error(f"seed must fit in 64 unsigned bits, got {seed}")
+
+
+def check_addressable(shape: tuple[int, ...], what: str) -> None:
+    """Raise InvalidInputError when numpy cannot address a float64 array of `shape`.
+
+    numpy refuses one past np.intp's byte range with a bare ValueError, so each count
+    that sizes an array is checked here, where it sizes it, before anything is drawn.
+    """
+    if math.prod(shape) > _FLOAT64_COUNT_MAX:
+        raise InvalidInputError(f"{what} of shape {shape} is too large for numpy to address")
 
 
 def _splitmix64(z: int) -> int:
@@ -106,6 +118,9 @@ class SketchOperator:
     """
 
     def __init__(self, spec: SketchSpec, n: int, weights=None):
+        # every kernel draws m-row arrays; a dense one holds the m x n matrix itself
+        check_addressable((spec.m, n if isinstance(self, _Dense) else 1),
+                          f"a {spec.family} sketch")
         self.spec = spec
         self.n = n
         self._realize(np.random.default_rng(spec.seed), weights)
@@ -165,13 +180,16 @@ class _Gaussian(_Dense):
 
 
 class _Rademacher(_Dense):
+    """Eight signs per random byte, unpacked _UNPACK_ROWS rows at a time: no m x n bit array."""
+
     def _realize(self, rng, weights):
-        # eight signs per random byte; the packed draw needs n/8 bytes per row, not 8n
         packed = rng.integers(0, 256, size=(self.m, -(-self.n // 8)), dtype=np.uint8)
-        bits = np.unpackbits(packed, axis=1, count=self.n)
         # bits * 2s - s is exact, so it equals (2 bits - 1) / sqrt(m) bitwise
         s = 1.0 / math.sqrt(self.m)
-        dense = np.multiply(bits, 2.0 * s)
+        dense = np.empty((self.m, self.n))
+        for r in range(0, self.m, _UNPACK_ROWS):  # each bit block dies before the next
+            np.multiply(np.unpackbits(packed[r:r + _UNPACK_ROWS], axis=1, count=self.n),
+                        2.0 * s, out=dense[r:r + _UNPACK_ROWS])
         dense -= s
         self.dense = _frozen(dense)
 
@@ -317,6 +335,7 @@ def apply(op: SketchOperator, M) -> np.ndarray:
         M = M[:, None]
     if M.ndim != 2 or M.shape[0] != op.n:
         raise DimensionMismatchError(f"expected {op.n} rows, got shape {M.shape}")
+    check_addressable((op.m, M.shape[1]), "a sketch's output")
     out = op._apply(M)
     return out[:, 0] if vector else out
 

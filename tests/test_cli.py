@@ -506,6 +506,7 @@ _EXIT_TABLE = [
     (f"{_DATAGEN} --seed -1 --out {{out}}", 2, "seed must fit"),
     (f"{_DATAGEN} --seed {2**64} --out {{out}}", 2, "seed must fit"),
     ("datagen --n 64 --d 4 --rho 0 --seed 1 --out {out}", 2, "rho must be positive"),
+    (f"datagen --n {2**62} --d 4 --rho 1 --seed 1 --out {{out}}", 2, "too large for numpy"),
     (f"{_DATAGEN} --seed 1 --out {{nodir}}", 2, "No such file or directory"),
     ("solve --data {data}", 0, None),
     ("solve", 1, None),
@@ -522,6 +523,12 @@ _EXIT_TABLE = [
     (_SKETCH, 0, None),
     (f"{_SKETCH} --estimator shrinkage-fro", 1, None),
     ("sketch-solve --data {data} --family srht --m 0 --seed 3", 2, "sketch size m must be >= 1"),
+    (f"sketch-solve --data {{data}} --family gaussian --m {2**62} --seed 3", 2,
+     "too large for numpy"),
+    (f"sketch-solve --data {{data}} --family rademacher --m {2**62} --seed 3", 2,
+     "too large for numpy"),
+    (f"sketch-solve --data {{data}} --family countsketch --m {2**62} --seed 3", 2,
+     "too large for numpy"),
     ("sketch-solve --data {data} --family srht --m 24 --seed -1", 2, "seed must fit"),
     ("sketch-solve --data {data} --family gaussian --m 3 --seed 3", 3,
      "m=3 <= d+3=9: shrinkage domain"),
@@ -579,6 +586,8 @@ _EXIT_TABLE = [
     ("verify stein --samples 2000 --theta-norm 1e100", 2, "does not carry its noise"),
     ("verify stein --samples 2000 --theta-norm 1e308", 2, "does not carry its noise"),
     (f"verify stein --d {2**64}", 2, "--d must be at most"),
+    (f"verify stein --d {2**62}", 2, "too large for numpy"),
+    (f"verify stein --samples {2**62}", 2, "too large for numpy"),
     ("verify stein --tol nan", 2, "--tol must be finite and positive"),
     ("verify stein --tol inf", 2, "--tol must be finite and positive"),
     ("verify stein --samples 2000 --tol 0", 2, "--tol must be finite and positive"),
@@ -588,6 +597,9 @@ _EXIT_TABLE = [
     ("verify residual --reps 0", 2, "reps must be >= 1"),
     ("verify residual --seed -1", 2, "seed must fit"),
     ("verify residual --n 4 --d 4", 2, "need n > d >= 1"),
+    (f"verify residual --n {2**62}", 2, "too large for numpy"),
+    (f"verify residual --m {2**62} --reps 5", 2, "too large for numpy"),
+    (f"verify residual --reps {2**62}", 2, "too large for numpy"),
     ("verify residual --n 64 --d 4 --m 3 --reps 5", 3, "m=3 below column count"),
     ("verify residual --n 64 --d 4 --m 5 --reps 5", 3, "residual estimate needs m > d+1"),
     ("verify residual --rho inf", 2, "plants r2 = 0"),
@@ -601,6 +613,8 @@ _EXIT_TABLE = [
     ("verify gram --family gaussian --n 0 --m 4", 2, "n and reps must be >= 1"),
     ("verify gram --family gaussian --n 8 --m 0", 2, "sketch size m must be >= 1"),
     (f"{_GRAM} --reps 0", 2, "n and reps must be >= 1"),
+    (f"verify gram --family gaussian --n {2**62} --m 4", 2, "too large for numpy"),
+    (f"verify gram --family uniform --n 8 --m {2**62}", 2, "too large for numpy"),
     (f"{_GRAM} --seed -1", 2, "seed must fit"),
     (f"{_GRAM} --tol nan", 2, "--tol must be finite and positive"),
     (f"{_GRAM} --tol=-inf", 2, "--tol must be finite and positive"),
@@ -669,8 +683,12 @@ def test_main_maps_each_error_class_to_its_exit_code(capsys, monkeypatch, cls):
 
 
 # Sizes stay at most 64, so no drawn argument vector asks for a large allocation; the
-# out-of-range integers and special floats are where a traceback would hide.
+# out-of-range integers and special floats are where a traceback would hide.  An array's
+# size (--n, --d, --m) may also be 2**62, a legal count whose array numpy cannot address.
+# --reps, --samples and --threads are never drawn that large: --reps and --threads size
+# loops and thread pools.  The exit table checks --reps and --samples at 2**62.
 _INTS = st.one_of(st.integers(1, 64), st.sampled_from([-1, 0, 2**64]))
+_SIZES = st.one_of(_INTS, st.just(2**62))
 _SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64]))
 _FLOATS = st.one_of(st.floats(1e-3, 1e3),
                     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, 1e-308,
@@ -692,26 +710,26 @@ def _argv(draw, paths):
     command = draw(st.sampled_from(["datagen", "solve", "sketch-solve", "experiment", "bounds",
                                     "stein", "residual", "gram"]))
     if command == "datagen":
-        return ["datagen", "--out", paths["out"]] + flags(n=_INTS, d=_INTS, seed=_SEEDS,
+        return ["datagen", "--out", paths["out"]] + flags(n=_SIZES, d=_SIZES, seed=_SEEDS,
                                                           rho=_FLOATS)
     if command == "solve":
         return ["solve", "--data", paths["data"]]
     if command == "sketch-solve":
         kind = ["--estimator", draw(st.sampled_from(_VECTOR_KINDS))]
-        return ["sketch-solve", "--data", paths["data"]] + family + kind + flags(m=_INTS,
+        return ["sketch-solve", "--data", paths["data"]] + family + kind + flags(m=_SIZES,
                                                                                seed=_SEEDS)
     if command == "experiment":
         return ["experiment", "--config", paths["cfg"]] + flags(threads=_INTS)
     if command == "bounds":
-        return ["bounds"] + flags(d=_INTS, m=_INTS, r2=_FLOATS, rho=_FLOATS, eps=_FLOATS,
+        return ["bounds"] + flags(d=_SIZES, m=_SIZES, r2=_FLOATS, rho=_FLOATS, eps=_FLOATS,
                                   B=_FLOATS, eta2=_FLOATS, sigma_min=_FLOATS, sigma_max=_FLOATS)
     if command == "stein":
-        return ["verify", "stein"] + flags(d=_INTS, samples=_INTS, seed=_SEEDS,
+        return ["verify", "stein"] + flags(d=_SIZES, samples=_INTS, seed=_SEEDS,
                                            theta_norm=_FLOATS, cond=_FLOATS, tol=_FLOATS)
     if command == "residual":
-        return ["verify", "residual"] + family + flags(n=_INTS, d=_INTS, m=_INTS, reps=_INTS,
+        return ["verify", "residual"] + family + flags(n=_SIZES, d=_SIZES, m=_SIZES, reps=_INTS,
                                                        seed=_SEEDS, rho=_FLOATS, tol=_FLOATS)
-    return ["verify", "gram"] + family + flags(n=_INTS, m=_INTS, reps=_INTS, seed=_SEEDS,
+    return ["verify", "gram"] + family + flags(n=_SIZES, m=_SIZES, reps=_INTS, seed=_SEEDS,
                                                tol=_FLOATS)
 
 

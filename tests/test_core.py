@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,48 @@ class TestInstanceValidation:
         p = _random_instance()
         with pytest.raises(ValueError):
             p.A[0, 0] = 1.0
+
+
+class TestOneCopy:
+    """An instance holds [A | y] once: A and y are read-only views of AB."""
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_a_and_y_are_views_of_ab_and_outlive_the_callers_writes(self, k):
+        rng = np.random.default_rng(21)
+        A = rng.standard_normal((12, 4))
+        y = rng.standard_normal(12 if k is None else (12, k))
+        A0, y0 = A.copy(), y.copy()
+        p = ProblemInstance(A, y)
+        assert p.AB.flags.c_contiguous and not p.AB.flags.writeable
+        for view, ref in ((p.A, A0), (p.y, y0)):
+            assert np.shares_memory(view, p.AB) and not view.flags.writeable
+            assert view.shape == ref.shape
+        A[:] = np.nan
+        y[...] = np.inf
+        assert np.array_equal(p.A, A0) and np.array_equal(p.y, y0)
+
+    def test_fortran_inputs_give_a_c_contiguous_ab(self):
+        rng = np.random.default_rng(22)
+        A = np.asfortranarray(rng.standard_normal((12, 4)))
+        y = np.asfortranarray(rng.standard_normal((12, 2)))
+        p = ProblemInstance(A, y)
+        assert p.AB.flags.c_contiguous
+        assert np.array_equal(p.AB, np.column_stack((A, y)))
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_an_instance_retains_ab_r_tilde_and_small_arrays_only(self, k):
+        rng = np.random.default_rng(23)
+        n, d = 4096, 50
+        A = rng.standard_normal((n, d))
+        y = rng.standard_normal(n if k is None else (n, k))
+        tracemalloc.start()
+        try:
+            p = ProblemInstance(A, y)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a copy of A or y kept beside AB would add at least n * 8 = 32 KiB
+        assert retained <= p.AB.nbytes + p.R_tilde.nbytes + 8 * 1024
 
 
 class TestPredictionError:

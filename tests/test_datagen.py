@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,19 @@ class TestGeneration:
         assert sol.r2 == pytest.approx(10.0, rel=1e-10)
         resolved = solve_exact(p)
         assert np.max(np.abs(resolved.x_ls - sol.x_ls)) <= 1e-8
+
+
+    def test_peak_holds_at_most_three_and_a_half_instance_arrays(self):
+        # A, AB and the factorization's working copy of AB: the reflectors of A's raw QR
+        # are released first, and the mean is added in place
+        n, d = 4096, 50
+        tracemalloc.start()
+        try:
+            gen_gaussian_data(SyntheticSpec(n=n, d=d, rho=1.0, seed=36))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n * (d + 1) * 8
 
 
 class TestAddNoise:

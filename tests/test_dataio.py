@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,20 @@ class TestOneHot:
     def test_non_integer(self):
         with pytest.raises(LabelOutOfRangeError):
             _one_hot(np.array([0.5]), 3, lambda row: row + 1)
+
+    def test_indicator_matrix_is_bitwise_the_identity_rows(self):
+        labels = np.random.default_rng(3).integers(0, 7, size=500).astype(np.float64)
+        Y = _one_hot(labels, 7, lambda row: row + 1)
+        assert Y.tobytes() == np.eye(7)[labels.astype(int)].tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -0.5, 2.5, 3.0, 1e300])
+    def test_first_bad_label_names_itself_and_its_row(self, bad):
+        # row 2 holds the first bad label; row 4 holds a second one, never reported
+        labels = np.array([0.0, 2.0, bad, 1.0, 7.0])
+        with pytest.raises(LabelOutOfRangeError) as err:
+            _one_hot(labels, 3, lambda row: 10 + row)
+        assert str(err.value) == f"label {bad!r} not an integer in [0, 3) (line 12)"
+        assert err.value.line == 12
 
     @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
     def test_non_finite_label_names_its_line(self, tmp_path, label):

@@ -76,8 +76,10 @@ class TestSpecValidation:
 
 
 class TestDenseRealization:
+    # m = 63, 64, 65 and 130 end at, just after and inside a block of unpacked rows
     @pytest.mark.parametrize("m, n, seed", [(1, 1, 0), (3, 17, 5), (16, 64, 2**64 - 1),
-                                            (300, 257, 41)])
+                                            (300, 257, 41), (63, 100, 6), (64, 9, 7),
+                                            (65, 4097, 8), (130, 4097, 9)])
     def test_bitwise_equal_to_the_reference_formulas(self, m, n, seed):
         rng = np.random.default_rng(seed)
         gaussian = rng.standard_normal((m, n)) / math.sqrt(m)
