@@ -21,9 +21,9 @@ triangular factor's blocks (`core.factor_blocks`): U's (d+k')-row blocks,
 (`residual_estimates`), and A's R factor for the prediction error.
 
 The verify_* functions are direct Monte Carlo checks of the identities
-the estimators rely on (shrinkage error identity, residual-estimate
-unbiasedness, the Gram identity E[S^T S] = I).  They realize explicit
-operators for every family: these identities are about S itself.
+the estimators rely on: the shrinkage error identity, residual-estimate
+unbiasedness over `sketch_factor`'s realizations, and the Gram identity
+E[S^T S] = I over explicit operators, since it is about S itself.
 """
 
 from __future__ import annotations
@@ -87,6 +87,7 @@ class ExperimentConfig:
             raise ConfigError(f"sketch sizes must be >= 1, got m = {self.m_values[0]}")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
+        check_addressable((self.reps,), "a repetition log")
         if not 0 <= self.kappa < math.inf:
             raise ConfigError(f"kappa must be finite and nonnegative, got {self.kappa}")
         check_seed(self.master_seed, ConfigError)
@@ -367,7 +368,9 @@ def verify_stein(inst: SteinInstance, tol: float) -> tuple[float, float]:
 
 def verify_residual_unbiased(p: ProblemInstance, family: str, m: int, reps: int,
                              seed: int) -> tuple[float, float]:
-    """Monte Carlo means of the two residual-energy estimates, which both target r2."""
+    """Monte Carlo means of the two residual-energy estimates, which both target r2.
+
+    Repetition r is `sketch_factor`'s realization, seeded as the sweep seeds it."""
     if reps < 1:
         raise InvalidInputError(f"reps must be >= 1, got {reps}")
     check_addressable((reps,), "a repetition log")
@@ -375,9 +378,7 @@ def verify_residual_unbiased(p: ProblemInstance, family: str, m: int, reps: int,
     full = np.empty(reps)
     sketched = np.empty(reps)
     for r in range(reps):
-        op = make_operator(SketchSpec(family, m, derive_seed(seed, family, m, r)), p.n,
-                           weights=weights)
-        rec, UA, Ub = est_mod.classical_stacked(apply(op, p.AB), p.d, p.y.ndim == 1)
+        rec, UA, Ub = sketch_factor(p, family, m, derive_seed(seed, family, m, r), weights)
         r2_hat = residual_estimates(("full", "sketched"), p, None, rec.x_hat, UA, Ub, m)
         full[r], sketched[r] = r2_hat["full"], r2_hat["sketched"]
     return float(full.mean()), float(sketched.mean())

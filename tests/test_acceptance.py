@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from sketchls import (
     ExperimentConfig,
@@ -81,14 +82,28 @@ def test_criterion_01_classical_error_closed_form(closed_form_run):
 
 
 def test_criterion_02_residual_estimates_unbiased(closed_form_run):
-    spec, res, _ = closed_form_run
+    """Both residual-estimate means, tested against their exact laws under a Gaussian S.
+
+    Per repetition the sketched estimate is r2 chi2(m-d)/(m-d), so R (m-d) mean/r2 is
+    chi2(R (m-d)) over R repetitions; the full estimate is (m-d-1)/(m-1) r2 (1 + d F/(m-d+1))
+    with F ~ F(d, m-d+1), and its mean takes a z test on that law's exact variance.  Both
+    tests are two-sided at alpha/2: a correct build fails with probability alpha = 0.001.
+    At R = 4000 the acceptance bands are +-0.0075 (full) and +-0.0123 (sketched) relative.
+    """
+    spec, _, _ = closed_form_run
     p, sol = gen_gaussian_data(spec)
-    mean_full, mean_sketched = verify_residual_unbiased(p, "gaussian", 60, 500, seed=11)
-    rel_full = abs(mean_full - sol.r2) / sol.r2
-    rel_sketched = abs(mean_sketched - sol.r2) / sol.r2
-    _report(2, rel_full <= 0.02 and rel_sketched <= 0.02,
-            f"full {mean_full:.4f}, sketched {mean_sketched:.4f} vs r2 {sol.r2:.4f} "
-            f"(rel {rel_full:.4f}/{rel_sketched:.4f}, tol 0.02)")
+    d, m, reps, alpha = spec.d, 60, 4000, 0.001
+    mean_full, mean_sketched = verify_residual_unbiased(p, "gaussian", m, reps, seed=11)
+    dof = reps * (m - d)
+    law, t = stats.chi2(dof), dof * mean_sketched / sol.r2
+    p_sketched = 2 * min(law.cdf(t), law.sf(t))
+    sd_full = (m - d - 1) / (m - 1) * d / (m - d + 1) * math.sqrt(stats.f(d, m - d + 1).var())
+    z_full = (mean_full / sol.r2 - 1) / (sd_full / math.sqrt(reps))
+    p_full = 2 * stats.norm.sf(abs(z_full))
+    _report(2, min(p_full, p_sketched) > alpha / 2,
+            f"full {mean_full:.4f} (z {z_full:.2f}, p {p_full:.3g}), sketched "
+            f"{mean_sketched:.4f} (p {p_sketched:.3g}) vs r2 {sol.r2:.4f} "
+            f"(R = {reps}, need each p > {alpha / 2})")
 
 
 def test_criterion_03_shrinkage_dominance_low_snr(low_snr_sweep_run):

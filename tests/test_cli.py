@@ -487,6 +487,7 @@ def inputs(tmp_path, dataset):
                                  "sketch.families = gaussian, uniform\nsketch.m_values = 20\n"
                                  "experiment.estimators = classical, shrinkage\n"
                                  f"experiment.reps = 3\noutput.path = {tmp_path / 'res.csv'}\n"),
+        "cfg_huge_reps": config("huge_reps", base + f"experiment.reps = {2**62}\n"),
     }
 
 
@@ -552,6 +553,7 @@ _EXIT_TABLE = [
     ("experiment --config {cfg_utf8}", 2, "not UTF-8"),
     ("experiment --config {cfg_rank}", 3, "A is rank deficient"),
     ("experiment --config {cfg_huge_scale}", 0, None),
+    ("experiment --config {cfg_huge_reps}", 2, "too large for numpy"),
     (_BOUNDS, 0, None),
     ("bounds --d 10 --m 40", 1, None),
     (f"{_BOUNDS} --B 2", 1, None),

@@ -246,6 +246,21 @@ def test_two_sketch_draws_the_auxiliary_sketch_only_for_a_residual():
             == one.cell("uniform", 11, "classical").per_rep_pred_err)
 
 
+def _residual_draws(p, r2, m, seeds, sources):
+    """Each residual source's estimates over the repetitions `seeds` of a Gaussian cell.
+
+    Every repetition is rebuilt on the sweep's path: `harness.sketch_factor`, then
+    `harness.residual_estimates` at the classical solution.
+    """
+    draws = {source: [] for source in sources}
+    for seed in seeds:
+        rec, UA, Ub = harness.sketch_factor(p, "gaussian", m, seed, None)
+        r2_hat = harness.residual_estimates(sources, p, r2, rec.x_hat, UA, Ub, m)
+        for source in sources:
+            draws[source].append(r2_hat[source])
+    return {source: np.array(values) for source, values in draws.items()}
+
+
 class TestGaussianCells:
     def test_drawn_from_g_r_tilde_without_n_row_work(self, monkeypatch):
         cfg = _cfg(SyntheticSpec(n=128, d=10, rho=0.1, seed=36, k=2),
@@ -293,18 +308,25 @@ class TestGaussianCells:
         res = run_experiment(_cfg(spec, m_values=(m,), estimators=("classical", "shrinkage"),
                                   reps=reps, master_seed=11))
         p, sol = gen_gaussian_data(spec)
-        explicit = {"classical": [], "shrinkage": []}
+        explicit = {"classical": [], "shrinkage": [], "full": [], "sketched": []}
         for r in range(reps):
             op = make_operator(SketchSpec("gaussian", m, derive_seed(11, "explicit", r)), n)
             SA, Sy = apply(op, p.A), apply(op, p.y)
             x_cl = est.classical(SA, Sy).x_hat
-            x_sh = est.shrinkage(x_cl, SA, est.estimate_residual_full(p.A, p.y, x_cl, d, m),
-                                 d, m).x_hat
+            r2_full = est.estimate_residual_full(p.A, p.y, x_cl, d, m)
+            x_sh = est.shrinkage(x_cl, SA, r2_full, d, m).x_hat
             explicit["classical"].append(prediction_error(p.A, x_cl, sol.x_ls) / n)
             explicit["shrinkage"].append(prediction_error(p.A, x_sh, sol.x_ls) / n)
-        for kind, errs in explicit.items():
+            explicit["full"].append(r2_full)
+            explicit["sketched"].append(est.estimate_residual_sketched(SA, Sy, x_cl, d, m))
+        for kind in ("classical", "shrinkage"):
             assert stats.ks_2samp(res.cell("gaussian", m, kind).per_rep_pred_err,
-                                  errs).pvalue > 0.01
+                                  explicit[kind]).pvalue > 0.01
+        # the residual estimates too: the explicit operator shares no assumption of the drawn law
+        drawn = _residual_draws(p, sol.r2, m, res.cell("gaussian", m, "classical").rep_seeds,
+                                ("full", "sketched"))
+        for source in drawn:
+            assert stats.ks_2samp(drawn[source], explicit[source]).pvalue > 0.01
         exact = d / (m - d - 1) * sol.r2 / n
         harness_mean = res.cell("gaussian", m, "classical").mean_pred_err
         assert harness_mean == pytest.approx(exact, rel=0.05)
@@ -318,32 +340,47 @@ _LAW_GRID = [(3, 4, 0.1), (3, 12, 1.0), (3, 30, 10.0), (10, 11, 1.0), (10, 30, 0
 
 
 def test_every_gaussian_cell_follows_its_exact_law():
-    """Classical errors follow F(d, m-d+1); js-oracle and shrinkage stay under bound_upper_sa.
+    """Classical errors and both residual estimates follow their exact laws; js-oracle and
+    shrinkage stay under bound_upper_sa.
 
     With a Gaussian sketch, ||R(x_hat - x_ls)||^2 = r2 v^T W^-1 v (v ~ N(0, I_d), W Wishart),
-    so n pred_err / r2 (m-d+1)/d is F(d, m-d+1) by Hotelling's T^2, for any data.  Each
-    cell runs one KS test against that law, and each shrinkage kind one one-sided z test
+    so n pred_err / r2 (m-d+1)/d is F(d, m-d+1) by Hotelling's T^2, for any data.  So the
+    full residual estimate is (m-d-1)/(m-1) r2 (1 + d F/(m-d+1)), and the sketched one,
+    m/(m-d) ||U_A x_hat - U_b||^2, is r2 chi2(m-d)/(m-d).  Each cell runs one KS test per
+    law (the full estimate needs m > d + 1), and each shrinkage kind one one-sided z test
     of its mean sa_err against the paper's ceiling.  alpha = 0.01 bounds the chance that a
     correct build fails anywhere on the grid: each of the K checks runs at level alpha / K.
-    About 2 s on one core.
+    About 3 s on one core.
     """
     alpha, reps = 0.01, 600
-    pvalues, zscores = {}, {}
+    pvalues, residual_pvalues, zscores = {}, {}, {}
     for d, m, rho in _LAW_GRID:
-        res = run_experiment(_cfg(SyntheticSpec(n=d + 8, d=d, rho=rho,
-                                                seed=derive_seed(17, "datagen", d, m)),
-                                  m_values=(m,), estimators=("classical", "js-oracle", "shrinkage"),
-                                  reps=reps, master_seed=17))
-        f = np.array(res.cell("gaussian", m, "classical").per_rep_pred_err) * res.n / res.r2
+        cfg = _cfg(SyntheticSpec(n=d + 8, d=d, rho=rho, seed=derive_seed(17, "datagen", d, m)),
+                   m_values=(m,), estimators=("classical", "js-oracle", "shrinkage"),
+                   reps=reps, master_seed=17)
+        res = run_experiment(cfg)
+        cell = res.cell("gaussian", m, "classical")
+        f = np.array(cell.per_rep_pred_err) * res.n / res.r2
         pvalues[d, m, rho] = stats.kstest(f * (m - d + 1) / d, stats.f(d, m - d + 1).cdf).pvalue
+        p, _ = resolve_instance(cfg)
+        sources = ("sketched", "full") if m > d + 1 else ("sketched",)
+        r2_hat = _residual_draws(p, res.r2, m, cell.rep_seeds, sources)
+        residual_pvalues[d, m, rho, "sketched"] = stats.kstest(
+            r2_hat["sketched"] / res.r2 * (m - d), stats.chi2(m - d).cdf).pvalue
+        if "full" in sources:
+            f_full = (r2_hat["full"] / res.r2 * (m - 1) / (m - d - 1) - 1) * (m - d + 1) / d
+            residual_pvalues[d, m, rho, "full"] = stats.kstest(
+                f_full, stats.f(d, m - d + 1).cdf).pvalue
         for kind in ("js-oracle", "shrinkage"):
             cell = res.cell("gaussian", m, kind)
             if cell.skipped is None:
                 se = cell.std_sa_err / math.sqrt(cell.reps)
                 zscores[d, m, rho, kind] = (cell.mean_sa_err - cell.bound_upper_sa) / se
-    level = alpha / (len(pvalues) + len(zscores))
+    level = alpha / (len(pvalues) + len(residual_pvalues) + len(zscores))
     assert len(zscores) == 16  # every cell with m > d + 3, both kinds
+    assert len(residual_pvalues) == 18  # sketched in all 10 cells, full in the 8 with m > d + 1
     assert {key: p for key, p in pvalues.items() if p <= level} == {}
+    assert {key: p for key, p in residual_pvalues.items() if p <= level} == {}
     assert {key: z for key, z in zscores.items() if z >= stats.norm.isf(level)} == {}
 
 

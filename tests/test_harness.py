@@ -20,11 +20,13 @@ from sketchls import (
 )
 from sketchls.config import load_config, parse_config_text
 from sketchls.errors import ConfigError, InvalidInputError, NotSpdError
+from sketchls import estimators as est_mod
 from sketchls import harness, sketches
 from sketchls.harness import resolve_instance
 from sketchls.sketches import (
     FAMILIES,
     SketchSpec,
+    apply,
     as_matrix,
     derive_seed,
     make_operator,
@@ -81,6 +83,12 @@ class TestConfigValidation:
     def test_kappa_must_be_finite_and_nonnegative(self, kappa):
         with pytest.raises(ConfigError, match="kappa must be finite and nonnegative"):
             _small_cfg(kappa=kappa)
+
+    # a sweep sizes its seed tuple and per-rep logs by reps, so numpy must address them
+    @pytest.mark.parametrize("reps", [2**62, 2**64])
+    def test_reps_must_size_an_addressable_log(self, reps):
+        with pytest.raises(InvalidInputError, match="too large for numpy"):
+            _small_cfg(reps=reps)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -315,6 +323,22 @@ class TestResidualCheck:
         mean_full, mean_sketched = verify_residual_unbiased(p, "gaussian", 40, 400, seed=66)
         assert mean_full == pytest.approx(sol.r2, rel=0.05)
         assert mean_sketched == pytest.approx(sol.r2, rel=0.05)
+
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "gaussian"])
+    def test_non_gaussian_means_equal_the_explicit_loop(self, family):
+        """Each repetition realizes `make_operator`'s S and applies it to [A | b], bitwise."""
+        p, _ = gen_gaussian_data(SyntheticSpec(n=64, d=5, rho=0.5, seed=68))
+        m, reps, seed = 24, 20, 68
+        weights = sampling_weights(family, p.A)
+        full, sketched = np.empty(reps), np.empty(reps)
+        for r in range(reps):
+            op = make_operator(SketchSpec(family, m, derive_seed(seed, family, m, r)), p.n,
+                               weights=weights)
+            rec, UA, Ub = est_mod.classical_stacked(apply(op, p.AB), p.d, True)
+            r2_hat = harness.residual_estimates(("full", "sketched"), p, None, rec.x_hat, UA, Ub, m)
+            full[r], sketched[r] = r2_hat["full"], r2_hat["sketched"]
+        assert verify_residual_unbiased(p, family, m, reps, seed) == (float(full.mean()),
+                                                                     float(sketched.mean()))
 
 
 class TestGramCheck:
