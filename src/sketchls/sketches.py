@@ -6,10 +6,11 @@ three importance-sampling schemes (uniform, squared row norm, leverage
 score).  Sampling families draw rows i.i.d. with replacement, which
 keeps the Gram identity E[S^T S] = I exact.  Operators realize all of
 their randomness eagerly at construction from a 64-bit seed, so repeated
-applications are cheap and bitwise reproducible.  Dense families apply
-as one matrix product, SRHT as a split Hadamard product (two GEMMs per
-block of columns), CountSketch as one sparse (CSC) product and sampling
-families as a row gather.
+applications are cheap and bitwise reproducible.  Gaussian applies as
+one matrix product, Rademacher from its packed signs one block of
+unpacked columns at a time, SRHT as a split Hadamard product (two GEMMs
+per block of columns), CountSketch as one sparse (CSC) product and
+sampling families as a row gather.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ WEIGHTED_FAMILIES = tuple(_ROW_WEIGHTS)
 _WEIGHT_SUM_TOL = 1e-12
 _MASK64 = (1 << 64) - 1
 _RADIX_BITS = 6  # SRHT applies H_b in Kronecker factors of at most 2**6 rows, one GEMM each
-_SRHT_BLOCK = 32  # columns per SRHT block; bounds its two n_pad-row scratch buffers
-_UNPACK_ROWS = 64  # Rademacher rows per unpack; bounds its uint8 bit block at 64 x n
+_SRHT_BLOCK = 32  # columns per SRHT block; bounds its n_pad-row scratch buffers
+_RADEMACHER_BLOCK = 1024  # input columns per Rademacher unpack; bounds its m-row float block
 _FLOAT64_COUNT_MAX = np.iinfo(np.intp).max // 8  # numpy sizes arrays in signed intp bytes
 
 
@@ -118,9 +119,8 @@ class SketchOperator:
     """
 
     def __init__(self, spec: SketchSpec, n: int, weights=None):
-        # every kernel draws m-row arrays; a dense one holds the m x n matrix itself
-        check_addressable((spec.m, n if isinstance(self, _Dense) else 1),
-                          f"a {spec.family} sketch")
+        # every kernel draws m-row arrays; _realize checks any larger array it draws
+        check_addressable((spec.m, 1), f"a {spec.family} sketch")
         self.spec = spec
         self.n = n
         self._realize(np.random.default_rng(spec.seed), weights)
@@ -165,33 +165,46 @@ def leverage_scores(A) -> np.ndarray:
     return np.sum(Q * Q, axis=1)
 
 
-class _Dense(SketchOperator):
-    """An explicit m x n block, scaled in place: one float buffer."""
+class _Gaussian(SketchOperator):
+    """An explicit m x n matrix, scaled in place: one float buffer."""
+
+    def _realize(self, rng, weights):
+        check_addressable((self.m, self.n), "a gaussian sketch")
+        dense = rng.standard_normal((self.m, self.n))
+        dense /= math.sqrt(self.m)
+        self.dense = _frozen(dense)
 
     def _apply(self, M):
         return self.dense @ M
 
 
-class _Gaussian(_Dense):
-    def _realize(self, rng, weights):
-        dense = rng.standard_normal((self.m, self.n))
-        dense /= math.sqrt(self.m)
-        self.dense = _frozen(dense)
+class _Rademacher(SketchOperator):
+    """Eight signs per random byte, kept packed: no m x n float matrix.
 
-
-class _Rademacher(_Dense):
-    """Eight signs per random byte, unpacked _UNPACK_ROWS rows at a time: no m x n bit array."""
+    `_apply` unpacks _RADEMACHER_BLOCK input columns of all m rows at a time into one
+    reused float block and adds its product with the matching rows of M into the output.
+    """
 
     def _realize(self, rng, weights):
-        packed = rng.integers(0, 256, size=(self.m, -(-self.n // 8)), dtype=np.uint8)
-        # bits * 2s - s is exact, so it equals (2 bits - 1) / sqrt(m) bitwise
+        # the packed bytes, counted in 8-byte words, and the float block _apply unpacks into
+        check_addressable((self.m, -(-self.n // 64)), "a rademacher sketch")
+        check_addressable((self.m, min(self.n, _RADEMACHER_BLOCK)), "a rademacher sketch")
+        self.packed = _frozen(
+            rng.integers(0, 256, size=(self.m, -(-self.n // 8)), dtype=np.uint8))
+
+    def _apply(self, M):
+        # bits * 2s - s is exact, so each block is (2 bits - 1) / sqrt(m) bitwise
         s = 1.0 / math.sqrt(self.m)
-        dense = np.empty((self.m, self.n))
-        for r in range(0, self.m, _UNPACK_ROWS):  # each bit block dies before the next
-            np.multiply(np.unpackbits(packed[r:r + _UNPACK_ROWS], axis=1, count=self.n),
-                        2.0 * s, out=dense[r:r + _UNPACK_ROWS])
-        dense -= s
-        self.dense = _frozen(dense)
+        out = np.zeros((self.m, M.shape[1]))
+        block = np.empty((self.m, min(self.n, _RADEMACHER_BLOCK)))
+        for j in range(0, self.n, _RADEMACHER_BLOCK):  # a multiple of 8: whole bytes
+            w = min(_RADEMACHER_BLOCK, self.n - j)
+            S = block[:, :w]
+            np.multiply(np.unpackbits(self.packed[:, j // 8:-(-(j + w) // 8)], axis=1, count=w),
+                        2.0 * s, out=S)
+            S -= s
+            out += S @ M[j:j + w]
+        return out
 
 
 class _Srht(SketchOperator):
@@ -208,7 +221,7 @@ class _Srht(SketchOperator):
         self.indices = _frozen(rng.integers(0, self.n_pad, size=self.m))
         # H_r is the leading r x r block of H_a for every power of two r <= a
         H_a = hadamard(self.a, dtype=np.float64)
-        passes = -(-kb // _RADIX_BITS)
+        passes = max(1, -(-kb // _RADIX_BITS))  # H_1 = [[1]] when n_pad <= 2
         radices = [1 << (kb // passes + (i < kb % passes)) for i in range(passes)]
         self.b_factors = tuple(_frozen(H_a[:r, :r]) for r in radices)
         # the sampled rows grouped by their block h, in draw order within each group
@@ -221,23 +234,33 @@ class _Srht(SketchOperator):
     def _apply(self, M):
         n, c = M.shape
         n_pad, a = self.n_pad, self.a
+        *passes, H_b = self.b_factors
+        # a lone factor computes W = H_b z in two halves of its rows, each into a buffer
+        # of half z's size that its groups read before the next half overwrites it
+        step = len(H_b) // (2 if not passes and len(H_b) > 1 else 1)
         rows = np.empty((self.m, c))
-        buffers = [np.empty(n_pad * min(c, _SRHT_BLOCK)) for _ in range(2)]
+        width = min(c, _SRHT_BLOCK)
+        buffers = np.empty(n_pad * width), np.empty(n_pad * width * step // len(H_b))
         for c0 in range(0, c, _SRHT_BLOCK):
             w = min(_SRHT_BLOCK, c - c0)
-            z, spare = (buf[: n_pad * w] for buf in buffers)
+            z, spare = (buf[: buf.size // width * w] for buf in buffers)
             np.multiply(M[:, c0:c0 + w], self.signs[:n, None], out=z.reshape(n_pad, w)[:n])
             z[n * w:] = 0.0
             # W = (H_b kron I_a) z, one factor of H_b per pass, between the two buffers
             lead = 1
-            for H in self.b_factors:
+            for H in passes:
                 shape = (lead, len(H), -1)
                 np.matmul(H, z.reshape(shape), out=spare.reshape(shape))
                 z, spare = spare, z
                 lead *= len(H)
-            W = z.reshape(-1, a, w)
-            for h, start, stop in self.groups:
-                np.matmul(self.a_rows[start:stop], W[h], out=rows[start:stop, c0:c0 + w])
+            for h0 in range(0, len(H_b), step):
+                np.matmul(H_b[h0:h0 + step], z.reshape(lead, len(H_b), -1),
+                          out=spare.reshape(lead, step, -1))
+                W = spare.reshape(-1, a, w)  # blocks h0 <= h < h0 + len(W) of H_b z
+                for h, start, stop in self.groups:
+                    if h0 <= h < h0 + len(W):
+                        np.matmul(self.a_rows[start:stop], W[h - h0],
+                                  out=rows[start:stop, c0:c0 + w])
         out = np.empty_like(rows)
         out[self.order] = rows
         # sqrt(n_pad/m) * (H/sqrt(n_pad)) collapses to 1/sqrt(m) on the raw transform
@@ -307,12 +330,15 @@ FAMILIES = tuple(_KERNELS)
 def make_operator(spec: SketchSpec, n: int, weights=None) -> SketchOperator:
     """Realize a sketch operator for inputs of length n.
 
-    Conventions: Gaussian and Rademacher entries are scaled by 1/sqrt(m).  Sampling families
-    draw m rows i.i.d. with replacement from probabilities p and scale each selected row by
-    1/sqrt(m * p_i).  SRHT zero-pads inputs to the next power of two n_pad and applies sign
-    flips, the normalized Hadamard transform, and row sampling with an overall scale
-    sqrt(n_pad / m); it forms only the sampled rows, from m x a stored rows of H_a, 32
-    columns at a time in two n_pad x 32 buffers.  CountSketch gives each of the n input
+    Conventions: Gaussian and Rademacher entries are scaled by 1/sqrt(m).  Gaussian holds
+    its m x n matrix; Rademacher holds only its m x ceil(n/8) packed sign bytes and unpacks
+    1024 input columns at a time into one m x 1024 float block when applied.  Sampling
+    families draw m rows i.i.d. with replacement from probabilities p and scale each
+    selected row by 1/sqrt(m * p_i).  SRHT zero-pads inputs to the next power of two n_pad
+    and applies sign flips, the normalized Hadamard transform, and row sampling with an
+    overall scale sqrt(n_pad / m); it forms only the sampled rows, from m x a stored rows of
+    H_a, 32 columns at a time in one n_pad x 32 buffer and a second of half that size while
+    n_pad <= 2**13 (a full one past it).  CountSketch gives each of the n input
     coordinates one uniformly random output row and a random sign; it is stored as an m x n
     CSC matrix with one entry per column, and its product sums each output row's inputs in
     input order.

@@ -617,6 +617,7 @@ _EXIT_TABLE = [
     (f"{_GRAM} --reps 0", 2, "n and reps must be >= 1"),
     (f"verify gram --family gaussian --n {2**62} --m 4", 2, "too large for numpy"),
     (f"verify gram --family uniform --n 8 --m {2**62}", 2, "too large for numpy"),
+    (f"verify gram --family rademacher --n 4096 --m {2**58}", 2, "too large for numpy"),
     (f"{_GRAM} --seed -1", 2, "seed must fit"),
     (f"{_GRAM} --tol nan", 2, "--tol must be finite and positive"),
     (f"{_GRAM} --tol=-inf", 2, "--tol must be finite and positive"),

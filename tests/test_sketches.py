@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,10 +77,12 @@ class TestSpecValidation:
 
 
 class TestDenseRealization:
-    # m = 63, 64, 65 and 130 end at, just after and inside a block of unpacked rows
+    # n = 1023, 1024, 1025 and 2049 end before, at, just after and inside a block of
+    # unpacked Rademacher columns
     @pytest.mark.parametrize("m, n, seed", [(1, 1, 0), (3, 17, 5), (16, 64, 2**64 - 1),
                                             (300, 257, 41), (63, 100, 6), (64, 9, 7),
-                                            (65, 4097, 8), (130, 4097, 9)])
+                                            (65, 4097, 8), (130, 4097, 9), (7, 1023, 10),
+                                            (7, 1024, 11), (7, 1025, 12), (5, 2049, 13)])
     def test_bitwise_equal_to_the_reference_formulas(self, m, n, seed):
         rng = np.random.default_rng(seed)
         gaussian = rng.standard_normal((m, n)) / math.sqrt(m)
@@ -87,12 +90,44 @@ class TestDenseRealization:
         packed = rng.integers(0, 256, size=(m, math.ceil(n / 8)), dtype=np.uint8)
         bits = np.unpackbits(packed, axis=1, count=n)
         rademacher = (2.0 * bits - 1.0) / math.sqrt(m)
-        for family, reference in (("gaussian", gaussian), ("rademacher", rademacher)):
-            dense = make_operator(SketchSpec(family, m, seed), n).dense
-            assert dense.dtype == np.float64
-            assert dense.tobytes() == reference.tobytes()
-        # `dense` is now the Rademacher block: every entry is exactly +-1/sqrt(m)
-        assert np.all(np.abs(dense) == 1.0 / math.sqrt(m))
+        dense = make_operator(SketchSpec("gaussian", m, seed), n).dense
+        assert dense.dtype == np.float64
+        assert dense.tobytes() == gaussian.tobytes()
+        # Rademacher keeps only its packed signs; each column of I has one nonzero, so
+        # as_matrix reads every sign exactly
+        S = as_matrix(make_operator(SketchSpec("rademacher", m, seed), n))
+        assert S.dtype == np.float64
+        assert S.tobytes() == rademacher.tobytes()
+        assert np.all(np.abs(S) == 1.0 / math.sqrt(m))
+
+    @pytest.mark.parametrize("n", [1, 9, 1023, 1024, 1025, 2049])
+    def test_rademacher_apply_is_its_matrix_product(self, n):
+        # the sum over n runs one block of columns at a time, so it matches the product
+        # with the matrix within rtol 1e-13 and atol 1e-13 * max|M| * sqrt(n)
+        op = make_operator(SketchSpec("rademacher", 40, n), n)
+        S = as_matrix(op)
+        for cols in (None, 3, 101):
+            M = np.random.default_rng(n).standard_normal(n if cols is None else (n, cols))
+            # C order, F order, and every other column (entry, for a vector) of a
+            # twice-wider array
+            for laid_out in (M, np.asfortranarray(M), np.repeat(M, 2, axis=-1)[..., ::2]):
+                out = apply(op, laid_out)
+                assert out.shape == ((40,) if cols is None else (40, cols))
+                atol = 1e-13 * np.max(np.abs(M)) * math.sqrt(n)
+                np.testing.assert_allclose(out, S @ laid_out, rtol=1e-13, atol=atol)
+
+    def test_rademacher_holds_no_m_by_n_float_matrix(self):
+        # the packed signs (m n / 8 bytes), one m x 1024 float block and two m x c
+        # outputs: about 3.5 MiB, where the m x n float matrix alone is 8 m n bytes
+        m, n, c = 300, 16384, 101
+        M = np.random.default_rng(14).standard_normal((n, c))
+        tracemalloc.start()
+        try:
+            apply(make_operator(SketchSpec("rademacher", m, 14), n), M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n
 
 
 class TestOperators:
@@ -167,6 +202,20 @@ class TestOperators:
         rows = as_matrix(op) * math.sqrt(op.m / n)
         np.testing.assert_allclose(rows @ rows.T, op.indices[:, None] == op.indices,
                                    rtol=0, atol=1e-13)
+
+    def test_srht_scratch_is_one_and_a_half_buffers(self):
+        # n_pad = 4096 is one H_b factor, so W = H_b z takes two halves of its rows into
+        # a half-size buffer: 1.5 MiB of n_pad x 32 scratch plus two m x c outputs
+        n, m, c = 4000, 300, 32
+        op = make_operator(SketchSpec("srht", m, 15), n)
+        M = np.random.default_rng(15).standard_normal((n, c))
+        tracemalloc.start()
+        try:
+            apply(op, M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.69 * 2**20
 
     def test_srht_pads_to_power_of_two(self):
         op = _op("srht", n=20, m=8)
