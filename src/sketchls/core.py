@@ -63,26 +63,31 @@ class ExactSolution:
         return cls(x_ls=x_ls, y_perp=y_perp, r2=r2, pred_energy=pred_energy)
 
 
-def lstsq_factor(M, d: int, error: type[SketchLSError], name: str) -> np.ndarray:
-    """The triangular factor U of M = [X | t], with X's full column rank certified.
+def qr_factor(M) -> np.ndarray:
+    """The triangular factor U of M = Q U, by one QR that forms no Q: square in M's
+    columns, zero below M's rows."""
+    U = np.linalg.qr(M, mode="r")  # min(rows, columns) rows
+    if U.shape[0] < U.shape[1]:
+        U = np.vstack((U, np.zeros((U.shape[1] - U.shape[0], U.shape[1]))))
+    return U
 
-    One QR of M that forms no Q; U is square in M's columns, zero below M's
-    rows, and U[:d, :d] = R is X's R factor, with X's singular values.  X
+
+def certify_rank(U, d: int, error: type[SketchLSError], name: str) -> np.ndarray:
+    """U, once certified: a finite triangular factor of [X | t] with X of full column rank.
+
+    U[:d, :d] = R is X's R factor (up to row signs), with X's singular values.  X
     (`name` in messages) is rank deficient, raising `error`, when
     s_min <= RANK_TOL * s_max.  As s_max <= ||R||_F and 1/s_min <= ||R^-1||_F,
     the SVD runs only where 1/(||R||_F ||R^-1||_F) does not clear RANK_TOL by
     a factor of 2, or R has a zero on its diagonal.  A U that overflows
     raises InvalidInputError.
     """
-    U = np.linalg.qr(M, mode="r")  # min(rows, columns) rows
-    if U.shape[0] < U.shape[1]:
-        U = np.vstack((U, np.zeros((U.shape[1] - U.shape[0], U.shape[1]))))
     if not np.isfinite(U).all():
         raise InvalidInputError(f"[{name} | target] is too large to factor without overflow")
     R = U[:d, :d]
     R_inv, info = lapack.dtrtri(R)
-    # R_inv keeps R's strict lower triangle, zeros from the QR, so its norm is ||R^-1||_F;
-    # a NaN or an overflow in the norms fails the test and falls to the SVD
+    # R_inv keeps R's strict lower triangle, zeros in a triangular factor, so its norm is
+    # ||R^-1||_F; a NaN or an overflow in the norms fails the test and falls to the SVD
     with np.errstate(over="ignore", invalid="ignore"):
         certified = info == 0 and 2 * RANK_TOL * np.linalg.norm(R) * np.linalg.norm(R_inv) < 1
     if not certified:
@@ -94,7 +99,7 @@ def lstsq_factor(M, d: int, error: type[SketchLSError], name: str) -> np.ndarray
 
 
 def factor_blocks(U: np.ndarray, d: int, vector: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks U_X = U[:, :d] and U_t = U[:, d:] (U[:, d] when `vector`) of `lstsq_factor`'s U.
+    """The blocks U_X = U[:, :d] and U_t = U[:, d:] (U[:, d] when `vector`) of a factor U.
 
     With [X | t] = Q U, ||X v - t w|| = ||U_X v - U_t w||, so the blocks stand
     in for X and t in every such norm.
@@ -103,7 +108,7 @@ def factor_blocks(U: np.ndarray, d: int, vector: bool) -> tuple[np.ndarray, np.n
 
 
 def lstsq_solve(U: np.ndarray, d: int, vector: bool) -> np.ndarray:
-    """Solve U[:d, :d] x = U[:d, d:] (U[:d, d], a vector x, when `vector`) on `lstsq_factor`'s U."""
+    """Solve U[:d, :d] x = U[:d, d:] (U[:d, d], a vector x, when `vector`) on `certify_rank`'s U."""
     UX, Ut = factor_blocks(U, d, vector)
     return scipy.linalg.solve_triangular(UX[:d], Ut[:d], check_finite=False)
 
@@ -115,10 +120,11 @@ class ProblemInstance:
     vector, or an n-by-k matrix for matrix regression.  ``y.ndim`` alone
     says which.  Construction validates shapes, finiteness, and full
     column rank.  It copies [A | y] once, into a read-only, C-contiguous
-    ``AB`` (k' target columns) with views ``A`` and ``y``, and factors it once with `lstsq_factor`:
-    ``R_tilde`` is its (d+k') x (d+k') triangular factor, zero below row n
-    when n < d+k', and ``R`` (A's R factor) a view of its leading block,
-    both read-only.  `solution` is `lstsq_solve` on ``R_tilde``, cached.
+    ``AB`` (k' target columns) with views ``A`` and ``y``, and factors it once
+    (`qr_factor`, then `certify_rank`): ``R_tilde`` is its (d+k') x (d+k')
+    triangular factor, zero below row n when n < d+k', and ``R`` (A's R
+    factor) a view of its leading block, both read-only.  `solution` is
+    `lstsq_solve` on ``R_tilde``, cached.
     """
 
     def __init__(self, A, y=None):
@@ -139,7 +145,7 @@ class ProblemInstance:
             if not np.isfinite(block).all():
                 raise InvalidInputError(f"{name} contains non-finite entries")
         AB.setflags(write=False)
-        R_tilde = lstsq_factor(AB, d, RankDeficientError, "A")
+        R_tilde = certify_rank(qr_factor(AB), d, RankDeficientError, "A")
         R_tilde.setflags(write=False)
         self.A = AB[:, :d]
         self.y = AB[:, d:].reshape(y.shape)

@@ -17,7 +17,7 @@ All variants leave the input unchanged (flagged) when d <= 2, where
 shrinking cannot help.  SA, and the data of the two residual estimates,
 are read only through norms ||X v - t w||, so any pair with the same Gram
 matrix serves: callers pass the (d+k')-row blocks (`core.factor_blocks`)
-of the triangular factors of [SA | Sy] (from `classical_stacked`) and
+of the triangular factors of [SA | Sy] (from `classical_factored`) and
 [A | y] (`ProblemInstance.R_tilde`).
 """
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import factor_blocks, lstsq_factor, lstsq_solve
+from .core import certify_rank, factor_blocks, lstsq_solve, qr_factor
 from .errors import DimensionMismatchError, InvalidSketchSizeError, RankDeficientSketchError
 
 
@@ -112,14 +112,22 @@ def classical(SA, Sy) -> EstimateRecord:
 def classical_stacked(SB, d: int, vector: bool) -> tuple[EstimateRecord, np.ndarray, np.ndarray]:
     """`classical` on SB = [SA | Sy], held as one m x (d+k') array (k' = 1 when `vector`).
 
-    `core.lstsq_factor` factors SB = Q U by one QR, under the rank rule
-    `ProblemInstance` uses for A; then x solves U[:d, :d] x = U[:d, d:].
-    Returns its record and U's blocks U_A, U_b (`core.factor_blocks`):
-    ||SA v - Sy w|| = ||U_A v - U_b w||, so they stand in for SA and Sy.
+    `core.qr_factor` factors SB = Q U by one QR, and `classical_factored` takes U.
     """
     if len(SB) < d:
         raise RankDeficientSketchError(f"sketch size m={len(SB)} below column count d={d}")
-    U = lstsq_factor(SB, d, RankDeficientSketchError, "SA")
+    return classical_factored(qr_factor(SB), d, vector)
+
+
+def classical_factored(U, d: int, vector: bool) -> tuple[EstimateRecord, np.ndarray, np.ndarray]:
+    """The classical record and U's blocks, from a triangular factor U of SB = [SA | Sy].
+
+    U passes `core.certify_rank`, the rank rule `ProblemInstance` uses for A; then
+    x solves U[:d, :d] x = U[:d, d:].  Returns its record and U's blocks U_A, U_b
+    (`core.factor_blocks`): ||SA v - Sy w|| = ||U_A v - U_b w||, so they stand in
+    for SA and Sy.
+    """
+    U = certify_rank(U, d, RankDeficientSketchError, "SA")
     rec = EstimateRecord(x_hat=lstsq_solve(U, d, vector), kind=CLASSICAL, shrink_factor=1.0)
     return (rec, *factor_blocks(U, d, vector))
 

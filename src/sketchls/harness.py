@@ -4,21 +4,23 @@
 paired design: within one repetition every estimator sees the same
 sketch realization, which sharply reduces the variance of estimator
 comparisons.  Per-repetition seeds are derived from the master seed and
-the cell key alone, so results are independent of thread count and
-iteration order, and any cell can be replayed in isolation.
+the cell key alone, so results are independent of the harness thread
+count and iteration order, and any cell can be replayed in isolation.
 
 A repetition (`repetition`) factors one realization (`sketch_factor`) and
 runs every estimator kind on it; a sweep adds the error metrics, and
 `sketch-solve` is one repetition of one kind.  A Gaussian S is rotation
 invariant, so S[A | b] is drawn from its law G R~ / sqrt(m), with G an
 m x (d+k') standard normal matrix and R~ the triangular factor of [A | b]
-(`ProblemInstance.R_tilde`): O(m (d+k')^2), independent of n.  Every other
-family applies its realized operator once, to `ProblemInstance.AB`.
-`classical_stacked` factors SB = S [A | b] = Q U; a rank or overflow error
-fails the cell, not the sweep.  Every norm after it comes from a
-triangular factor's blocks (`core.factor_blocks`): U's (d+k')-row blocks,
-||SA v - S b w|| = ||U_A v - U_b w||, R~'s for the full-data residual
-(`residual_estimates`), and A's R factor for the prediction error.
+(`ProblemInstance.R_tilde`).  Its triangular factor is U = L^T R~, L the
+Cholesky factor of G^T G / m, so no m-row QR runs: O(m (d+k')^2),
+independent of n.  Every other family applies its realized operator once,
+to `ProblemInstance.AB`, and `classical_stacked` factors SB = S [A | b] =
+Q U.  A rank or overflow error fails the cell, not the sweep.  Every norm
+after the factor comes from a triangular factor's blocks
+(`core.factor_blocks`): U's (d+k')-row blocks, ||SA v - S b w|| =
+||U_A v - U_b w||, R~'s for the full-data residual (`residual_estimates`),
+and A's R factor for the prediction error.
 
 The verify_* functions are direct Monte Carlo checks of the identities
 the estimators rely on: the shrinkage error identity, residual-estimate
@@ -155,21 +157,33 @@ def resolve_instance(cfg: ExperimentConfig) -> tuple[ProblemInstance, ExactSolut
 
 
 def sketch_factor(instance: ProblemInstance, family: str, m: int, seed: int, weights):
-    """One realization, factored: `classical_stacked`'s (classical record, U_A, U_b).
+    """One realization, factored: `classical_factored`'s (classical record, U_A, U_b).
 
     A Gaussian SB = S [A | b] is G R~ / sqrt(m), G = default_rng(seed).standard_normal
-    m x (d+k'); any other family applies `make_operator`'s S to `instance.AB`.  Both
-    take `SketchSpec`'s checks.  SB is not kept: U's blocks replace SA and S b.
+    m x p (p = d+k').  Its factor is U = L^T R~, with L the Cholesky factor of
+    G^T G / m; where m < p (G^T G is singular) or the Cholesky fails, U comes from
+    the QR of G R~ / sqrt(m).  Any other family applies `make_operator`'s S to
+    `instance.AB`, and `classical_stacked` factors that.  Both take `SketchSpec`'s
+    checks.  SB is not kept: U's blocks replace SA and S b.
     """
     spec = SketchSpec(family, m, seed)
-    if family == "gaussian":
-        check_addressable((m, instance.AB.shape[1]), "a gaussian sketch")
-        G = np.random.default_rng(seed).standard_normal((m, instance.AB.shape[1]))
-        SB = G @ instance.R_tilde
-        SB /= math.sqrt(m)
-    else:
+    d, vector = instance.d, instance.y.ndim == 1
+    if family != "gaussian":
         SB = apply(make_operator(spec, instance.n, weights=weights), instance.AB)
-    return est_mod.classical_stacked(SB, instance.d, instance.y.ndim == 1)
+        return est_mod.classical_stacked(SB, d, vector)
+    p = instance.AB.shape[1]
+    check_addressable((m, p), "a gaussian sketch")
+    G = np.random.default_rng(seed).standard_normal((m, p))
+    if m >= p:
+        try:
+            L = np.linalg.cholesky(G.T @ G / m)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return est_mod.classical_factored(L.T @ instance.R_tilde, d, vector)
+    SB = G @ instance.R_tilde
+    SB /= math.sqrt(m)
+    return est_mod.classical_stacked(SB, d, vector)
 
 
 def residual_estimates(sources, instance: ProblemInstance, r2, x_hat, UA, Ub, m: int) -> dict:

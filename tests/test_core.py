@@ -15,7 +15,7 @@ from sketchls import (
     snr,
     solve_exact,
 )
-from sketchls.core import RANK_TOL
+from sketchls.core import RANK_TOL, certify_rank
 from sketchls.errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -303,3 +303,47 @@ class TestSharedRankRule:
         b = rng.standard_normal(30 if k is None else (30, k))
         p = ProblemInstance(A, b)
         assert np.array_equal(solve_exact(p).x_ls, classical(A, b).x_hat)
+
+
+class TestCertifyRank:
+    """`certify_rank` on a given triangular factor, with no QR in front of it."""
+
+    @staticmethod
+    def _factor(*diag):
+        # [[diag(diag), 1], [0, 1]]: X = diag(diag), so s_min/s_max is the diagonal's ratio
+        U = np.diag([*diag, 1.0])
+        U[:-1, -1] = 1.0
+        return U
+
+    def test_certified_factor_is_returned_as_it_is(self, svd_calls):
+        U = self._factor(2.0, -1.0, 0.5)
+        assert certify_rank(U, 3, RankDeficientError, "X") is U
+        assert svd_calls == []
+
+    def test_zero_diagonal_goes_to_the_svd_and_fails(self, svd_calls):
+        with pytest.raises(RankDeficientError,
+                           match=r"^X is rank deficient: s_min/s_max = 0\.000e\+00$"):
+            certify_rank(self._factor(1.0, 0.0, 3.0), 3, RankDeficientError, "X")
+        assert svd_calls == [(3, 3)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 2)])
+    def test_nonfinite_factor_is_typed(self, svd_calls, bad, where):
+        U = self._factor(1.0, 2.0)
+        U[where] = bad
+        with pytest.raises(InvalidInputError,
+                           match=r"^\[SA \| target\] is too large to factor without overflow$"):
+            certify_rank(U, 2, RankDeficientError, "SA")
+        assert svd_calls == []
+
+    @pytest.mark.parametrize("ratio, passes", [(0.5e-10, False), (2e-10, True)])
+    def test_decision_at_the_tolerance(self, svd_calls, ratio, passes):
+        # 2 RANK_TOL ||R||_F ||R^-1||_F >= 1 at both ratios, so the SVD decides
+        U = self._factor(1.0, ratio)
+        if passes:
+            assert certify_rank(U, 2, RankDeficientError, "X") is U
+        else:
+            with pytest.raises(RankDeficientError,
+                               match=r"^X is rank deficient: s_min/s_max = 5\.000e-11$"):
+                certify_rank(U, 2, RankDeficientError, "X")
+        assert svd_calls == [(2, 2)]

@@ -1,7 +1,8 @@
 """Gaussian cells drawn from their exact law, and norms from triangular factors.
 
 The harness never realizes a Gaussian operator: S[A | b] has the law of
-G R~ / sqrt(m), with R~ = `instance.R_tilde`.  Errors come from A's R
+G R~ / sqrt(m), with R~ = `instance.R_tilde`, and from m = d+k' on its
+factor is L^T R~, L the Cholesky factor of G^T G / m.  Errors come from A's R
 factor, full-data residuals from R~'s blocks and sketched norms from U's,
 for every family.  These tests compare all of them against the explicit,
 A-based route they replace.
@@ -34,7 +35,7 @@ from sketchls import (
 )
 from sketchls import estimators as est
 from sketchls import harness
-from sketchls.core import factor_blocks
+from sketchls.core import factor_blocks, lstsq_solve
 from sketchls.errors import RankDeficientSketchError
 from sketchls.harness import resolve_instance
 
@@ -282,10 +283,16 @@ class TestGaussianCells:
         r_tilde = p.R_tilde
         for r, seed in enumerate(res.cell("gaussian", 40, "classical").rep_seeds):
             assert seed == derive_seed(5, "gaussian", 40, r)
-            SB = np.random.default_rng(seed).standard_normal((40, 12)) @ r_tilde / math.sqrt(40)
-            x_hat = est.classical(SB[:, :10], SB[:, 10:]).x_hat
+            G = np.random.default_rng(seed).standard_normal((40, 12))
+            U = np.linalg.cholesky(G.T @ G / 40).T @ r_tilde
+            x_hat = lstsq_solve(U, 10, False)
             expected = prediction_error(p.R, x_hat, sol.x_ls) / p.n
             assert res.cell("gaussian", 40, "classical").per_rep_pred_err[r] == expected
+            # the same draw factored by the QR of G R~ / sqrt(m), as the law spells it
+            SB = G @ r_tilde / math.sqrt(40)
+            x_qr = est.classical(SB[:, :10], SB[:, 10:]).x_hat
+            assert expected == pytest.approx(prediction_error(p.R, x_qr, sol.x_ls) / p.n,
+                                             rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("two_sketch", [False, True])
     def test_zero_residual_instance(self, tmp_path, two_sketch):
@@ -333,6 +340,105 @@ class TestGaussianCells:
         assert np.mean(explicit["classical"]) == pytest.approx(exact, rel=0.05)
 
 
+@pytest.fixture
+def qr_rows(monkeypatch):
+    """The row count of every np.linalg.qr call."""
+    rows, qr = [], np.linalg.qr
+
+    def counting(M, *args, **kwargs):
+        rows.append(len(M))
+        return qr(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    return rows
+
+
+def _gram_instance(d, k, seed=39):
+    return gen_gaussian_data(SyntheticSpec(n=4 * (d + 10), d=d, rho=0.1, seed=seed, k=k))
+
+
+def _qr_reference(p, m, seed):
+    """`classical_stacked` on the QR of the draw G R~ / sqrt(m), as the law spells it."""
+    G = np.random.default_rng(seed).standard_normal((m, p.AB.shape[1]))
+    return est.classical_stacked(G @ p.R_tilde / math.sqrt(m), p.d, p.y.ndim == 1)
+
+
+def _stack(UA, Ub):
+    return np.column_stack((UA, Ub))
+
+
+class TestGramFactor:
+    """A Gaussian realization with m >= p = d+k' is factored as U = L^T R~, L the Cholesky
+    factor of G^T G / m: the QR of G R~ / sqrt(m) up to row signs, with no m-row QR."""
+
+    # (d, k, m): m = d+1 = p, matrix targets at and above p, m = 20 p
+    @pytest.mark.parametrize("d, k, m", [(10, None, 11), (10, None, 220), (10, 2, 12),
+                                         (10, 2, 40), (10, 10, 20), (10, 10, 400)])
+    def test_runs_no_m_row_qr(self, qr_rows, d, k, m):
+        p, _ = _gram_instance(d, k)
+        qr_rows.clear()
+        rec, UA, Ub = harness.sketch_factor(p, "gaussian", m, 3, None)
+        assert qr_rows == []
+        assert _stack(UA, Ub).shape == p.R_tilde.shape
+        assert np.all(np.tril(_stack(UA, Ub), -1) == 0.0)
+        assert np.all(np.isfinite(rec.x_hat))
+
+    @pytest.mark.parametrize("d, k, m", [(10, None, 10), (10, 2, 10), (10, 2, 11)])
+    def test_below_p_keeps_the_padded_qr(self, qr_rows, d, k, m):
+        p, _ = _gram_instance(d, k)
+        qr_rows.clear()
+        rec, UA, Ub = harness.sketch_factor(p, "gaussian", m, 3, None)
+        assert qr_rows == [m]
+        U = _stack(UA, Ub)
+        assert np.all(U[m:] == 0.0) and np.all(U[:m].any(axis=1))
+        ref = _qr_reference(p, m, 3)
+        assert np.array_equal(rec.x_hat, ref[0].x_hat)
+        cfg = _cfg(SyntheticSpec(n=p.n, d=d, rho=0.1, seed=39, k=k), m_values=(m,))
+        assert run_experiment(cfg).cell("gaussian", m, "classical").skipped is None
+
+    @pytest.mark.parametrize("d, k, m", [(10, None, 13), (10, None, 220), (10, 2, 14),
+                                         (10, 10, 22), (10, 10, 400), (100, None, 112)])
+    def test_equals_the_qr_up_to_row_signs(self, d, k, m):
+        p, sol = _gram_instance(d, k)
+        for seed in range(20):
+            rec, UA, Ub = harness.sketch_factor(p, "gaussian", m, seed, None)
+            ref, UA_q, Ub_q = _qr_reference(p, m, seed)
+            U, U_q = _stack(UA, Ub), _stack(UA_q, Ub_q)
+            U_q *= (np.sign(np.diag(U)) * np.sign(np.diag(U_q)))[:, None]
+            np.testing.assert_array_less(np.linalg.norm(U - U_q, axis=1),
+                                         1e-12 * np.linalg.norm(U_q, axis=1))
+            assert prediction_error(p.R, rec.x_hat, sol.x_ls) == pytest.approx(
+                prediction_error(p.R, ref.x_hat, sol.x_ls), rel=1e-12, abs=0)
+
+    def test_at_m_equal_p_the_fit_moves_with_g_squared_condition(self):
+        """At m = p, G^T G carries cond(G)^2, which is heavy-tailed: over seeds 0-199 at
+        d = 100 the fitted error moved by a median of 3.5e-13 relative and at most 9.7e-9
+        (seed 79, cond(G) = 3.4e5).  Against a 60-digit reference the QR's fit was within
+        1.9e-13 at seed 79 and 7.2e-13 at seed 283, the next worst."""
+        p, sol = gen_gaussian_data(SyntheticSpec(n=4096, d=100, rho=0.1, seed=7))
+        moved = []
+        for seed in range(200):
+            rec = harness.sketch_factor(p, "gaussian", 101, seed, None)[0]
+            ref = _qr_reference(p, 101, seed)[0]
+            fit, fit_q = (prediction_error(p.R, x, sol.x_ls) for x in (rec.x_hat, ref.x_hat))
+            moved.append(abs(fit - fit_q) / fit_q)
+        assert np.median(moved) < 1e-12
+        assert max(moved) < 1e-7
+
+    def test_a_failed_cholesky_falls_back_to_the_qr(self, monkeypatch, qr_rows):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        p, _ = _gram_instance(10, 2)
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        qr_rows.clear()
+        rec, UA, Ub = harness.sketch_factor(p, "gaussian", 40, 3, None)
+        assert qr_rows == [40]
+        ref, UA_q, Ub_q = _qr_reference(p, 40, 3)
+        assert np.array_equal(rec.x_hat, ref.x_hat)
+        assert np.array_equal(_stack(UA, Ub), _stack(UA_q, Ub_q))
+
+
 # (d, m, rho): d from 3 to 50 and m/d from 1.1 to 10; the law depends on neither n nor rho,
 # and at m <= d + 3 only classical runs
 _LAW_GRID = [(3, 4, 0.1), (3, 12, 1.0), (3, 30, 10.0), (10, 11, 1.0), (10, 30, 0.1),
@@ -340,37 +446,39 @@ _LAW_GRID = [(3, 4, 0.1), (3, 12, 1.0), (3, 30, 10.0), (10, 11, 1.0), (10, 30, 0
 
 
 def test_every_gaussian_cell_follows_its_exact_law():
-    """Classical errors and both residual estimates follow their exact laws; js-oracle and
-    shrinkage stay under bound_upper_sa.
+    """Classical errors and the sketched residual follow their exact laws, the full residual
+    its exact identity; js-oracle and shrinkage stay under bound_upper_sa.
 
     With a Gaussian sketch, ||R(x_hat - x_ls)||^2 = r2 v^T W^-1 v (v ~ N(0, I_d), W Wishart),
-    so n pred_err / r2 (m-d+1)/d is F(d, m-d+1) by Hotelling's T^2, for any data.  So the
-    full residual estimate is (m-d-1)/(m-1) r2 (1 + d F/(m-d+1)), and the sketched one,
-    m/(m-d) ||U_A x_hat - U_b||^2, is r2 chi2(m-d)/(m-d).  Each cell runs one KS test per
-    law (the full estimate needs m > d + 1), and each shrinkage kind one one-sided z test
-    of its mean sa_err against the paper's ceiling.  alpha = 0.01 bounds the chance that a
-    correct build fails anywhere on the grid: each of the K checks runs at level alpha / K.
-    About 3 s on one core.
+    so n pred_err / r2 (m-d+1)/d is F(d, m-d+1) by Hotelling's T^2, for any data.  The
+    sketched residual estimate, m/(m-d) ||U_A x_hat - U_b||^2, is r2 chi2(m-d)/(m-d).  The
+    full one is (m-d-1)/(m-1) (r2 + n pred_err) exactly, so a KS test of it would read the
+    F statistic again: each repetition is held to that identity at rtol 1e-12 instead
+    (where m > d + 1, its domain).  Each cell runs one KS test per law, and each shrinkage
+    kind one one-sided z test of its mean sa_err against the paper's ceiling.  alpha = 0.01
+    bounds the chance that a correct build fails anywhere on the grid: each of the K = 36
+    checks (10 + 10 KS tests, 16 z tests) runs at level alpha / K.  About 3 s on one core.
     """
     alpha, reps = 0.01, 600
-    pvalues, residual_pvalues, zscores = {}, {}, {}
+    pvalues, residual_pvalues, zscores, full_checked = {}, {}, {}, 0
     for d, m, rho in _LAW_GRID:
         cfg = _cfg(SyntheticSpec(n=d + 8, d=d, rho=rho, seed=derive_seed(17, "datagen", d, m)),
                    m_values=(m,), estimators=("classical", "js-oracle", "shrinkage"),
                    reps=reps, master_seed=17)
         res = run_experiment(cfg)
         cell = res.cell("gaussian", m, "classical")
-        f = np.array(cell.per_rep_pred_err) * res.n / res.r2
+        n_pred = np.array(cell.per_rep_pred_err) * res.n
+        f = n_pred / res.r2
         pvalues[d, m, rho] = stats.kstest(f * (m - d + 1) / d, stats.f(d, m - d + 1).cdf).pvalue
         p, _ = resolve_instance(cfg)
         sources = ("sketched", "full") if m > d + 1 else ("sketched",)
         r2_hat = _residual_draws(p, res.r2, m, cell.rep_seeds, sources)
-        residual_pvalues[d, m, rho, "sketched"] = stats.kstest(
+        residual_pvalues[d, m, rho] = stats.kstest(
             r2_hat["sketched"] / res.r2 * (m - d), stats.chi2(m - d).cdf).pvalue
         if "full" in sources:
-            f_full = (r2_hat["full"] / res.r2 * (m - 1) / (m - d - 1) - 1) * (m - d + 1) / d
-            residual_pvalues[d, m, rho, "full"] = stats.kstest(
-                f_full, stats.f(d, m - d + 1).cdf).pvalue
+            full_checked += 1
+            np.testing.assert_allclose(
+                r2_hat["full"], (m - d - 1) / (m - 1) * (res.r2 + n_pred), rtol=1e-12, atol=0)
         for kind in ("js-oracle", "shrinkage"):
             cell = res.cell("gaussian", m, kind)
             if cell.skipped is None:
@@ -378,7 +486,8 @@ def test_every_gaussian_cell_follows_its_exact_law():
                 zscores[d, m, rho, kind] = (cell.mean_sa_err - cell.bound_upper_sa) / se
     level = alpha / (len(pvalues) + len(residual_pvalues) + len(zscores))
     assert len(zscores) == 16  # every cell with m > d + 3, both kinds
-    assert len(residual_pvalues) == 18  # sketched in all 10 cells, full in the 8 with m > d + 1
+    assert len(residual_pvalues) == 10  # the sketched estimate in every cell
+    assert full_checked == 8  # the cells with m > d + 1
     assert {key: p for key, p in pvalues.items() if p <= level} == {}
     assert {key: p for key, p in residual_pvalues.items() if p <= level} == {}
     assert {key: z for key, z in zscores.items() if z >= stats.norm.isf(level)} == {}
