@@ -21,6 +21,13 @@ from scipy.linalg import lapack
 from .errors import DimensionMismatchError, InvalidInputError, RankDeficientError, SketchLSError
 
 RANK_TOL = 1e-10
+# `certified_inverse` inverts R~ only where ||R~||_F ||R~^-1||_F < 1/INVERSE_TOL: the inverse
+# moves a sketched fit by about u cond(R~) relative to the QR of the sketch
+INVERSE_TOL = 1e-4
+# `gram_factor` keeps L only where min L_ii >= GRAM_DIAG_MIN max L_ii.  L_kk is the distance of
+# X's column k from the span of the columns before it, so a small ratio flags the near-dependence
+# through which a Cholesky of X^T X loses accuracy as cond(X)^2
+GRAM_DIAG_MIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,21 @@ def qr_factor(M) -> np.ndarray:
     return U
 
 
+def _condition_bound(R) -> tuple[np.ndarray, float]:
+    """(R^-1, ||R||_F ||R^-1||_F) for a triangular R, by one LAPACK inversion.
+
+    The bound is at least R's 2-norm condition number.  It is inf where R has a zero on its
+    diagonal, and inf or NaN where the norms overflow, so it fails every certificate there.
+    """
+    R_inv, info = lapack.dtrtri(R)
+    if info != 0:
+        return R_inv, math.inf
+    # R_inv keeps R's strict lower triangle, zeros in a triangular factor, so its norm is
+    # ||R^-1||_F
+    with np.errstate(over="ignore", invalid="ignore"):
+        return R_inv, float(np.linalg.norm(R) * np.linalg.norm(R_inv))
+
+
 def certify_rank(U, d: int, error: type[SketchLSError], name: str) -> np.ndarray:
     """U, once certified: a finite triangular factor of [X | t] with X of full column rank.
 
@@ -85,17 +107,41 @@ def certify_rank(U, d: int, error: type[SketchLSError], name: str) -> np.ndarray
     if not np.isfinite(U).all():
         raise InvalidInputError(f"[{name} | target] is too large to factor without overflow")
     R = U[:d, :d]
-    R_inv, info = lapack.dtrtri(R)
-    # R_inv keeps R's strict lower triangle, zeros in a triangular factor, so its norm is
-    # ||R^-1||_F; a NaN or an overflow in the norms fails the test and falls to the SVD
-    with np.errstate(over="ignore", invalid="ignore"):
-        certified = info == 0 and 2 * RANK_TOL * np.linalg.norm(R) * np.linalg.norm(R_inv) < 1
-    if not certified:
+    if not 2 * RANK_TOL * _condition_bound(R)[1] < 1:
         s = np.linalg.svd(R, compute_uv=False)
         if s[-1] <= RANK_TOL * s[0]:
             ratio = s[-1] / s[0] if s[0] > 0 else 0.0  # X = 0 has no ratio
             raise error(f"{name} is rank deficient: s_min/s_max = {ratio:.3e}")
     return U
+
+
+def certified_inverse(R) -> np.ndarray | None:
+    """R^-1 for a triangular R, read-only, where INVERSE_TOL ||R||_F ||R^-1||_F < 1; else None.
+
+    A singular R (a zero residual makes R~ singular) and an overflow both fail.
+    """
+    R_inv, bound = _condition_bound(R)
+    if not INVERSE_TOL * bound < 1:
+        return None
+    R_inv.setflags(write=False)
+    return R_inv
+
+
+def gram_factor(gram, R) -> np.ndarray | None:
+    """U = L^T R, L the Cholesky factor of gram = X^T X: the triangular factor of X R = Q U,
+    up to row signs, with no QR of X R.
+
+    None, for the caller to factor X R by its QR, where the Cholesky fails or L's diagonal
+    ratio is under GRAM_DIAG_MIN, NaN included.
+    """
+    try:
+        L = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    diagonal = L.diagonal()
+    if not diagonal.min() >= GRAM_DIAG_MIN * diagonal.max():
+        return None
+    return L.T @ R
 
 
 def factor_blocks(U: np.ndarray, d: int, vector: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +169,10 @@ class ProblemInstance:
     ``AB`` (k' target columns) with views ``A`` and ``y``, and factors it once
     (`qr_factor`, then `certify_rank`): ``R_tilde`` is its (d+k') x (d+k')
     triangular factor, zero below row n when n < d+k', and ``R`` (A's R
-    factor) a view of its leading block, both read-only.  `solution` is
+    factor) a view of its leading block.  ``R_tilde_inv`` is R~^-1, computed
+    once, where `certified_inverse` certifies R~ well enough conditioned to
+    be inverted explicitly, and None where it does not (a zero residual
+    makes R~ singular).  All three arrays are read-only.  `solution` is
     `lstsq_solve` on ``R_tilde``, cached.
     """
 
@@ -153,6 +202,7 @@ class ProblemInstance:
         self.d = d
         self.AB = AB
         self.R_tilde = R_tilde
+        self.R_tilde_inv = certified_inverse(R_tilde)
         self.R = R_tilde[:d, :d]
 
     @cached_property

@@ -12,11 +12,13 @@ runs every estimator kind on it; a sweep adds the error metrics, and
 `sketch-solve` is one repetition of one kind.  A Gaussian S is rotation
 invariant, so S[A | b] is drawn from its law G R~ / sqrt(m), with G an
 m x (d+k') standard normal matrix and R~ the triangular factor of [A | b]
-(`ProblemInstance.R_tilde`).  Its triangular factor is U = L^T R~, L the
-Cholesky factor of G^T G / m, so no m-row QR runs: O(m (d+k')^2),
-independent of n.  Every other family applies its realized operator once,
-to `ProblemInstance.AB`, and `classical_stacked` factors SB = S [A | b] =
-Q U.  A rank or overflow error fails the cell, not the sweep.  Every norm
+(`ProblemInstance.R_tilde`).  Every other family applies its realized
+operator once, to `ProblemInstance.AB`.  Either way SB = S [A | b] = X R~,
+X = S Q~ with Q~ = [A | b] R~^-1, and its triangular factor is
+U = L^T R~, L the Cholesky factor of X^T X, so no m-row QR runs:
+O(m (d+k')^2) past the realization.  The QR of SB (`classical_stacked`)
+stays for m < d+k' and for the draws `core.gram_factor` declines.  A rank
+or overflow error fails the cell, not the sweep.  Every norm
 after the factor comes from a triangular factor's blocks
 (`core.factor_blocks`): U's (d+k')-row blocks, ||SA v - S b w|| =
 ||U_A v - U_b w||, R~'s for the full-data residual (`residual_estimates`),
@@ -38,7 +40,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import estimators as est_mod
-from .core import ExactSolution, ProblemInstance, factor_blocks, prediction_error, snr, solve_exact
+from .core import (ExactSolution, ProblemInstance, factor_blocks, gram_factor, prediction_error,
+                   snr, solve_exact)
 from .datagen import SyntheticSpec, add_noise, gen_gaussian_data
 from .dataio import DatasetFile, load
 from .errors import ConfigError, InvalidInputError, NotSpdError, SketchLSError
@@ -159,31 +162,34 @@ def resolve_instance(cfg: ExperimentConfig) -> tuple[ProblemInstance, ExactSolut
 def sketch_factor(instance: ProblemInstance, family: str, m: int, seed: int, weights):
     """One realization, factored: `classical_factored`'s (classical record, U_A, U_b).
 
-    A Gaussian SB = S [A | b] is G R~ / sqrt(m), G = default_rng(seed).standard_normal
-    m x p (p = d+k').  Its factor is U = L^T R~, with L the Cholesky factor of
-    G^T G / m; where m < p (G^T G is singular) or the Cholesky fails, U comes from
-    the QR of G R~ / sqrt(m).  Any other family applies `make_operator`'s S to
-    `instance.AB`, and `classical_stacked` factors that.  Both take `SketchSpec`'s
+    The factor of SB = S [A | b] is U = L^T R~, with L the Cholesky factor of X^T X for
+    X = S Q~, Q~ = [A | b] R~^-1 (`core.gram_factor`), so no m-row QR runs.  A Gaussian
+    SB is drawn from its law G R~ / sqrt(m), G = default_rng(seed).standard_normal
+    m x p (p = d+k'), so X = G / sqrt(m) needs no inverse.  Any other family applies
+    `make_operator`'s S to `instance.AB`, and X = SB `instance.R_tilde_inv`, one GEMM.
+    `classical_stacked` factors SB by its QR instead where m < p, where R~ has no
+    certified inverse, or where `gram_factor` declines L.  Both take `SketchSpec`'s
     checks.  SB is not kept: U's blocks replace SA and S b.
     """
     spec = SketchSpec(family, m, seed)
-    d, vector = instance.d, instance.y.ndim == 1
-    if family != "gaussian":
+    d, vector, p = instance.d, instance.y.ndim == 1, instance.AB.shape[1]
+    U = None
+    if family == "gaussian":
+        check_addressable((m, p), "a gaussian sketch")
+        G = np.random.default_rng(seed).standard_normal((m, p))
+        if m >= p:
+            U = gram_factor(G.T @ G / m, instance.R_tilde)
+        if U is None:
+            SB = G @ instance.R_tilde
+            SB /= math.sqrt(m)
+    else:
         SB = apply(make_operator(spec, instance.n, weights=weights), instance.AB)
+        if m >= p and instance.R_tilde_inv is not None:
+            X = SB @ instance.R_tilde_inv
+            U = gram_factor(X.T @ X, instance.R_tilde)
+    if U is None:
         return est_mod.classical_stacked(SB, d, vector)
-    p = instance.AB.shape[1]
-    check_addressable((m, p), "a gaussian sketch")
-    G = np.random.default_rng(seed).standard_normal((m, p))
-    if m >= p:
-        try:
-            L = np.linalg.cholesky(G.T @ G / m)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return est_mod.classical_factored(L.T @ instance.R_tilde, d, vector)
-    SB = G @ instance.R_tilde
-    SB /= math.sqrt(m)
-    return est_mod.classical_stacked(SB, d, vector)
+    return est_mod.classical_factored(U, d, vector)
 
 
 def residual_estimates(sources, instance: ProblemInstance, r2, x_hat, UA, Ub, m: int) -> dict:

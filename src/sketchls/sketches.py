@@ -35,7 +35,7 @@ WEIGHTED_FAMILIES = tuple(_ROW_WEIGHTS)
 _WEIGHT_SUM_TOL = 1e-12
 _MASK64 = (1 << 64) - 1
 _RADIX_BITS = 6  # SRHT applies H_b in Kronecker factors of at most 2**6 rows, one GEMM each
-_SRHT_BLOCK = 32  # columns per SRHT block; bounds its n_pad-row scratch buffers
+_SRHT_BLOCK = 32  # columns per SRHT block; bounds its n_pad-row buffers and its stored rows
 _RADEMACHER_BLOCK = 1024  # input columns per Rademacher unpack; bounds its m-row float block
 _FLOAT64_COUNT_MAX = np.iinfo(np.intp).max // 8  # numpy sizes arrays in signed intp bytes
 
@@ -207,44 +207,61 @@ class _Rademacher(SketchOperator):
         return out
 
 
+def _hadamard_rows(rows, size: int) -> np.ndarray:
+    """Rows `rows` of the Sylvester Hadamard matrix H of order size, by H = H_hi kron H_lo
+    with lo <= hi = size / lo: one table of H_hi, H_lo its leading block, and no size x size
+    array."""
+    lo = 1 << ((size.bit_length() - 1) // 2)
+    H_hi = hadamard(size // lo, dtype=np.float64)
+    high, low = np.divmod(rows, lo)
+    return np.einsum("ij,ik->ijk", H_hi[high], H_hi[low, :lo]).reshape(len(rows), size)
+
+
 class _Srht(SketchOperator):
     """The sampled rows of H z, z the signed, zero-padded input, by H = H_b kron H_a.
 
-    With b = 2**floor(k/2) for n_pad = 2**k, row i = h a + l of H z is H_a[l] @ W[h],
-    W = H_b z viewed as b blocks of a rows.
+    Row i = h a + l of H z is H_a[l] @ W[h], W = H_b z viewed as b blocks of a rows.  That
+    costs about n_pad b + m a flops per column, least at b = sqrt(m): b is the power of two
+    nearest sqrt(m), raised to m / _SRHT_BLOCK so that the m x a stored rows of H_a fit in
+    one n_pad x _SRHT_BLOCK buffer, and capped at n_pad.  Where a = 1 they are a view of
+    one 1.0.
     """
 
     def _realize(self, rng, weights):
         k = (self.n - 1).bit_length()  # n_pad = 2**k, the next power of two
-        self.n_pad, self.a, kb = 1 << k, 1 << (k - k // 2), k // 2
+        # b = 2**kb: m.bit_length() // 2 is log2(m) / 2 rounded, and the second term log2 of
+        # m / _SRHT_BLOCK rounded up
+        kb = min(k, max(self.m.bit_length() // 2, (-(-self.m // _SRHT_BLOCK) - 1).bit_length()))
+        self.n_pad, self.a = 1 << k, 1 << (k - kb)
         self.signs = _frozen(2.0 * rng.integers(0, 2, size=self.n_pad) - 1.0)
         self.indices = _frozen(rng.integers(0, self.n_pad, size=self.m))
-        # H_r is the leading r x r block of H_a for every power of two r <= a
-        H_a = hadamard(self.a, dtype=np.float64)
-        passes = max(1, -(-kb // _RADIX_BITS))  # H_1 = [[1]] when n_pad <= 2
+        passes = max(1, -(-kb // _RADIX_BITS))  # H_1 = [[1]] when b = 1
         radices = [1 << (kb // passes + (i < kb % passes)) for i in range(passes)]
-        self.b_factors = tuple(_frozen(H_a[:r, :r]) for r in radices)
+        self.b_factors = tuple(_frozen(hadamard(r, dtype=np.float64)) for r in radices)
         # the sampled rows grouped by their block h, in draw order within each group
         self.order = _frozen(np.argsort(self.indices // self.a, kind="stable"))
         high, low = np.divmod(self.indices[self.order], self.a)
         cuts = [0, *(np.flatnonzero(np.diff(high)) + 1).tolist(), self.m]
         self.groups = tuple(zip(high[cuts[:-1]].tolist(), cuts, cuts[1:]))
-        self.a_rows = _frozen(H_a[low])
+        self.a_rows = (_frozen(_hadamard_rows(low, self.a)) if self.a > 1
+                       else np.broadcast_to(1.0, (self.m, 1)))
 
     def _apply(self, M):
         n, c = M.shape
         n_pad, a = self.n_pad, self.a
         *passes, H_b = self.b_factors
-        # a lone factor computes W = H_b z in two halves of its rows, each into a buffer
-        # of half z's size that its groups read before the next half overwrites it
-        step = len(H_b) // (2 if not passes and len(H_b) > 1 else 1)
-        rows = np.empty((self.m, c))
+        # a lone factor computes W = H_b z in quarters of its rows (halves when b = 2), each
+        # into a buffer of that size that its groups read before the next one overwrites it
+        step = len(H_b) if passes else max(1, len(H_b) // 4)
+        out = np.empty((self.m, c))
         width = min(c, _SRHT_BLOCK)
+        rows = np.empty((self.m, width))  # one block of the sampled rows, in group order
         buffers = np.empty(n_pad * width), np.empty(n_pad * width * step // len(H_b))
         for c0 in range(0, c, _SRHT_BLOCK):
             w = min(_SRHT_BLOCK, c - c0)
             z, spare = (buf[: buf.size // width * w] for buf in buffers)
-            np.multiply(M[:, c0:c0 + w], self.signs[:n, None], out=z.reshape(n_pad, w)[:n])
+            # einsum flips the signs with no ufunc buffers, which would add to the peak
+            np.einsum("ij,i->ij", M[:, c0:c0 + w], self.signs[:n], out=z.reshape(n_pad, w)[:n])
             z[n * w:] = 0.0
             # W = (H_b kron I_a) z, one factor of H_b per pass, between the two buffers
             lead = 1
@@ -259,10 +276,8 @@ class _Srht(SketchOperator):
                 W = spare.reshape(-1, a, w)  # blocks h0 <= h < h0 + len(W) of H_b z
                 for h, start, stop in self.groups:
                     if h0 <= h < h0 + len(W):
-                        np.matmul(self.a_rows[start:stop], W[h - h0],
-                                  out=rows[start:stop, c0:c0 + w])
-        out = np.empty_like(rows)
-        out[self.order] = rows
+                        np.matmul(self.a_rows[start:stop], W[h - h0], out=rows[start:stop, :w])
+            out[self.order, c0:c0 + w] = rows[:, :w]
         # sqrt(n_pad/m) * (H/sqrt(n_pad)) collapses to 1/sqrt(m) on the raw transform
         out /= math.sqrt(self.m)
         return out
@@ -336,12 +351,13 @@ def make_operator(spec: SketchSpec, n: int, weights=None) -> SketchOperator:
     families draw m rows i.i.d. with replacement from probabilities p and scale each
     selected row by 1/sqrt(m * p_i).  SRHT zero-pads inputs to the next power of two n_pad
     and applies sign flips, the normalized Hadamard transform, and row sampling with an
-    overall scale sqrt(n_pad / m); it forms only the sampled rows, from m x a stored rows of
-    H_a, 32 columns at a time in one n_pad x 32 buffer and a second of half that size while
-    n_pad <= 2**13 (a full one past it).  CountSketch gives each of the n input
-    coordinates one uniformly random output row and a random sign; it is stored as an m x n
-    CSC matrix with one entry per column, and its product sums each output row's inputs in
-    input order.
+    overall scale sqrt(n_pad / m); it forms only the sampled rows, by H = H_b kron H_a with
+    b near sqrt(m), from m x a stored rows of H_a that fit in one n_pad x 32 buffer, 32
+    columns at a time in one n_pad x 32 buffer and a second of a quarter of that size while
+    4 <= b <= 64 (m from 8 to 2048, where n_pad >= b; half at b = 2, a full one
+    otherwise).  CountSketch gives each of the n input coordinates one uniformly random
+    output row and a random sign; it is stored as an m x n CSC matrix with one entry per
+    column, and its product sums each output row's inputs in input order.
 
     Row-norm and leverage sampling take their probabilities from
     `weights`, as returned by `sampling_weights(family, A)`.  They are

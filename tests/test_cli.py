@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from sketchls import FAMILIES, ExperimentConfig, cli, derive_seed, errors, run_experiment
 from sketchls.cli import main
-from sketchls.core import prediction_error, solve_exact
+from sketchls.core import lstsq_solve, prediction_error, solve_exact
 from sketchls.datagen import SyntheticSpec, gen_gaussian_data
 from sketchls.dataio import DatasetFile, load, save_dense_csv
 from sketchls.estimators import (
@@ -336,6 +336,15 @@ def _reference_sketch_solve(data, family, m, seed, estimator):
     raise AssertionError(f"no reference for {estimator!r}")
 
 
+def _gram_x_hat(family, m, seed, data):
+    """The classical x_hat of the reference's [SA | Sy] = SB through its factor U = L^T R~:
+    L is the Cholesky factor of X^T X, X = SB R~^-1."""
+    instance = load(DatasetFile(path=data))
+    X = np.column_stack(_reference_sketch(instance, family, m, seed)) @ instance.R_tilde_inv
+    U = np.linalg.cholesky(X.T @ X).T @ instance.R_tilde
+    return lstsq_solve(U, instance.d, True)
+
+
 _VECTOR_KINDS = [k for k, e in ESTIMATORS.items() if e.targets != "matrix"]
 
 
@@ -355,12 +364,12 @@ def test_sketch_solve_matches_the_reference_dispatch(capsys, dataset, family, m,
     ref = _reference_sketch_solve(dataset, family, m, seed, kind)
     assert payload["estimator"] == ref.kind == kind
     assert payload["degenerate"] == str(ref.degenerate).lower()
-    # sketch-solve applies S once to [A | y] and reads norms from the factors U and R~, so
-    # dense and SRHT x_hat and every norm move in their last digits; sampling and
-    # CountSketch sketch each column alike, so their classical x_hat stays bitwise; Gaussian's
-    # reference draws the same [SA | Sy], but sketch-solve factors it from G^T G, not by a QR
+    # sketch-solve applies S once to [A | y] and factors it as L^T R~, not by the reference's
+    # QR, so x_hat and every norm move in their last digits.  Sampling and CountSketch
+    # sketch each column alike, so their classical x_hat is bitwise that formula on the
+    # reference's [SA | Sy]
     if kind == "classical" and family in ("leverage", "countsketch"):
-        assert payload["x_hat"] == [float(v) for v in ref.x_hat]
+        assert payload["x_hat"] == [float(v) for v in _gram_x_hat(family, m, seed, dataset)]
     np.testing.assert_allclose(payload["x_hat"], ref.x_hat, rtol=1e-12, atol=0)
     assert payload["shrink_factor"] == pytest.approx(ref.shrink_factor, rel=1e-12, abs=0)
     if ref.r2_estimate is None:

@@ -15,7 +15,7 @@ from sketchls import (
     snr,
     solve_exact,
 )
-from sketchls.core import RANK_TOL, certify_rank
+from sketchls.core import INVERSE_TOL, RANK_TOL, certify_rank
 from sketchls.errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -147,7 +147,7 @@ class TestOneCopy:
         finally:
             tracemalloc.stop()
         # a copy of A or y kept beside AB would add at least n * 8 = 32 KiB
-        assert retained <= p.AB.nbytes + p.R_tilde.nbytes + 8 * 1024
+        assert retained <= p.AB.nbytes + p.R_tilde.nbytes + p.R_tilde_inv.nbytes + 8 * 1024
 
 
 class TestPredictionError:
@@ -347,3 +347,45 @@ class TestCertifyRank:
                                match=r"^X is rank deficient: s_min/s_max = 5\.000e-11$"):
                 certify_rank(U, 2, RankDeficientError, "X")
         assert svd_calls == [(2, 2)]
+
+
+class TestCertifiedInverse:
+    """`ProblemInstance.R_tilde_inv`: R~^-1 where R~ is certified well enough conditioned to
+    be inverted explicitly, else None."""
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_well_conditioned_instance_holds_its_inverse(self, k):
+        rng = np.random.default_rng(43)
+        p = ProblemInstance(rng.standard_normal((40, 6)), rng.standard_normal(40 if k is None
+                                                                             else (40, k)))
+        R_inv = p.R_tilde_inv
+        assert R_inv.shape == p.R_tilde.shape and not R_inv.flags.writeable
+        assert np.all(np.tril(R_inv, -1) == 0.0)
+        np.testing.assert_allclose(R_inv @ p.R_tilde, np.eye(len(R_inv)), rtol=0, atol=1e-12)
+        assert INVERSE_TOL * np.linalg.norm(p.R_tilde) * np.linalg.norm(R_inv) < 1
+
+    @pytest.mark.parametrize("ratio, inverted", [(1e-2, True), (1e-8, False)])
+    def test_certificate_follows_the_condition_number(self, ratio, inverted):
+        A, y = _with_condition(ratio)
+        assert (ProblemInstance(A, y=y).R_tilde_inv is not None) == inverted
+
+    def test_zero_residual_leaves_no_inverse(self):
+        # [diag; 0] factors without rounding, so R~ has an exact zero on its diagonal
+        A = np.zeros((12, 3))
+        A[:3] = np.diag([1.0, 2.0, 3.0])
+        p = ProblemInstance(A, A @ np.array([1.0, -2.0, 0.5]))
+        assert p.R_tilde[3, 3] == 0.0 and p.R_tilde_inv is None
+        rng = np.random.default_rng(44)
+        A = rng.standard_normal((30, 4))
+        assert ProblemInstance(A, A @ rng.standard_normal(4)).R_tilde_inv is None
+
+    def test_padded_factor_leaves_no_inverse(self):
+        # n = 5 < d+k' = 7: R~ has zero rows below row n
+        rng = np.random.default_rng(45)
+        assert ProblemInstance(rng.standard_normal((5, 4)), rng.standard_normal((5, 3))
+                               ).R_tilde_inv is None
+
+    def test_overflowing_norms_leave_no_inverse_quietly(self):
+        rng = np.random.default_rng(41)
+        p = ProblemInstance(rng.standard_normal((60, 3)) * 1e155, y=rng.standard_normal(60))
+        assert p.R_tilde_inv is None

@@ -326,19 +326,31 @@ class TestResidualCheck:
 
     @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "gaussian"])
     def test_non_gaussian_means_equal_the_explicit_loop(self, family):
-        """Each repetition realizes `make_operator`'s S and applies it to [A | b], bitwise."""
+        """Each repetition realizes `make_operator`'s S, applies it to [A | b] and factors SB as
+        L^T R~, L the Cholesky factor of X^T X for X = SB R~^-1: bitwise, and within rtol
+        1e-12 of the QR of SB."""
         p, _ = gen_gaussian_data(SyntheticSpec(n=64, d=5, rho=0.5, seed=68))
         m, reps, seed = 24, 20, 68
         weights = sampling_weights(family, p.A)
-        full, sketched = np.empty(reps), np.empty(reps)
-        for r in range(reps):
-            op = make_operator(SketchSpec(family, m, derive_seed(seed, family, m, r)), p.n,
-                               weights=weights)
-            rec, UA, Ub = est_mod.classical_stacked(apply(op, p.AB), p.d, True)
-            r2_hat = harness.residual_estimates(("full", "sketched"), p, None, rec.x_hat, UA, Ub, m)
-            full[r], sketched[r] = r2_hat["full"], r2_hat["sketched"]
-        assert verify_residual_unbiased(p, family, m, reps, seed) == (float(full.mean()),
-                                                                     float(sketched.mean()))
+        means = {}
+        for factor in ("gram", "qr"):
+            full, sketched = np.empty(reps), np.empty(reps)
+            for r in range(reps):
+                op = make_operator(SketchSpec(family, m, derive_seed(seed, family, m, r)), p.n,
+                                   weights=weights)
+                SB = apply(op, p.AB)
+                if factor == "gram":
+                    X = SB @ p.R_tilde_inv
+                    U = np.linalg.cholesky(X.T @ X).T @ p.R_tilde
+                    rec, UA, Ub = est_mod.classical_factored(U, p.d, True)
+                else:
+                    rec, UA, Ub = est_mod.classical_stacked(SB, p.d, True)
+                r2_hat = harness.residual_estimates(("full", "sketched"), p, None, rec.x_hat,
+                                                    UA, Ub, m)
+                full[r], sketched[r] = r2_hat["full"], r2_hat["sketched"]
+            means[factor] = (float(full.mean()), float(sketched.mean()))
+        assert verify_residual_unbiased(p, family, m, reps, seed) == means["gram"]
+        np.testing.assert_allclose(means["gram"], means["qr"], rtol=1e-12, atol=0)
 
 
 class TestGramCheck:

@@ -217,6 +217,21 @@ class TestOperators:
             tracemalloc.stop()
         assert peak <= 1.69 * 2**20
 
+    def test_srht_scratch_is_one_and_a_quarter_buffers(self):
+        # n_pad = 4096 and m = 300 give b = 16, one H_b factor, so W = H_b z takes quarters
+        # of its rows into a quarter-size buffer: 1.25 MiB of n_pad x 32 scratch, one m x c
+        # output and one m x 32 block of rows
+        n, m, c = 4000, 300, 32
+        op = make_operator(SketchSpec("srht", m, 15), n)
+        M = np.random.default_rng(15).standard_normal((n, c))
+        tracemalloc.start()
+        try:
+            apply(op, M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2**20 + 2 * m * c * 8 + 32 * 1024
+
     def test_srht_pads_to_power_of_two(self):
         op = _op("srht", n=20, m=8)
         assert op.n_pad == 32
@@ -297,6 +312,45 @@ class TestStructuredKernels:
         op = make_operator(SketchSpec("srht", m, seed), n)
         explicit = hadamard(op.n_pad)[op.indices][:, :n] * op.signs[:n] / math.sqrt(m)
         assert np.array_equal(as_matrix(op), explicit)
+
+    # b = n_pad / a for m on both sides of each step of the split: the power of two nearest
+    # sqrt(m), raised to m / 32 past m = 1024 and capped at n_pad
+    @pytest.mark.parametrize("n, splits", [
+        (1, {1: 1, 2: 1, 3: 1, 150: 1, 5000: 1}),
+        (2, {1: 1, 2: 2, 3: 2, 150: 2, 5000: 2}),
+        (3000, {1: 1, 2: 2, 3: 2, 7: 2, 8: 4, 31: 4, 32: 8, 150: 16, 1000: 32, 1025: 64,
+                5000: 256}),
+        (9000, {1: 1, 2: 2, 3: 2, 7: 2, 8: 4, 150: 16, 1000: 32, 1025: 64, 5000: 256})])
+    def test_srht_splits_at_sqrt_m(self, n, splits):
+        for m, b in splits.items():
+            op = make_operator(SketchSpec("srht", m, 1), n)
+            assert op.n_pad // op.a == b
+            assert math.prod(len(H) for H in op.b_factors) == b
+
+    @pytest.mark.parametrize("n", [1, 2, 3000, 9000])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 150, 1000, 5000])
+    def test_srht_stored_rows_fit_in_one_block_buffer(self, n, m):
+        # the rows of H_a that the sampled rows read: at most one n_pad x 32 buffer of float64
+        op = make_operator(SketchSpec("srht", m, 2), n)
+        rows = op.a_rows
+        spanned = rows.itemsize + sum((k - 1) * abs(step) for k, step in zip(rows.shape,
+                                                                             rows.strides))
+        assert spanned <= op.n_pad * 32 * 8
+        low = op.indices[op.order] % op.a
+        assert np.array_equal(np.broadcast_to(rows, (m, op.a)), _hadamard_rows(low, op.a))
+
+    @pytest.mark.parametrize("n", [1, 2, 9000])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 150, 1000, 5000])
+    def test_srht_rows_are_the_transform_at_each_split(self, n, m):
+        # each output row is row indices[i] of H applied to the signed, padded input, for
+        # n_pad <= 2 and for n_pad = 2**14, where b = 256 takes two H_b passes
+        op = make_operator(SketchSpec("srht", m, 3), n)
+        M = np.random.default_rng(m + n).standard_normal((n, 40))
+        z = np.zeros((op.n_pad, 40))
+        z[:n] = M * op.signs[:n, None]
+        expected = _reference_fwht(z)[op.indices] / math.sqrt(m)
+        atol = 1e-13 * np.max(np.abs(M)) * math.sqrt(op.n_pad)
+        np.testing.assert_allclose(apply(op, M), expected, rtol=1e-13, atol=atol)
 
     @pytest.mark.parametrize("n, m, seed", [(1, 3, 0), (20, 8, 1), (64, 64, 2), (100, 300, 3)])
     def test_countsketch_matrix_from_its_ingredients(self, n, m, seed):
