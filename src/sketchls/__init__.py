@@ -16,7 +16,7 @@ from .bounds import (
 )
 from .core import ExactSolution, ProblemInstance, prediction_error, snr, solve_exact
 from .config import load_config
-from .datagen import SyntheticSpec, add_noise, ar1_covariance, gen_gaussian_data
+from .datagen import SyntheticSpec, ar1_covariance, gen_gaussian_data
 from .dataio import DatasetFile, load, save_dense_csv, write_results_csv
 from .estimators import (
     KINDS,
@@ -59,7 +59,7 @@ __all__ = [
     "BoundInputs", "BoundReport", "CellResult", "DatasetFile", "EstimateRecord",
     "ExactSolution", "ExperimentConfig", "ExperimentResult", "FAMILIES", "KINDS",
     "ProblemInstance", "SketchOperator", "SketchSpec", "SteinInstance", "SyntheticSpec",
-    "add_noise", "apply", "ar1_covariance", "as_matrix", "classical", "derive_seed",
+    "apply", "ar1_covariance", "as_matrix", "classical", "derive_seed",
     "epsilon_prime", "estimate_residual_full", "estimate_residual_sketched",
     "eta_to_b_squared", "evaluate_report", "exact_classical_error", "gen_gaussian_data",
     "general_lower_bound", "js_oracle", "leverage_scores", "load", "load_config",

@@ -13,9 +13,8 @@ Dotted keys, one per line, `#` comments, lists comma-separated:
     output.path = results.csv
 
 A data-file source uses `data.path` and `data.format` instead of the
-synthetic.* keys; `noise.kappa` adds target noise to either source.
-The synthetic generator seed is derived from experiment.seed with the
-context tag "datagen".
+synthetic.* keys.  Any other key is an error.  The synthetic generator
+seed is derived from experiment.seed with the context tag "datagen".
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .sketches import derive_seed
 _KNOWN_KEYS = {
     "synthetic.n", "synthetic.d", "synthetic.rho",
     "data.path", "data.format",
-    "noise.kappa",
     "sketch.families", "sketch.m_values",
     "experiment.reps", "experiment.seed", "experiment.estimators", "experiment.two_sketch",
     "output.path",
@@ -127,7 +125,6 @@ def load_config(path) -> ExperimentConfig:
         estimators=_get(values, "experiment.estimators", _csv_list, required=True),
         reps=_get(values, "experiment.reps", int, default=100),
         master_seed=seed,
-        kappa=_get(values, "noise.kappa", float, default=0.0),
         two_sketch=_get(values, "experiment.two_sketch", _bool, default=False),
         out_path=_get(values, "output.path", str, required=True),
     )

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
+# solve_exact is unread here; perfbench/tracer.py patches datagen.solve_exact
 from .core import ExactSolution, ProblemInstance, solve_exact
 from .errors import DegenerateNoiseError, InvalidInputError
 from .sketches import check_addressable, check_seed
@@ -112,19 +113,3 @@ def gen_gaussian_data(spec: SyntheticSpec) -> tuple[ProblemInstance, ExactSoluti
     y_perp = alpha * noise
     fitted = A @ x_ls
     return ProblemInstance(A, fitted + y_perp), ExactSolution.from_fit(x_ls, fitted, y_perp)
-
-
-def add_noise(p: ProblemInstance, kappa: float, seed: int) -> ProblemInstance:
-    """Add i.i.d. Gaussian noise of per-coordinate variance kappa * r2 to the target.
-
-    r2 is the residual energy of the unmodified instance.  The noise is
-    not confined to the null space of A^T, so the exact solution and the
-    residual of the returned instance both change in general; callers
-    must re-solve.  kappa = 0 returns an instance with the target
-    unchanged.
-    """
-    if not 0 <= kappa < math.inf:
-        raise InvalidInputError(f"kappa must be finite and nonnegative, got {kappa}")
-    r2 = solve_exact(p).r2
-    rng = np.random.default_rng(seed)
-    return ProblemInstance(p.A, p.y + math.sqrt(kappa * r2) * rng.standard_normal(p.y.shape))

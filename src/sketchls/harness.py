@@ -9,7 +9,9 @@ count and iteration order, and any cell can be replayed in isolation.
 
 A repetition (`repetition`) factors one realization (`sketch_factor`) and
 runs every estimator kind on it; a sweep adds the error metrics, and
-`sketch-solve` is one repetition of one kind.  A Gaussian S is rotation
+`sketch-solve` is one repetition of one kind.  Each cell keeps one
+read-only log of its repetitions (`CellResult.log`), and its statistics
+are functions of that log.  A Gaussian S is rotation
 invariant, so S[A | b] is drawn from its law G R~ / sqrt(m), with G an
 m x (d+k') standard normal matrix and R~ the triangular factor of [A | b]
 (`ProblemInstance.R_tilde`).  Every other family applies its realized
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from . import bounds as bounds_mod
 from . import estimators as est_mod
 from .core import (ExactSolution, ProblemInstance, factor_blocks, gram_factor, prediction_error,
                    snr, solve_exact)
-from .datagen import SyntheticSpec, add_noise, gen_gaussian_data
+from .datagen import SyntheticSpec, gen_gaussian_data
 from .dataio import DatasetFile, load
 from .errors import ConfigError, InvalidInputError, NotSpdError, SketchLSError
 from .sketches import (
@@ -69,7 +71,6 @@ class ExperimentConfig:
     estimators: tuple[str, ...]
     reps: int = 100
     master_seed: int = 0
-    kappa: float = 0.0
     two_sketch: bool = False
     out_path: str | None = None
 
@@ -92,39 +93,54 @@ class ExperimentConfig:
             raise ConfigError(f"sketch sizes must be >= 1, got m = {self.m_values[0]}")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
-        check_addressable((self.reps,), "a repetition log")
-        if not 0 <= self.kappa < math.inf:
-            raise ConfigError(f"kappa must be finite and nonnegative, got {self.kappa}")
+        check_addressable((self.reps, len(LOG_DTYPE)), "a repetition log")
         check_seed(self.master_seed, ConfigError)
 
+    def rep_seeds(self, family: str, m: int) -> tuple[int, ...]:
+        """Repetition r's seed in the cell (family, m, any kind): a function of the key alone."""
+        return tuple(derive_seed(self.master_seed, family, m, r) for r in range(self.reps))
 
-@dataclass(frozen=True)
+
+# one row per repetition, in seed order; errors are normalized by the row count n
+LOG_DTYPE = np.dtype([("pred_err", np.float64), ("sa_err", np.float64), ("factor", np.float64)])
+
+
+def _mean(column: str):
+    return property(lambda c: float(c.log[column].mean()) if c.reps else None)
+
+
+def _std(column: str):
+    return property(lambda c: float(np.std(c.log[column], ddof=1)) if c.reps >= 2 else None)
+
+
+# eq=False: cells compare by identity; compare two logs with `log.tobytes()`
+@dataclass(frozen=True, eq=False)
 class CellResult:
-    """Statistics for one (family, m, estimator) cell.
+    """One (family, m, estimator) cell: its bounds and its read-only repetition log.
 
-    Errors are normalized by the row count n.  `reps` counts successful
-    repetitions; `skipped` carries the reason when the cell was not
-    evaluated.  Per-rep logs are retained for replay checks and paired
-    comparisons.
+    `log` holds one `LOG_DTYPE` row per repetition, in the order of
+    `ExperimentConfig.rep_seeds`; a cell that was not evaluated has an
+    empty log and carries the reason in `skipped` (prefixed "failed: "
+    when a repetition failed).  `reps` and the statistics are functions
+    of the log, None where undefined.
     """
 
     family: str
     m: int
     estimator: str
-    reps: int
-    mean_pred_err: float | None
-    std_pred_err: float | None
-    mean_sa_err: float | None
-    std_sa_err: float | None
-    mean_shrink_factor: float | None
     bound_exact_classical: float | None
     bound_lower_general: float | None
     bound_upper_sa: float | None
-    rep_seeds: tuple[int, ...] = ()
-    per_rep_pred_err: tuple[float, ...] = ()
-    per_rep_sa_err: tuple[float, ...] = ()
-    per_rep_factor: tuple[float, ...] = ()
+    log: np.ndarray = field(default_factory=lambda: np.empty(0, LOG_DTYPE))
     skipped: str | None = None
+
+    def __post_init__(self):
+        self.log.flags.writeable = False
+
+    reps = property(lambda c: len(c.log))
+    mean_pred_err, std_pred_err = _mean("pred_err"), _std("pred_err")
+    mean_sa_err, std_sa_err = _mean("sa_err"), _std("sa_err")
+    mean_shrink_factor = _mean("factor")
 
 
 @dataclass(frozen=True)
@@ -145,18 +161,13 @@ class ExperimentResult:
 
 
 def resolve_instance(cfg: ExperimentConfig) -> tuple[ProblemInstance, ExactSolution]:
-    """Materialize the data source, applying target noise if requested."""
+    """Materialize the data source."""
     if isinstance(cfg.source, SyntheticSpec):
-        instance, sol = gen_gaussian_data(cfg.source)
-    elif isinstance(cfg.source, DatasetFile):
+        return gen_gaussian_data(cfg.source)
+    if isinstance(cfg.source, DatasetFile):
         instance = load(cfg.source)
-        sol = solve_exact(instance)
-    else:
-        raise ConfigError(f"unsupported source type {type(cfg.source).__name__}")
-    if cfg.kappa > 0:
-        instance = add_noise(instance, cfg.kappa, derive_seed(cfg.master_seed, "noise"))
-        sol = solve_exact(instance)
-    return instance, sol
+        return instance, solve_exact(instance)
+    raise ConfigError(f"unsupported source type {type(cfg.source).__name__}")
 
 
 def sketch_factor(instance: ProblemInstance, family: str, m: int, seed: int, weights):
@@ -242,11 +253,6 @@ def _bound_columns(d, m, r2, rho, n):
                  for v in (report.exact_classical, report.general_lower, report.upper_sa))
 
 
-def _empty_cell(family: str, m: int, kind: str, bounds: tuple, reason: str) -> CellResult:
-    """A cell with no statistics: skipped outside its domain, or failed."""
-    return CellResult(family, m, kind, 0, None, None, None, None, None, *bounds, skipped=reason)
-
-
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run the full sweep; statistics are invariant to the thread count.
 
@@ -273,9 +279,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
                 weights, weight_error = None, exc
             for m in cfg.m_values:
                 bounds = _bound_columns(d, m, r2, rho, n)
-                seeds = tuple(derive_seed(cfg.master_seed, family, m, r) for r in range(cfg.reps))
+                seeds = cfg.rep_seeds(family, m)
                 reasons = {k: est_mod.skip_reason(k, d, m, is_matrix) for k in cfg.estimators}
-                cells += [_empty_cell(family, m, k, bounds, reason)
+                cells += [CellResult(family, m, k, *bounds, skipped=reason)
                           for k, reason in reasons.items() if reason is not None]
                 runnable = [k for k, reason in reasons.items() if reason is None]
                 if not runnable:
@@ -297,18 +303,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
                 failure = next((o for o in rep_outputs if isinstance(o, SketchLSError)), None)
                 for kind in runnable:
                     if failure is not None:
-                        cells.append(_empty_cell(family, m, kind, bounds, f"failed: {failure}"))
-                        continue
-                    pred, sa, fac = (np.array(col) for col in zip(*(o[kind] for o in rep_outputs)))
-                    std_pred = float(np.std(pred, ddof=1)) if cfg.reps >= 2 else None
-                    std_sa = float(np.std(sa, ddof=1)) if cfg.reps >= 2 else None
-                    cells.append(CellResult(
-                        family, m, kind, cfg.reps, float(pred.mean()), std_pred,
-                        float(sa.mean()), std_sa, float(fac.mean()), *bounds,
-                        rep_seeds=seeds,
-                        per_rep_pred_err=tuple(pred.tolist()),
-                        per_rep_sa_err=tuple(sa.tolist()),
-                        per_rep_factor=tuple(fac.tolist())))
+                        cells.append(CellResult(family, m, kind, *bounds,
+                                                skipped=f"failed: {failure}"))
+                    else:
+                        log = np.array([o[kind] for o in rep_outputs], dtype=LOG_DTYPE)
+                        cells.append(CellResult(family, m, kind, *bounds, log=log))
     finally:
         if pool is not None:
             pool.shutdown()
@@ -317,7 +316,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
 
 def replay_cell(cfg: ExperimentConfig, family: str, m: int) -> ExperimentResult:
     """Re-run a single cell of a sweep; seeds depend only on the cell key,
-    so the per-rep logs reproduce the original run bitwise."""
+    so the repetition logs reproduce the original run bitwise."""
     return run_experiment(replace(cfg, families=(family,), m_values=(m,), out_path=None))
 
 

@@ -162,7 +162,7 @@ def leverage_scores(A) -> np.ndarray:
     They sum to the column count of A.
     """
     Q, _ = np.linalg.qr(np.asarray(A, dtype=np.float64))
-    return np.sum(Q * Q, axis=1)
+    return np.sum(np.square(Q, out=Q), axis=1)  # in place: no second n x d array
 
 
 class _Gaussian(SketchOperator):

@@ -35,9 +35,8 @@ def _report(num, ok, detail):
 
 
 def _paired_gap(res, family, m, kind_a, kind_b):
-    """mean(err_a - err_b) and its paired standard error, on per-rep logs."""
-    a = np.array(res.cell(family, m, kind_a).per_rep_pred_err)
-    b = np.array(res.cell(family, m, kind_b).per_rep_pred_err)
+    """mean(err_a - err_b) and its paired standard error, on the repetition logs."""
+    a, b = (res.cell(family, m, kind).log["pred_err"] for kind in (kind_a, kind_b))
     diff = a - b
     return diff.mean(), diff.std(ddof=1) / math.sqrt(len(diff))
 

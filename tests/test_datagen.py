@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -6,13 +5,11 @@ import pytest
 
 from sketchls import (
     SyntheticSpec,
-    add_noise,
     ar1_covariance,
     gen_gaussian_data,
     snr,
     solve_exact,
 )
-from sketchls.errors import InvalidInputError
 
 
 class TestSpecValidation:
@@ -84,35 +81,6 @@ class TestGeneration:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * n * (d + 1) * 8
-
-
-class TestAddNoise:
-    def test_zero_kappa_keeps_target(self):
-        p, _ = gen_gaussian_data(SyntheticSpec(n=64, d=8, rho=1.0, seed=36))
-        noisy = add_noise(p, 0.0, seed=1)
-        assert np.array_equal(noisy.y, p.y)
-
-    def test_large_kappa_reduces_snr(self):
-        p, sol = gen_gaussian_data(SyntheticSpec(n=256, d=8, rho=1.0, seed=37))
-        noisy = add_noise(p, 50.0, seed=2)
-        assert snr(solve_exact(noisy)) < snr(sol)
-
-    def test_noise_moves_solution_and_residual(self):
-        p, sol = gen_gaussian_data(SyntheticSpec(n=64, d=8, rho=1.0, seed=38))
-        noisy_sol = solve_exact(add_noise(p, 1.0, seed=3))
-        assert not np.allclose(noisy_sol.x_ls, sol.x_ls)
-        assert noisy_sol.r2 != pytest.approx(sol.r2, rel=1e-6)
-
-    def test_rejects_negative_kappa(self):
-        p, _ = gen_gaussian_data(SyntheticSpec(n=64, d=8, rho=1.0, seed=39))
-        with pytest.raises(ValueError):
-            add_noise(p, -0.1, seed=0)
-
-    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
-    def test_rejects_non_finite_kappa(self, kappa):
-        p, _ = gen_gaussian_data(SyntheticSpec(n=64, d=8, rho=1.0, seed=39))
-        with pytest.raises(InvalidInputError, match="kappa must be finite and nonnegative"):
-            add_noise(p, kappa, seed=0)
 
 
 class TestReflectorNoise:

@@ -22,7 +22,7 @@ from sketchls.errors import (
     LabelOutOfRangeError,
     SketchLSError,
 )
-from sketchls.harness import CellResult
+from sketchls.harness import LOG_DTYPE, CellResult
 
 
 def _write(tmp_path, name, text):
@@ -192,14 +192,11 @@ class TestOneHot:
             DatasetFile(path="f.csv", **kwargs)
 
 
-def _cell(family, m, estimator, value=1.0):
-    return CellResult(
-        family=family, m=m, estimator=estimator, reps=2,
-        mean_pred_err=value, std_pred_err=value / 10,
-        mean_sa_err=value / 2, std_sa_err=value / 20,
-        mean_shrink_factor=0.9,
-        bound_exact_classical=value * 2, bound_lower_general=value / 3,
-        bound_upper_sa=None)
+def _cell(family, m, estimator):
+    # three dyadic rows: means 1, 0.5 and 0.875 and standard deviations 0.5 and 0.25, exactly
+    log = np.array([(0.5, 0.25, 0.75), (1.0, 0.5, 0.875), (1.5, 0.75, 1.0)], dtype=LOG_DTYPE)
+    return CellResult(family=family, m=m, estimator=estimator, log=log,
+                      bound_exact_classical=2.0, bound_lower_general=1 / 3, bound_upper_sa=None)
 
 
 class TestResultsCsv:
@@ -209,7 +206,7 @@ class TestResultsCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 2
-        assert lines[1].startswith("gaussian,60,classical,2,1.0,0.1,0.5,0.05,0.9,2.0,")
+        assert lines[1].startswith("gaussian,60,classical,3,1.0,0.5,0.5,0.25,0.875,2.0,")
         assert lines[1].endswith(",NA")
 
     def test_rerun_byte_identical(self, tmp_path):

@@ -67,16 +67,14 @@ def _cfg(source, **overrides):
 
 
 class TestAugmentedFactor:
-    @pytest.mark.parametrize("case", ["vector", "k=3", "file", "kappa"])
+    @pytest.mark.parametrize("case", ["vector", "k=3", "file"])
     def test_gram_identity(self, case, tmp_path):
         if case == "file":
             p, _ = gen_gaussian_data(SyntheticSpec(n=96, d=7, rho=0.5, seed=31))
-            source, kappa = _csv_source(tmp_path, p.A, p.y), 0.0
+            source = _csv_source(tmp_path, p.A, p.y)
         else:
-            k = 3 if case == "k=3" else None
-            source = SyntheticSpec(n=96, d=7, rho=0.5, seed=32, k=k)
-            kappa = 2.0 if case == "kappa" else 0.0
-        instance, _ = resolve_instance(_cfg(source, kappa=kappa))
+            source = SyntheticSpec(n=96, d=7, rho=0.5, seed=32, k=3 if case == "k=3" else None)
+        instance, _ = resolve_instance(_cfg(source))
         r_tilde = instance.R_tilde
         k = 1 if instance.y.ndim == 1 else instance.y.shape[1]
         assert r_tilde.shape == (instance.d + k, instance.d + k)
@@ -158,10 +156,8 @@ def _check_logs_against_the_explicit_route(k, kinds, m, two_sketch):
             if None in refs:
                 assert cell.skipped.startswith("failed: SA is rank deficient"), cell.skipped
                 continue
-            for r, ref in enumerate(refs):
-                assert cell.per_rep_pred_err[r] == pytest.approx(ref[kind][0], rel=REL)
-                assert cell.per_rep_sa_err[r] == pytest.approx(ref[kind][1], rel=REL)
-                assert cell.per_rep_factor[r] == pytest.approx(ref[kind][2], rel=REL)
+            for row, ref in zip(cell.log, refs, strict=True):
+                assert tuple(row) == pytest.approx(ref[kind], rel=REL)
 
 
 class TestRFactorMetrics:
@@ -243,8 +239,8 @@ def test_two_sketch_draws_the_auxiliary_sketch_only_for_a_residual():
     for res in (one, two):
         assert res.cell("uniform", 11, "classical").skipped is None
         assert res.cell("uniform", 11, "shrinkage").skipped.startswith("m=11 <= d+3")
-    assert (two.cell("uniform", 11, "classical").per_rep_pred_err
-            == one.cell("uniform", 11, "classical").per_rep_pred_err)
+    assert (two.cell("uniform", 11, "classical").log.tobytes()
+            == one.cell("uniform", 11, "classical").log.tobytes())
 
 
 def _residual_draws(p, r2, m, seeds, sources):
@@ -281,13 +277,13 @@ class TestGaussianCells:
         res = run_experiment(cfg)
         p, sol = resolve_instance(cfg)
         r_tilde = p.R_tilde
-        for r, seed in enumerate(res.cell("gaussian", 40, "classical").rep_seeds):
+        for r, seed in enumerate(cfg.rep_seeds("gaussian", 40)):
             assert seed == derive_seed(5, "gaussian", 40, r)
             G = np.random.default_rng(seed).standard_normal((40, 12))
             U = np.linalg.cholesky(G.T @ G / 40).T @ r_tilde
             x_hat = lstsq_solve(U, 10, False)
             expected = prediction_error(p.R, x_hat, sol.x_ls) / p.n
-            assert res.cell("gaussian", 40, "classical").per_rep_pred_err[r] == expected
+            assert res.cell("gaussian", 40, "classical").log["pred_err"][r] == expected
             # the same draw factored by the QR of G R~ / sqrt(m), as the law spells it
             SB = G @ r_tilde / math.sqrt(40)
             x_qr = est.classical(SB[:, :10], SB[:, 10:]).x_hat
@@ -312,8 +308,9 @@ class TestGaussianCells:
         # Criterion 1's setting: (n, d, rho, m) = (256, 20, 1, 60).
         n, d, m, reps = 256, 20, 60, 400
         spec = SyntheticSpec(n=n, d=d, rho=1.0, seed=derive_seed(11, "datagen"))
-        res = run_experiment(_cfg(spec, m_values=(m,), estimators=("classical", "shrinkage"),
-                                  reps=reps, master_seed=11))
+        cfg = _cfg(spec, m_values=(m,), estimators=("classical", "shrinkage"), reps=reps,
+                   master_seed=11)
+        res = run_experiment(cfg)
         p, sol = gen_gaussian_data(spec)
         explicit = {"classical": [], "shrinkage": [], "full": [], "sketched": []}
         for r in range(reps):
@@ -327,11 +324,10 @@ class TestGaussianCells:
             explicit["full"].append(r2_full)
             explicit["sketched"].append(est.estimate_residual_sketched(SA, Sy, x_cl, d, m))
         for kind in ("classical", "shrinkage"):
-            assert stats.ks_2samp(res.cell("gaussian", m, kind).per_rep_pred_err,
+            assert stats.ks_2samp(res.cell("gaussian", m, kind).log["pred_err"],
                                   explicit[kind]).pvalue > 0.01
         # the residual estimates too: the explicit operator shares no assumption of the drawn law
-        drawn = _residual_draws(p, sol.r2, m, res.cell("gaussian", m, "classical").rep_seeds,
-                                ("full", "sketched"))
+        drawn = _residual_draws(p, sol.r2, m, cfg.rep_seeds("gaussian", m), ("full", "sketched"))
         for source in drawn:
             assert stats.ks_2samp(drawn[source], explicit[source]).pvalue > 0.01
         exact = d / (m - d - 1) * sol.r2 / n
@@ -562,12 +558,12 @@ def test_every_gaussian_cell_follows_its_exact_law():
                    reps=reps, master_seed=17)
         res = run_experiment(cfg)
         cell = res.cell("gaussian", m, "classical")
-        n_pred = np.array(cell.per_rep_pred_err) * res.n
+        n_pred = cell.log["pred_err"] * res.n
         f = n_pred / res.r2
         pvalues[d, m, rho] = stats.kstest(f * (m - d + 1) / d, stats.f(d, m - d + 1).cdf).pvalue
         p, _ = resolve_instance(cfg)
         sources = ("sketched", "full") if m > d + 1 else ("sketched",)
-        r2_hat = _residual_draws(p, res.r2, m, cell.rep_seeds, sources)
+        r2_hat = _residual_draws(p, res.r2, m, cfg.rep_seeds("gaussian", m), sources)
         residual_pvalues[d, m, rho] = stats.kstest(
             r2_hat["sketched"] / res.r2 * (m - d), stats.chi2(m - d).cdf).pvalue
         if "full" in sources:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sketchls import (
-    DatasetFile,
     ExperimentConfig,
     SteinInstance,
     SyntheticSpec,
@@ -12,7 +11,6 @@ from sketchls import (
     gen_gaussian_data,
     replay_cell,
     run_experiment,
-    save_dense_csv,
     verify_gram_identity,
     verify_residual_unbiased,
     verify_stein,
@@ -79,12 +77,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="strictly ascending"):
             _small_cfg(m_values=m_values)
 
-    @pytest.mark.parametrize("kappa", [-0.1, math.nan, math.inf])
-    def test_kappa_must_be_finite_and_nonnegative(self, kappa):
-        with pytest.raises(ConfigError, match="kappa must be finite and nonnegative"):
-            _small_cfg(kappa=kappa)
-
-    # a sweep sizes its seed tuple and per-rep logs by reps, so numpy must address them
+    # each cell's repetition log holds reps rows of three floats, so numpy must address it
     @pytest.mark.parametrize("reps", [2**62, 2**64])
     def test_reps_must_size_an_addressable_log(self, reps):
         with pytest.raises(InvalidInputError, match="too large for numpy"):
@@ -130,19 +123,23 @@ class TestRunExperiment:
         res = run_experiment(_small_cfg(reps=1))
         cell = res.cell("gaussian", 40, "classical")
         assert cell.reps == 1 and cell.std_pred_err is None
+        assert cell.mean_pred_err == cell.log["pred_err"][0]
         path = tmp_path / "out.csv"
         write_results_csv(res.cells, path)
         row = path.read_text().splitlines()[1].split(",")
         assert row[5] == "NA"  # std_pred_err column
 
     def test_aggregates_match_per_rep_logs(self):
+        # the log's strided columns reduce bitwise as contiguous copies do, so the CSV keeps
+        # the bytes it had when the columns were separate arrays
         res = run_experiment(_small_cfg())
         for cell in res.cells:
-            pred = np.array(cell.per_rep_pred_err)
-            assert cell.mean_pred_err == pytest.approx(pred.mean(), abs=1e-12)
-            assert cell.std_pred_err == pytest.approx(pred.std(ddof=1), abs=1e-12)
-            sa = np.array(cell.per_rep_sa_err)
-            assert cell.mean_sa_err == pytest.approx(sa.mean(), abs=1e-12)
+            pred, sa, factor = (np.array(cell.log[c].tolist()) for c in cell.log.dtype.names)
+            assert cell.mean_pred_err == float(pred.mean())
+            assert cell.std_pred_err == float(np.std(pred, ddof=1))
+            assert cell.mean_sa_err == float(sa.mean())
+            assert cell.std_sa_err == float(np.std(sa, ddof=1))
+            assert cell.mean_shrink_factor == float(factor.mean())
 
     def test_replay_cell_is_bitwise(self):
         cfg = _small_cfg(m_values=(40, 64))
@@ -151,9 +148,8 @@ class TestRunExperiment:
         for kind in cfg.estimators:
             a = res.cell("gaussian", 64, kind)
             b = replayed.cell("gaussian", 64, kind)
-            assert a.per_rep_pred_err == b.per_rep_pred_err
-            assert a.per_rep_sa_err == b.per_rep_sa_err
-            assert a.rep_seeds == b.rep_seeds
+            assert a.reps == b.reps == cfg.reps
+            assert a.log.tobytes() == b.log.tobytes()
 
     def test_thread_count_invariance(self):
         cfg = _small_cfg(families=("gaussian", "countsketch"), m_values=(40, 64))
@@ -162,8 +158,8 @@ class TestRunExperiment:
         assert len(a.cells) == len(b.cells)
         for ca, cb in zip(a.cells, b.cells):
             assert (ca.family, ca.m, ca.estimator) == (cb.family, cb.m, cb.estimator)
-            assert ca.per_rep_pred_err == cb.per_rep_pred_err
-            assert ca.mean_pred_err == cb.mean_pred_err
+            assert ca.reps == cb.reps == cfg.reps
+            assert ca.log.tobytes() == cb.log.tobytes()
 
     def test_shrinkage_cells_below_domain_are_skipped(self):
         res = run_experiment(_small_cfg(m_values=(12, 40)))
@@ -248,6 +244,50 @@ class TestRunExperiment:
         upper = upper_bound_sa(res.d, 40, res.r2, res.rho) / res.n
         assert cls.mean_pred_err >= lower - 3 * cls.std_pred_err / math.sqrt(cls.reps)
         assert shr.mean_sa_err <= upper + 3 * shr.std_sa_err / math.sqrt(shr.reps)
+
+
+class TestCellLog:
+    """A cell's statistics are functions of one read-only log with a row per repetition."""
+
+    STATISTICS = {
+        "mean_pred_err": lambda log: log["pred_err"].mean(),
+        "std_pred_err": lambda log: np.std(log["pred_err"], ddof=1),
+        "mean_sa_err": lambda log: log["sa_err"].mean(),
+        "std_sa_err": lambda log: np.std(log["sa_err"], ddof=1),
+        "mean_shrink_factor": lambda log: log["factor"].mean(),
+    }
+
+    def test_log_is_read_only_and_holds_every_statistic(self):
+        cfg = _small_cfg(estimators=("classical", "shrinkage", "js-oracle"))
+        res = run_experiment(cfg)
+        for cell in res.cells:
+            assert cell.log.dtype == harness.LOG_DTYPE and cell.log.shape == (cfg.reps,)
+            assert cell.reps == cfg.reps
+            with pytest.raises(ValueError, match="read-only"):
+                cell.log["pred_err"][0] = 0.0
+            for name, stat in self.STATISTICS.items():
+                assert getattr(cell, name) == float(stat(cell.log)), name
+
+    def test_skipped_and_failed_cells_have_empty_logs(self, tmp_path):
+        skipped = run_experiment(_small_cfg(m_values=(12,))).cell("gaussian", 12, "shrinkage")
+        # the pattern of test_failed_cell_recorded_not_raised: m = d uniform rows lose rank
+        failed = run_experiment(ExperimentConfig(
+            source=SyntheticSpec(n=16, d=8, rho=1.0, seed=53), families=("uniform",),
+            m_values=(8,), estimators=("classical",), reps=20, master_seed=99),
+        ).cell("uniform", 8, "classical")
+        assert skipped.skipped.startswith("m=12 <= d+3")
+        assert failed.skipped.startswith("failed: ")
+        path = tmp_path / "out.csv"
+        write_results_csv([skipped, failed], path)
+        header, *rows = path.read_text().splitlines()
+        for cell, row in zip((skipped, failed), rows, strict=True):
+            assert cell.log.shape == (0,) and cell.log.dtype == harness.LOG_DTYPE
+            assert not cell.log.flags.writeable
+            assert cell.reps == 0
+            assert all(getattr(cell, name) is None for name in self.STATISTICS)
+            fields = dict(zip(header.split(","), row.split(","), strict=True))
+            assert fields["reps"] == "0"
+            assert all(fields[name] == "NA" for name in self.STATISTICS)
 
 
 class TestSteinCheck:
@@ -421,19 +461,6 @@ output.path = {out}
         with pytest.raises(ConfigError):
             load_config("/nonexistent.cfg")
 
-    def test_data_source_with_noise(self, tmp_path):
-        p, _ = gen_gaussian_data(SyntheticSpec(n=64, d=6, rho=1.0, seed=78))
-        data_path = tmp_path / "data.csv"
-        save_dense_csv(p, data_path)
-        cfg = ExperimentConfig(
-            source=DatasetFile(path=str(data_path)),
-            families=("gaussian",), m_values=(24,), estimators=("classical",),
-            reps=3, master_seed=1, kappa=2.0)
-        instance, sol = resolve_instance(cfg)
-        assert not np.array_equal(instance.y, p.y)
-        res = run_experiment(cfg)
-        assert res.cell("gaussian", 24, "classical").reps == 3
-
 
 class TestSamplingWeightsOncePerSweep:
     def _cfg(self, **overrides):
@@ -459,9 +486,7 @@ class TestSamplingWeightsOncePerSweep:
         assert len(calls) == 1 + 1 + len(cfg.m_values) * cfg.reps * 2
         for a, b in zip(once.cells, per_rep.cells, strict=True):
             assert a.reps == b.reps == cfg.reps
-            assert a.per_rep_pred_err == b.per_rep_pred_err
-            assert a.per_rep_sa_err == b.per_rep_sa_err
-            assert a.per_rep_factor == b.per_rep_factor
+            assert a.log.tobytes() == b.log.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("scores, reason", [

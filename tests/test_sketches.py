@@ -417,6 +417,9 @@ class TestSamplingWeights:
     def test_leverage_scores_sum_to_d(self):
         A = np.random.default_rng(6).standard_normal((64, 12))
         assert leverage_scores(A).sum() == pytest.approx(12.0, abs=1e-9)
+        # Q is squared in place: bitwise the row sums of a separate Q * Q
+        Q, _ = np.linalg.qr(A)
+        assert leverage_scores(A).tobytes() == np.sum(Q * Q, axis=1).tobytes()
 
     def test_rownorm_requires_aux(self):
         with pytest.raises(InvalidWeightsError):
