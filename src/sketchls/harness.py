@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,7 +131,7 @@ class CellResult:
     bound_exact_classical: float | None
     bound_lower_general: float | None
     bound_upper_sa: float | None
-    log: np.ndarray = field(default_factory=lambda: np.empty(0, LOG_DTYPE))
+    log: np.ndarray
     skipped: str | None = None
 
     def __post_init__(self):
@@ -257,9 +257,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run the full sweep; statistics are invariant to the thread count.
 
     Failed repetitions mark their cell with the failure reason instead of
-    aborting the run, and so do invalid sampling weights, which are
-    computed once per family.  Requested cells whose (d, m) fall outside an
-    estimator's domain are recorded as skipped, not failed.
+    aborting the run.  Requested cells whose (d, m) fall outside an
+    estimator's domain are recorded as skipped, not failed.  Cells come in
+    config order: family, then m, then estimator.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -273,19 +273,12 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         for family in cfg.families:
-            try:
-                weights, weight_error = sampling_weights(family, instance.A), None
-            except SketchLSError as exc:
-                weights, weight_error = None, exc
+            weights = sampling_weights(family, instance.A)  # never fails on an instance's A
             for m in cfg.m_values:
                 bounds = _bound_columns(d, m, r2, rho, n)
                 seeds = cfg.rep_seeds(family, m)
                 reasons = {k: est_mod.skip_reason(k, d, m, is_matrix) for k in cfg.estimators}
-                cells += [CellResult(family, m, k, *bounds, skipped=reason)
-                          for k, reason in reasons.items() if reason is not None]
                 runnable = [k for k, reason in reasons.items() if reason is None]
-                if not runnable:
-                    continue
 
                 # closes over the loop variables: the map below finishes in this iteration
                 def one(r):
@@ -295,19 +288,15 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
                     except SketchLSError as exc:
                         return exc
 
-                if weight_error is not None:
-                    rep_outputs = [weight_error]
-                else:
-                    rep_outputs = list((map if pool is None else pool.map)(one, range(cfg.reps)))
-
+                reps = range(cfg.reps) if runnable else ()
+                rep_outputs = list((map if pool is None else pool.map)(one, reps))
                 failure = next((o for o in rep_outputs if isinstance(o, SketchLSError)), None)
-                for kind in runnable:
-                    if failure is not None:
-                        cells.append(CellResult(family, m, kind, *bounds,
-                                                skipped=f"failed: {failure}"))
-                    else:
-                        log = np.array([o[kind] for o in rep_outputs], dtype=LOG_DTYPE)
-                        cells.append(CellResult(family, m, kind, *bounds, log=log))
+                for kind, reason in reasons.items():
+                    if reason is None and failure is not None:
+                        reason = f"failed: {failure}"
+                    rows = [] if reason else [o[kind] for o in rep_outputs]
+                    cells.append(CellResult(family, m, kind, *bounds,
+                                            np.array(rows, dtype=LOG_DTYPE), reason))
     finally:
         if pool is not None:
             pool.shutdown()

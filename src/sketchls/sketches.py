@@ -24,11 +24,20 @@ from scipy.linalg import hadamard
 
 from .errors import DimensionMismatchError, InvalidInputError, InvalidWeightsError
 
+
+def _scaled_row_norms(A):
+    # 2**-e brings max|A| into [1/2, 1) exactly: no square overflows, the row holding
+    # max|A| weighs at least 1/4, and the scale cancels when the weights are normalized
+    e = np.frexp(max(A.max(initial=0.0), -A.min(initial=0.0)))[1]
+    scaled = np.ldexp(A, -e)
+    return np.sum(np.square(scaled, out=scaled), axis=1)  # in place: one n x d temporary
+
+
 # Sampling families whose probabilities are computed from the data matrix,
 # with the unnormalized row weights each takes from it.  `leverage_scores`
 # is looked up per call, so a wrapper installed on it sees every call.
 _ROW_WEIGHTS = {
-    "rownorm": lambda A: np.sum(A * A, axis=1),
+    "rownorm": _scaled_row_norms,
     "leverage": lambda A: leverage_scores(A),
 }
 WEIGHTED_FAMILIES = tuple(_ROW_WEIGHTS)
@@ -138,10 +147,11 @@ def sampling_weights(family: str, A) -> np.ndarray | None:
     """Row-sampling probabilities that `family` derives from the data matrix A.
 
     Row-norm sampling uses squared row norms and leverage sampling the
-    leverage scores, each normalized to sum to one.  Returns None for the
-    families whose law does not depend on the data.  The result depends
-    on A alone, so a sweep computes it once per family and passes it to
-    every `make_operator` call as `weights`.
+    leverage scores, each normalized to sum to one.  Row norms are taken of A
+    scaled by the power of two that brings max|A| into [1/2, 1), so every
+    finite, nonzero A has finite weights.  Returns None for the families whose
+    law does not depend on the data.  The result depends on A alone, so a sweep
+    computes it once per family and passes it to every `make_operator` call.
     """
     row_weights = _ROW_WEIGHTS.get(family)
     if row_weights is None:
@@ -151,8 +161,8 @@ def sampling_weights(family: str, A) -> np.ndarray | None:
         raise DimensionMismatchError(f"weight source must be a matrix, got shape {A.shape}")
     w = row_weights(A)
     total = w.sum()
-    if total <= 0:
-        raise InvalidWeightsError("all sampling weights are zero")
+    if not 0 < total < math.inf:
+        raise InvalidWeightsError(f"sampling weights sum to {total}: A must be finite, nonzero")
     return _frozen(w / total)
 
 
@@ -314,9 +324,9 @@ class _SampledRows(SketchOperator):
 
     def _realize(self, rng, weights):
         p = self._probabilities(weights)
-        if np.any(p <= 0):
+        if not np.all(p > 0):  # NaN fails the comparison, here and below
             raise InvalidWeightsError("sampling probabilities must be strictly positive")
-        if abs(p.sum() - 1.0) > _WEIGHT_SUM_TOL:
+        if not abs(p.sum() - 1.0) <= _WEIGHT_SUM_TOL:
             raise InvalidWeightsError(f"probabilities sum to {p.sum()!r}, not 1")
         self.indices = _frozen(rng.choice(self.n, size=self.m, replace=True, p=p))
         self.row_scale = _frozen(1.0 / np.sqrt(self.m * p[self.indices]))

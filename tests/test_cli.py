@@ -442,15 +442,22 @@ def inputs(tmp_path, dataset):
     cfg_utf8.write_bytes(base.encode() + b"# \xff\n")
     overflow = tmp_path / "overflow.csv"  # finite, but its QR overflows
     overflow.write_text("1e308,1e308,1\n-1e308,1e308,2\n1e308,-1e308,0\n1,2,3\n")
-    energy_overflow = tmp_path / "energy_overflow.csv"  # factors, but r2 is past float64
+
+    def dense_csv(name, rows):
+        path = tmp_path / name
+        path.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in rows))
+        return path
+
     signs = np.random.default_rng(0).choice([-1e300, 1e300], size=(8, 3))
-    energy_overflow.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in signs))
+    energy_overflow = dense_csv("energy_overflow.csv", signs)  # factors, but r2 is past float64
     zeros = tmp_path / "zeros.csv"
     zeros.write_text("1,0,0\n2,0,0\n3,0,0\n")
-    rng = np.random.default_rng(7)  # ||R||_F^2 overflows, so the rank certificate cannot decide
-    scaled = np.column_stack((rng.standard_normal(60), rng.standard_normal((60, 3)) * 1e155))
-    huge_scale = tmp_path / "huge_scale.csv"
-    huge_scale.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in scaled))
+    rng = np.random.default_rng(7)
+    y, features = rng.standard_normal(60), rng.standard_normal((60, 3))
+    # ||R||_F^2 overflows, so the rank certificate cannot decide, and so does A * A
+    huge_scale = dense_csv("huge_scale.csv", np.column_stack((y, features * 1e155)))
+    # every entry of A * A underflows to zero
+    tiny_scale = dense_csv("tiny_scale.csv", np.column_stack((y, features * 1e-170)))
     repeat_index = tmp_path / "repeat_index.txt"
     repeat_index.write_text("1 1:1.0 2:3.0 2:5.0\n2 1:3\n0 2:1\n")
 
@@ -471,6 +478,7 @@ def inputs(tmp_path, dataset):
         "energy_overflow": str(energy_overflow),
         "zeros": str(zeros),
         "huge_scale": str(huge_scale),
+        "tiny_scale": str(tiny_scale),
         "repeat_index": str(repeat_index),
         "missing": str(tmp_path / "missing.csv"),
         "out": str(tmp_path / "out.csv"),
@@ -486,6 +494,10 @@ def inputs(tmp_path, dataset):
                                  "sketch.families = gaussian, uniform\nsketch.m_values = 20\n"
                                  "experiment.estimators = classical, shrinkage\n"
                                  f"experiment.reps = 3\noutput.path = {tmp_path / 'res.csv'}\n"),
+        "cfg_huge_rownorm": config("huge_rownorm", f"data.path = {huge_scale}\n"
+                                   "sketch.families = rownorm\nsketch.m_values = 20\n"
+                                   "experiment.estimators = classical, shrinkage\n"
+                                   f"experiment.reps = 3\noutput.path = {tmp_path / 'rn.csv'}\n"),
         "cfg_huge_reps": config("huge_reps", base + f"experiment.reps = {2**62}\n"),
     }
 
@@ -541,6 +553,8 @@ _EXIT_TABLE = [
     ("sketch-solve --data {zero_row} --family rownorm --m 8 --seed 1", 3, "strictly positive"),
     ("sketch-solve --data {huge_scale} --family uniform --m 20 --seed 1 --estimator shrinkage",
      0, None),
+    ("sketch-solve --data {huge_scale} --family rownorm --m 20 --seed 1", 0, None),
+    ("sketch-solve --data {tiny_scale} --family rownorm --m 20 --seed 1", 0, None),
     ("experiment --config {cfg}", 0, None),
     ("experiment", 1, None),
     ("experiment --config {cfg} --threads 0", 1, None),
@@ -552,6 +566,7 @@ _EXIT_TABLE = [
     ("experiment --config {cfg_utf8}", 2, "not UTF-8"),
     ("experiment --config {cfg_rank}", 3, "A is rank deficient"),
     ("experiment --config {cfg_huge_scale}", 0, None),
+    ("experiment --config {cfg_huge_rownorm}", 0, None),
     ("experiment --config {cfg_huge_reps}", 2, "too large for numpy"),
     (_BOUNDS, 0, None),
     ("bounds --d 10 --m 40", 1, None),

@@ -169,6 +169,14 @@ class TestRunExperiment:
         # classical still runs at m=12 >= d=10
         assert res.cell("gaussian", 12, "classical").reps == 20
 
+    def test_cells_come_in_config_order(self):
+        # shrinkage, listed last, is skipped at m = 12: it keeps its place after classical
+        cfg = _small_cfg(families=("rownorm", "gaussian"), m_values=(12, 40), reps=3)
+        res = run_experiment(cfg)
+        assert [(c.family, c.m, c.estimator) for c in res.cells] == [
+            (f, m, k) for f in cfg.families for m in cfg.m_values for k in cfg.estimators]
+        assert [c.skipped is not None for c in res.cells] == [False, True, False, False] * 2
+
     def test_classical_below_d_skipped(self):
         res = run_experiment(_small_cfg(m_values=(8, 40)))
         cell = res.cell("gaussian", 8, "classical")
@@ -488,9 +496,9 @@ class TestSamplingWeightsOncePerSweep:
             assert a.reps == b.reps == cfg.reps
             assert a.log.tobytes() == b.log.tobytes()
 
+    # one zero-weight row fails every repetition of each leverage cell
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("scores, reason", [
-        (lambda A: np.zeros(A.shape[0]), "all sampling weights are zero"),
         (lambda A: np.r_[0.0, np.ones(A.shape[0] - 1)], "strictly positive"),
     ])
     def test_zero_weight_source_marks_cells_failed(self, monkeypatch, threads, scores, reason):

@@ -10,9 +10,11 @@ from scipy.linalg import hadamard
 from sketchls import (
     FAMILIES,
     SketchSpec,
+    SyntheticSpec,
     apply,
     as_matrix,
     derive_seed,
+    gen_gaussian_data,
     leverage_scores,
     make_operator,
     sampling_weights,
@@ -431,10 +433,43 @@ class TestSamplingWeights:
         with pytest.raises(InvalidWeightsError):
             make_operator(SketchSpec("rownorm", 4, 0), 16, weights=sampling_weights("rownorm", A))
 
+    @pytest.mark.parametrize("family, rows, fill", [
+        ("rownorm", slice(None), 0.0), ("rownorm", slice(3, 5), np.nan),
+        ("rownorm", slice(3, 5), np.inf), ("leverage", slice(3, 5), np.nan),
+        ("leverage", slice(3, 5), -np.inf),
+    ])
+    def test_zero_or_non_finite_source_rejected(self, family, rows, fill):
+        A = np.ones((16, 4))
+        A[rows] = fill
+        with pytest.raises(InvalidWeightsError, match="A must be finite, nonzero"):
+            sampling_weights(family, A)
+
     def test_aux_row_count_checked(self):
         with pytest.raises(DimensionMismatchError):
             make_operator(SketchSpec("leverage", 4, 0), 16,
                           weights=sampling_weights("leverage", np.ones((8, 2))))
+
+
+# rownorm weights are finite and sum to one at every finite scale, where the plain
+# squares overflow (past about 1e154) or all underflow (below about 1e-162)
+@settings(max_examples=60, deadline=None)
+@example(20, 3, 0, 300.0)
+@example(20, 3, 0, -300.0)
+@given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**64 - 1),
+       st.floats(-300.0, 300.0))
+def test_rownorm_weights_are_total_at_every_scale(n, d, seed, log10_scale):
+    A = np.random.default_rng(seed).standard_normal((n, d)) * 10.0 ** log10_scale
+    p = sampling_weights("rownorm", A)
+    assert np.all(np.isfinite(p)) and abs(p.sum() - 1.0) <= 1e-12
+    assert p[np.unravel_index(np.argmax(np.abs(A)), A.shape)[0]] > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rownorm_weights_match_plain_squares_bitwise(seed):
+    # the power-of-two scale cancels exactly wherever the plain squares are finite
+    A = gen_gaussian_data(SyntheticSpec(n=600, d=40, rho=1.0, seed=seed))[0].A
+    w = np.sum(A * A, axis=1)
+    assert sampling_weights("rownorm", A).tobytes() == (w / w.sum()).tobytes()
 
 
 class TestGramIdentity:
@@ -475,6 +510,9 @@ class TestGivenWeights:
     @pytest.mark.parametrize("weights", [
         np.r_[0.0, np.full(7, 1 / 7)],      # a zero probability
         np.full(8, 0.2),                    # sums to 1.6
+        np.full(8, np.nan),
+        np.r_[np.nan, np.full(7, 1 / 7)],
+        np.r_[np.inf, np.full(7, 1 / 7)],
     ])
     def test_given_weights_are_validated(self, weights):
         with pytest.raises(InvalidWeightsError):
