@@ -21,7 +21,7 @@ from . import __version__
 from .bounds import BoundInputs, BoundReport, evaluate_report
 from .config import load_config
 from .core import prediction_error, snr, solve_exact
-from .dataio import FORMATS, DatasetFile, load, save_dense_csv, write_results_csv
+from .dataio import FORMAT_DENSE, FORMATS, DatasetFile, load, save_dense_csv, write_results_csv
 from .datagen import SyntheticSpec, gen_gaussian_data
 from .errors import InvalidInputError, InvalidSketchSizeError, SketchLSError
 from .estimators import ESTIMATORS, SHRINKAGE, skip_reason
@@ -246,12 +246,12 @@ def build_parser() -> _Parser:
 
     p = command(sub, "solve", _cmd_solve, "exact least-squares solution of a dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--format", choices=FORMATS, default="csv")
+    p.add_argument("--format", choices=FORMATS, default=FORMAT_DENSE)
     p.add_argument("--out", help="also write the solution as JSON to this path")
 
     p = command(sub, "sketch-solve", _cmd_sketch_solve, "sketch the data and run one estimator")
     p.add_argument("--data", required=True)
-    p.add_argument("--format", choices=FORMATS, default="csv")
+    p.add_argument("--format", choices=FORMATS, default=FORMAT_DENSE)
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)

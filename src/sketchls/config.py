@@ -12,13 +12,15 @@ Dotted keys, one per line, `#` comments, lists comma-separated:
     experiment.seed = 7
     output.path = results.csv
 
-A data-file source uses `data.path` and `data.format` instead of the
-synthetic.* keys.  Any other key is an error.  The synthetic generator
-seed is derived from experiment.seed with the context tag "datagen".
+`_KEYS` is the schema: each key sets one field of `ExperimentConfig`,
+`SyntheticSpec` or `DatasetFile` (the data.* keys, instead of synthetic.*).
+Any other key is an error; an omitted key takes its field's dataclass
+default.  The synthetic seed is derived from experiment.seed and "datagen".
 """
 
 from __future__ import annotations
 
+from dataclasses import MISSING
 from pathlib import Path
 
 from .datagen import SyntheticSpec
@@ -27,16 +29,44 @@ from .errors import ConfigError
 from .harness import ExperimentConfig
 from .sketches import derive_seed
 
-_KNOWN_KEYS = {
-    "synthetic.n", "synthetic.d", "synthetic.rho",
-    "data.path", "data.format",
-    "sketch.families", "sketch.m_values",
-    "experiment.reps", "experiment.seed", "experiment.estimators", "experiment.two_sketch",
-    "output.path",
-}
 
-_TRUE = ("true", "1", "yes", "on")
-_FALSE = ("false", "0", "no", "off")
+def _csv_list(value: str) -> tuple[str, ...]:
+    items = tuple(item.strip() for item in value.split(",") if item.strip())
+    if not items:
+        raise ValueError("empty list")
+    return items
+
+
+def _bool(value: str) -> bool:
+    lowered = value.lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {value!r}")
+
+
+def _format(value: str) -> str:
+    if value not in FORMATS:
+        raise ValueError(repr(value))
+    return value
+
+
+# key -> (dataclass, field, converter); read in this order, so the first fault is reported
+_KEYS = {
+    "experiment.seed": (ExperimentConfig, "master_seed", int),
+    "synthetic.n": (SyntheticSpec, "n", int),
+    "synthetic.d": (SyntheticSpec, "d", int),
+    "synthetic.rho": (SyntheticSpec, "rho", float),
+    "data.format": (DatasetFile, "format", _format),
+    "data.path": (DatasetFile, "path", str),
+    "sketch.families": (ExperimentConfig, "families", _csv_list),
+    "sketch.m_values": (ExperimentConfig, "m_values", lambda v: tuple(map(int, _csv_list(v)))),
+    "experiment.estimators": (ExperimentConfig, "estimators", _csv_list),
+    "experiment.reps": (ExperimentConfig, "reps", int),
+    "experiment.two_sketch": (ExperimentConfig, "two_sketch", _bool),
+    "output.path": (ExperimentConfig, "out_path", str),
+}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -50,7 +80,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -58,31 +88,21 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def _get(values, key, convert, default=None, required=False):
-    if key not in values:
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return convert(values[key])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from None
-
-
-def _csv_list(value: str) -> tuple[str, ...]:
-    items = tuple(item.strip() for item in value.split(",") if item.strip())
-    if not items:
-        raise ValueError("empty list")
-    return items
-
-
-def _bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in _TRUE:
-        return True
-    if lowered in _FALSE:
-        return False
-    raise ValueError(f"not a boolean: {value!r}")
+def _fields(values: dict[str, str], cls, only: str | None = None) -> dict:
+    """The fields of `cls` (or only its field `only`) that `values` sets, converted."""
+    kwargs = {}
+    for key, (owner, name, convert) in _KEYS.items():
+        if owner is not cls or (only is not None and name != only):
+            continue
+        if key not in values:  # required: no dataclass default, or out_path (a run writes a CSV)
+            if name == "out_path" or getattr(cls, name, MISSING) is MISSING:
+                raise ConfigError(f"missing required key {key!r}")
+            continue
+        try:
+            kwargs[name] = convert(values[key])
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}") from None
+    return kwargs
 
 
 def load_config(path) -> ExperimentConfig:
@@ -96,35 +116,14 @@ def load_config(path) -> ExperimentConfig:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"line {line}: byte {exc.object[exc.start]:#04x} is not UTF-8") from None
     values = parse_config_text(text)
-
-    seed = _get(values, "experiment.seed", int, default=0)
-    has_synth = any(k.startswith("synthetic.") for k in values)
-    has_data = any(k.startswith("data.") for k in values)
-    if has_synth and has_data:
-        raise ConfigError("give either synthetic.* keys or data.* keys, not both")
-    if has_synth:
-        source = SyntheticSpec(
-            n=_get(values, "synthetic.n", int, required=True),
-            d=_get(values, "synthetic.d", int, required=True),
-            rho=_get(values, "synthetic.rho", float, required=True),
-            seed=derive_seed(seed, "datagen"),
-        )
-    elif has_data:
-        fmt = _get(values, "data.format", str, default="csv")
-        if fmt not in FORMATS:
-            raise ConfigError(f"bad value for 'data.format': {fmt!r}")
-        source = DatasetFile(path=_get(values, "data.path", str, required=True), format=fmt)
-    else:
-        raise ConfigError("config needs a synthetic.* or data.* source")
-
-    return ExperimentConfig(
-        source=source,
-        families=_get(values, "sketch.families", _csv_list, required=True),
-        m_values=_get(values, "sketch.m_values", lambda v: tuple(map(int, _csv_list(v))),
-                      required=True),
-        estimators=_get(values, "experiment.estimators", _csv_list, required=True),
-        reps=_get(values, "experiment.reps", int, default=100),
-        master_seed=seed,
-        two_sketch=_get(values, "experiment.two_sketch", _bool, default=False),
-        out_path=_get(values, "output.path", str, required=True),
-    )
+    seed = _fields(values, ExperimentConfig, "master_seed")  # first: the source may derive from it
+    sources = {_KEYS[key][0] for key in values} - {ExperimentConfig}
+    if len(sources) != 1:
+        raise ConfigError("give either synthetic.* keys or data.* keys, not both" if sources
+                          else "config needs a synthetic.* or data.* source")
+    (source_type,) = sources
+    source = _fields(values, source_type)
+    if source_type is SyntheticSpec:
+        master = seed.get("master_seed", ExperimentConfig.master_seed)  # or the dataclass default
+        source["seed"] = derive_seed(master, "datagen")
+    return ExperimentConfig(source=source_type(**source), **_fields(values, ExperimentConfig))

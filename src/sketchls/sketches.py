@@ -25,20 +25,19 @@ from scipy.linalg import hadamard
 from .errors import DimensionMismatchError, InvalidInputError, InvalidWeightsError
 
 
-def _scaled_row_norms(A):
-    # 2**-e brings max|A| into [1/2, 1) exactly: no square overflows, the row holding
-    # max|A| weighs at least 1/4, and the scale cancels when the weights are normalized
-    e = np.frexp(max(A.max(initial=0.0), -A.min(initial=0.0)))[1]
-    scaled = np.ldexp(A, -e)
+def _scaled_row_norms(A, peak):
+    # 2**-e brings peak = max|A| into [1/2, 1) exactly: no square overflows, the row
+    # holding it weighs at least 1/4, and the scale cancels when the weights are normalized
+    scaled = np.ldexp(A, -np.frexp(peak)[1])
     return np.sum(np.square(scaled, out=scaled), axis=1)  # in place: one n x d temporary
 
 
-# Sampling families whose probabilities are computed from the data matrix,
-# with the unnormalized row weights each takes from it.  `leverage_scores`
+# Sampling families whose probabilities are computed from the data matrix, with
+# the unnormalized row weights each takes from A and max|A|.  `leverage_scores`
 # is looked up per call, so a wrapper installed on it sees every call.
 _ROW_WEIGHTS = {
     "rownorm": _scaled_row_norms,
-    "leverage": lambda A: leverage_scores(A),
+    "leverage": lambda A, peak: leverage_scores(A),
 }
 WEIGHTED_FAMILIES = tuple(_ROW_WEIGHTS)
 _WEIGHT_SUM_TOL = 1e-12
@@ -149,7 +148,8 @@ def sampling_weights(family: str, A) -> np.ndarray | None:
     Row-norm sampling uses squared row norms and leverage sampling the
     leverage scores, each normalized to sum to one.  Row norms are taken of A
     scaled by the power of two that brings max|A| into [1/2, 1), so every
-    finite, nonzero A has finite weights.  Returns None for the families whose
+    finite, nonzero A has finite weights; both families raise InvalidWeightsError
+    for any other A, on its max|A|.  Returns None for the families whose
     law does not depend on the data.  The result depends on A alone, so a sweep
     computes it once per family and passes it to every `make_operator` call.
     """
@@ -159,11 +159,11 @@ def sampling_weights(family: str, A) -> np.ndarray | None:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise DimensionMismatchError(f"weight source must be a matrix, got shape {A.shape}")
-    w = row_weights(A)
-    total = w.sum()
-    if not 0 < total < math.inf:
-        raise InvalidWeightsError(f"sampling weights sum to {total}: A must be finite, nonzero")
-    return _frozen(w / total)
+    peak = max(A.max(initial=0.0), -A.min(initial=0.0))
+    if not 0 < peak < math.inf:  # NaN fails the comparison
+        raise InvalidWeightsError(f"max|A| is {peak}: A must be finite, nonzero")
+    w = row_weights(A, peak)
+    return _frozen(w / w.sum())
 
 
 def leverage_scores(A) -> np.ndarray:
@@ -327,7 +327,7 @@ class _SampledRows(SketchOperator):
         if not np.all(p > 0):  # NaN fails the comparison, here and below
             raise InvalidWeightsError("sampling probabilities must be strictly positive")
         if not abs(p.sum() - 1.0) <= _WEIGHT_SUM_TOL:
-            raise InvalidWeightsError(f"probabilities sum to {p.sum()!r}, not 1")
+            raise InvalidWeightsError(f"probabilities sum to {p.sum()}, not 1")
         self.indices = _frozen(rng.choice(self.n, size=self.m, replace=True, p=p))
         self.row_scale = _frozen(1.0 / np.sqrt(self.m * p[self.indices]))
 

@@ -433,15 +433,19 @@ class TestSamplingWeights:
         with pytest.raises(InvalidWeightsError):
             make_operator(SketchSpec("rownorm", 4, 0), 16, weights=sampling_weights("rownorm", A))
 
+    # one check of max|A| for both families, with one message; the QR of a zero A
+    # has unit columns, so leverage scores alone would give it probabilities
     @pytest.mark.parametrize("family, rows, fill", [
         ("rownorm", slice(None), 0.0), ("rownorm", slice(3, 5), np.nan),
         ("rownorm", slice(3, 5), np.inf), ("leverage", slice(3, 5), np.nan),
-        ("leverage", slice(3, 5), -np.inf),
+        ("leverage", slice(3, 5), -np.inf), ("leverage", slice(None), 0.0),
+        ("leverage", slice(3, 5), np.inf), ("rownorm", slice(3, 5), -np.inf),
     ])
     def test_zero_or_non_finite_source_rejected(self, family, rows, fill):
         A = np.ones((16, 4))
         A[rows] = fill
-        with pytest.raises(InvalidWeightsError, match="A must be finite, nonzero"):
+        with pytest.raises(InvalidWeightsError,
+                           match=rf"^max\|A\| is {abs(fill)}: A must be finite, nonzero$"):
             sampling_weights(family, A)
 
     def test_aux_row_count_checked(self):
@@ -517,6 +521,10 @@ class TestGivenWeights:
     def test_given_weights_are_validated(self, weights):
         with pytest.raises(InvalidWeightsError):
             make_operator(SketchSpec("leverage", 4, 0), 8, weights=weights)
+
+    def test_weight_sum_message_prints_a_plain_number(self):
+        with pytest.raises(InvalidWeightsError, match=r"^probabilities sum to 1\.2, not 1$"):
+            make_operator(SketchSpec("rownorm", 3, 1), 4, weights=np.full(4, 0.3))
 
     def test_given_weights_length_checked(self):
         with pytest.raises(DimensionMismatchError):
