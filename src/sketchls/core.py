@@ -3,7 +3,10 @@
 Everything downstream (sketch operators, estimators, bounds, the
 experiment harness) consumes the types defined here.  An instance has
 one target, a vector or a matrix, and its ``ndim`` alone says which;
-solutions and residuals take the target's shape.  All arithmetic is
+solutions and residuals take the target's shape.  Every triangular
+factor, of [A | y] and of a sketch the Gram step declines, comes from
+`qr_factor`: CholeskyQR2 through `certified_inverse` and `gram_factor`,
+or one Householder QR where a piece of it declines.  All arithmetic is
 64-bit floating point and all containers are immutable after
 construction, so they can be shared freely across worker threads.
 """
@@ -71,12 +74,39 @@ class ExactSolution:
 
 
 def qr_factor(M) -> np.ndarray:
-    """The triangular factor U of M = Q U, by one QR that forms no Q: square in M's
-    columns, zero below M's rows."""
-    U = np.linalg.qr(M, mode="r")  # min(rows, columns) rows
+    """The triangular factor U of M = Q U, forming no Q: square in M's columns, zero below
+    M's rows, and unique up to the signs of its rows.
+
+    CholeskyQR2 first, from level-3 BLAS alone: R1 = chol(M^T M)^T, X = M R1^-1 by
+    `certified_inverse`, and U = `gram_factor`(X^T X, R1), with a positive diagonal.  One
+    Householder QR (a diagonal of mixed signs) runs instead where a piece declines: M has
+    fewer rows than columns, M^T M is not finite or its diagonal is subnormal, the Cholesky
+    fails, R1 has no certified inverse, or `gram_factor`'s diagonal guard declines.
+    """
+    U = _cholesky_qr2(M) if len(M) >= M.shape[1] else None
+    if U is None:
+        U = np.linalg.qr(M, mode="r")  # min(rows, columns) rows
     if U.shape[0] < U.shape[1]:
         U = np.vstack((U, np.zeros((U.shape[1] - U.shape[0], U.shape[1]))))
     return U
+
+
+def _cholesky_qr2(M) -> np.ndarray | None:
+    """`qr_factor`'s U by CholeskyQR2, for M with at least as many rows as columns; None
+    where a piece declines."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = M.T @ M
+    if not (np.isfinite(gram).all() and gram.diagonal().min() >= np.finfo(np.float64).tiny):
+        return None
+    try:
+        R1 = np.linalg.cholesky(gram).T
+    except np.linalg.LinAlgError:
+        return None
+    R1_inv = certified_inverse(R1)
+    if R1_inv is None:
+        return None
+    X = M @ R1_inv
+    return gram_factor(X.T @ X, R1)
 
 
 def _condition_bound(R) -> tuple[np.ndarray, float]:
@@ -131,7 +161,7 @@ def gram_factor(gram, R) -> np.ndarray | None:
     """U = L^T R, L the Cholesky factor of gram = X^T X: the triangular factor of X R = Q U,
     up to row signs, with no QR of X R.
 
-    None, for the caller to factor X R by its QR, where the Cholesky fails or L's diagonal
+    None, for the caller to factor X R otherwise, where the Cholesky fails or L's diagonal
     ratio is under GRAM_DIAG_MIN, NaN included.
     """
     try:
@@ -168,11 +198,12 @@ class ProblemInstance:
     column rank.  It copies [A | y] once, into a read-only, C-contiguous
     ``AB`` (k' target columns) with views ``A`` and ``y``, and factors it once
     (`qr_factor`, then `certify_rank`): ``R_tilde`` is its (d+k') x (d+k')
-    triangular factor, zero below row n when n < d+k', and ``R`` (A's R
-    factor) a view of its leading block.  ``R_tilde_inv`` is R~^-1, computed
-    once, where `certified_inverse` certifies R~ well enough conditioned to
-    be inverted explicitly, and None where it does not (a zero residual
-    makes R~ singular).  All three arrays are read-only.  `solution` is
+    triangular factor, zero below row n when n < d+k', with a positive
+    diagonal where the Gram path ran and the Householder QR's signs elsewhere,
+    and ``R`` (A's R factor) a view of its leading block.  ``R_tilde_inv`` is
+    R~^-1, computed once, where `certified_inverse` certifies R~ well enough
+    conditioned to be inverted explicitly, and None where it does not (a zero
+    residual makes R~ singular).  All three arrays are read-only.  `solution` is
     `lstsq_solve` on ``R_tilde``, cached.
     """
 

@@ -80,7 +80,8 @@ def gen_gaussian_data(spec: SyntheticSpec) -> tuple[ProblemInstance, ExactSoluti
     residual energy exactly 1/rho.  The standard deviation of w cancels
     in that normalization, so w is drawn with unit variance.  V w comes
     from A's Householder reflectors in O(nd^2) time, freed before the
-    instance factors [A | y]: the peak holds A, AB and the QR's copy of AB.
+    instance factors [A | y]: the peak holds A, AB and the factor's one
+    n x (d+k') working array, X = AB R1^-1 (`core.qr_factor`).
 
     Returns the instance together with the planted solution artifacts.
     """

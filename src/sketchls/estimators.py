@@ -112,7 +112,7 @@ def classical(SA, Sy) -> EstimateRecord:
 def classical_stacked(SB, d: int, vector: bool) -> tuple[EstimateRecord, np.ndarray, np.ndarray]:
     """`classical` on SB = [SA | Sy], held as one m x (d+k') array (k' = 1 when `vector`).
 
-    `core.qr_factor` factors SB = Q U by one QR, and `classical_factored` takes U.
+    `core.qr_factor` factors SB = Q U, forming no Q, and `classical_factored` takes U.
     """
     if len(SB) < d:
         raise RankDeficientSketchError(f"sketch size m={len(SB)} below column count d={d}")

@@ -14,11 +14,13 @@ read-only log of its repetitions (`CellResult.log`), and its statistics
 are functions of that log.  A Gaussian S is rotation
 invariant, so S[A | b] is drawn from its law G R~ / sqrt(m), with G an
 m x (d+k') standard normal matrix and R~ the triangular factor of [A | b]
-(`ProblemInstance.R_tilde`).  Every other family applies its realized
-operator once, to `ProblemInstance.AB`.  Either way SB = S [A | b] = X R~,
+(`ProblemInstance.R_tilde`).  The draw depends on R~'s row signs, its law
+does not: G (D R~) = (G D) R~ for a diagonal D of signs, and G D has G's
+law.  Every other family applies its realized operator once, to
+`ProblemInstance.AB`.  Either way SB = S [A | b] = X R~,
 X = S Q~ with Q~ = [A | b] R~^-1, and its triangular factor is
 U = L^T R~, L the Cholesky factor of X^T X, so no m-row QR runs:
-O(m (d+k')^2) past the realization.  The QR of SB (`classical_stacked`)
+O(m (d+k')^2) past the realization.  `classical_stacked` (`core.qr_factor`)
 stays for m < d+k' and for the draws `core.gram_factor` declines.  A rank
 or overflow error fails the cell, not the sweep.  Every norm
 after the factor comes from a triangular factor's blocks
@@ -178,7 +180,7 @@ def sketch_factor(instance: ProblemInstance, family: str, m: int, seed: int, wei
     SB is drawn from its law G R~ / sqrt(m), G = default_rng(seed).standard_normal
     m x p (p = d+k'), so X = G / sqrt(m) needs no inverse.  Any other family applies
     `make_operator`'s S to `instance.AB`, and X = SB `instance.R_tilde_inv`, one GEMM.
-    `classical_stacked` factors SB by its QR instead where m < p, where R~ has no
+    `classical_stacked` factors SB by `qr_factor` instead where m < p, where R~ has no
     certified inverse, or where `gram_factor` declines L.  Both take `SketchSpec`'s
     checks.  SB is not kept: U's blocks replace SA and S b.
     """

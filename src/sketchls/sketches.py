@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse
 from scipy.linalg import hadamard
 
+from .core import certified_inverse, certify_rank, qr_factor
 from .errors import DimensionMismatchError, InvalidInputError, InvalidWeightsError
 
 
@@ -44,7 +45,9 @@ _WEIGHT_SUM_TOL = 1e-12
 _MASK64 = (1 << 64) - 1
 _RADIX_BITS = 6  # SRHT applies H_b in Kronecker factors of at most 2**6 rows, one GEMM each
 _SRHT_BLOCK = 32  # columns per SRHT block; bounds its n_pad-row buffers and its stored rows
-_RADEMACHER_BLOCK = 1024  # input columns per Rademacher unpack; bounds its m-row float block
+# rows of an n-row input per block, in Rademacher's apply and in `leverage_scores`; bounds
+# their float blocks
+_ROW_BLOCK = 1024
 _FLOAT64_COUNT_MAX = np.iinfo(np.intp).max // 8  # numpy sizes arrays in signed intp bytes
 
 
@@ -167,12 +170,27 @@ def sampling_weights(family: str, A) -> np.ndarray | None:
 
 
 def leverage_scores(A) -> np.ndarray:
-    """Exact leverage scores: squared row norms of the thin orthogonal factor.
+    """Exact leverage scores: squared row norms of the thin orthogonal factor of A.
 
-    They sum to the column count of A.
+    They sum to the column count of A, so an A with at least as many rows as columns must
+    pass `core.certify_rank` (else InvalidWeightsError).  With R from `core.qr_factor`, they
+    are the squared row norms of A R^-1, _ROW_BLOCK rows at a time (no Q and no second
+    n x d array), where `certified_inverse(R)` exists; elsewhere, a wide A included, those
+    of the Householder Q.
     """
-    Q, _ = np.linalg.qr(np.asarray(A, dtype=np.float64))
-    return np.sum(np.square(Q, out=Q), axis=1)  # in place: no second n x d array
+    A = np.asarray(A, dtype=np.float64)
+    n, d = A.shape
+    R_inv = None
+    if n >= d:
+        R_inv = certified_inverse(certify_rank(qr_factor(A), d, InvalidWeightsError, "A"))
+    if R_inv is None:
+        Q, _ = np.linalg.qr(A)
+        return np.sum(np.square(Q, out=Q), axis=1)
+    scores = np.empty(n)
+    for i in range(0, n, _ROW_BLOCK):
+        block = A[i:i + _ROW_BLOCK] @ R_inv
+        scores[i:i + _ROW_BLOCK] = np.sum(np.square(block, out=block), axis=1)
+    return scores
 
 
 class _Gaussian(SketchOperator):
@@ -191,14 +209,14 @@ class _Gaussian(SketchOperator):
 class _Rademacher(SketchOperator):
     """Eight signs per random byte, kept packed: no m x n float matrix.
 
-    `_apply` unpacks _RADEMACHER_BLOCK input columns of all m rows at a time into one
+    `_apply` unpacks _ROW_BLOCK input columns of all m rows at a time into one
     reused float block and adds its product with the matching rows of M into the output.
     """
 
     def _realize(self, rng, weights):
         # the packed bytes, counted in 8-byte words, and the float block _apply unpacks into
         check_addressable((self.m, -(-self.n // 64)), "a rademacher sketch")
-        check_addressable((self.m, min(self.n, _RADEMACHER_BLOCK)), "a rademacher sketch")
+        check_addressable((self.m, min(self.n, _ROW_BLOCK)), "a rademacher sketch")
         self.packed = _frozen(
             rng.integers(0, 256, size=(self.m, -(-self.n // 8)), dtype=np.uint8))
 
@@ -206,9 +224,9 @@ class _Rademacher(SketchOperator):
         # bits * 2s - s is exact, so each block is (2 bits - 1) / sqrt(m) bitwise
         s = 1.0 / math.sqrt(self.m)
         out = np.zeros((self.m, M.shape[1]))
-        block = np.empty((self.m, min(self.n, _RADEMACHER_BLOCK)))
-        for j in range(0, self.n, _RADEMACHER_BLOCK):  # a multiple of 8: whole bytes
-            w = min(_RADEMACHER_BLOCK, self.n - j)
+        block = np.empty((self.m, min(self.n, _ROW_BLOCK)))
+        for j in range(0, self.n, _ROW_BLOCK):  # a multiple of 8: whole bytes
+            w = min(_ROW_BLOCK, self.n - j)
             S = block[:, :w]
             np.multiply(np.unpackbits(self.packed[:, j // 8:-(-(j + w) // 8)], axis=1, count=w),
                         2.0 * s, out=S)

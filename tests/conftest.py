@@ -14,3 +14,16 @@ def svd_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     return calls
+
+
+@pytest.fixture
+def qr_rows(monkeypatch):
+    """The row count of every np.linalg.qr call: one per Householder QR."""
+    rows, qr = [], np.linalg.qr
+
+    def counting(M, *args, **kwargs):
+        rows.append(len(M))
+        return qr(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    return rows

@@ -458,6 +458,8 @@ def inputs(tmp_path, dataset):
     huge_scale = dense_csv("huge_scale.csv", np.column_stack((y, features * 1e155)))
     # every entry of A * A underflows to zero
     tiny_scale = dense_csv("tiny_scale.csv", np.column_stack((y, features * 1e-170)))
+    # the Gram of [A | y] is subnormal, so the instance's factor is the Householder QR's
+    subnormal_scale = dense_csv("subnormal_scale.csv", np.column_stack((y, features)) * 1e-158)
     repeat_index = tmp_path / "repeat_index.txt"
     repeat_index.write_text("1 1:1.0 2:3.0 2:5.0\n2 1:3\n0 2:1\n")
 
@@ -479,6 +481,7 @@ def inputs(tmp_path, dataset):
         "zeros": str(zeros),
         "huge_scale": str(huge_scale),
         "tiny_scale": str(tiny_scale),
+        "subnormal_scale": str(subnormal_scale),
         "repeat_index": str(repeat_index),
         "missing": str(tmp_path / "missing.csv"),
         "out": str(tmp_path / "out.csv"),
@@ -532,6 +535,7 @@ _EXIT_TABLE = [
     ("solve --data {energy_overflow}", 2, "squared norms overflow float64"),
     ("solve --format sparse --data {repeat_index}", 2, "feature index 2 repeats"),
     ("solve --data {huge_scale}", 0, None),
+    ("solve --data {subnormal_scale}", 0, None),
     (_SKETCH, 0, None),
     (f"{_SKETCH} --estimator shrinkage-fro", 1, None),
     ("sketch-solve --data {data} --family srht --m 0 --seed 3", 2, "sketch size m must be >= 1"),
@@ -555,6 +559,8 @@ _EXIT_TABLE = [
      0, None),
     ("sketch-solve --data {huge_scale} --family rownorm --m 20 --seed 1", 0, None),
     ("sketch-solve --data {tiny_scale} --family rownorm --m 20 --seed 1", 0, None),
+    ("sketch-solve --data {huge_scale} --family leverage --m 20 --seed 1", 0, None),
+    ("sketch-solve --data {tiny_scale} --family leverage --m 20 --seed 1", 0, None),
     ("experiment --config {cfg}", 0, None),
     ("experiment", 1, None),
     ("experiment --config {cfg} --threads 0", 1, None),

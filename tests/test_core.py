@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from sketchls import (
     ProblemInstance,
@@ -15,7 +17,7 @@ from sketchls import (
     snr,
     solve_exact,
 )
-from sketchls.core import INVERSE_TOL, RANK_TOL, certify_rank
+from sketchls.core import INVERSE_TOL, RANK_TOL, certify_rank, qr_factor
 from sketchls.errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -203,9 +205,13 @@ class TestSnr:
 class TestSingleFactorization:
     def test_solution_is_bitwise_the_one_qr_solve(self):
         p = _random_instance(40, 6, seed=12)
-        U = np.linalg.qr(np.column_stack((p.A, p.y)), mode="r")
+        U = qr_factor(np.column_stack((p.A, p.y)))
         x = scipy.linalg.solve_triangular(U[:6, :6], U[:6, 6])
         assert np.array_equal(solve_exact(p).x_ls, x)
+        # the Householder QR's solve agrees to rounding: cond([A | y]) is about 4 here
+        H = np.linalg.qr(np.column_stack((p.A, p.y)), mode="r")
+        x_h = scipy.linalg.solve_triangular(H[:6, :6], H[:6, 6])
+        assert np.linalg.norm(x - x_h) <= 1e-14 * np.linalg.norm(x_h)
 
     @pytest.mark.parametrize("k", [None, 3])
     def test_solution_matches_lstsq(self, k):
@@ -303,6 +309,70 @@ class TestSharedRankRule:
         b = rng.standard_normal(30 if k is None else (30, k))
         p = ProblemInstance(A, b)
         assert np.array_equal(solve_exact(p).x_ls, classical(A, b).x_hat)
+
+
+_HOUSEHOLDER = np.linalg.qr  # bound at import, so the qr_rows fixture does not count it
+
+
+@st.composite
+def _qr_cases(draw):
+    """(M, gram_possible, gram_expected): [A | t] for A = U diag(s) V^T with s from 1 to
+    1/kappa and t a vector, a matrix or nothing, with at most one defect: a repeated column,
+    fewer rows than columns, or a scale whose Gram overflows (1e155), is subnormal (1e-158)
+    or is zero (1e-170).  The Gram path may run only on M with no defect, and is expected on
+    such M that is also well conditioned and has at least 2 p rows."""
+    d, t = draw(st.integers(1, 10)), draw(st.sampled_from([0, 1, 4]))
+    p = d + t
+    defect = draw(st.sampled_from([None, "rank", "wide", 1e155, 1e-158, 1e-170]))
+    if (defect == "rank" and d < 2) or (defect == "wide" and p < 2):
+        defect = None
+    n = draw(st.integers(1, p - 1) if defect == "wide" else st.integers(p, 8 * p))
+    log_kappa = draw(st.one_of(st.floats(0.0, 3.5), st.floats(3.5, 12.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U, _ = np.linalg.qr(rng.standard_normal((max(n, d), d)))
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    A = ((U * np.geomspace(1.0, 10.0 ** -log_kappa, d)) @ V.T)[:n]
+    if defect == "rank":
+        A[:, -1] = A[:, 0]
+    M = np.column_stack((A, rng.standard_normal((n, t))))
+    if isinstance(defect, float):
+        M *= defect
+    return M, defect is None, defect is None and n >= 2 * p and log_kappa <= 1.0
+
+
+# qr_rows is cleared at the start of every example
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example((np.array([[1e-154]]), False, False))  # a subnormal Gram, R1 itself well inside range
+@given(_qr_cases())
+def test_qr_factor_is_the_householder_factor_up_to_row_signs(qr_rows, case):
+    """`qr_factor` is upper triangular and square in M's columns; wherever a piece declines,
+    exactly one Householder QR runs and gives U bitwise.  Where its Gram path runs (no
+    np.linalg.qr call), U's rows are Householder's up to sign within 32 eps b relative
+    (eps = 2^-52), b = ||H||_F ||H^-1||_F the certificate's measure (under 1e4 there): both
+    factors are backward stable, and a row near the smallest singular value moves by about
+    eps b.  Over 15,000 such draws the largest row error was 8.8 eps b (1.1e-11 at
+    b = 7.4e3), and 2.9% of draws exceeded 1e-13.  Q = M U^-1 is orthonormal within the same
+    32 eps b: CholeskyQR2 read at most 3 eps b over 3,386 draws, where one Cholesky pass
+    (U = R1) read up to 4.8e3 eps b."""
+    M, gram_possible, gram_expected = case
+    n, p = M.shape
+    qr_rows.clear()
+    U = qr_factor(M)
+    assert U.shape == (p, p) and np.all(np.tril(U, -1) == 0.0)
+    H = _HOUSEHOLDER(M, mode="r")
+    H = np.vstack((H, np.zeros((p - len(H), p))))
+    if qr_rows:
+        assert qr_rows == [n] and not gram_expected
+        assert np.array_equal(U, H)
+    else:
+        assert gram_possible and np.all(np.diag(U) > 0)
+        H *= np.sign(np.diag(H))[:, None]
+        tol = 32 * np.finfo(np.float64).eps * np.linalg.norm(H) * np.linalg.norm(np.linalg.inv(H))
+        np.testing.assert_array_less(np.linalg.norm(U - H, axis=1),
+                                     tol * np.linalg.norm(H, axis=1))
+        Q = scipy.linalg.solve_triangular(U, M.T, trans="T").T
+        assert np.linalg.norm(Q.T @ Q - np.eye(p), 2) < tol
 
 
 class TestCertifyRank:

@@ -26,7 +26,7 @@ from sketchls import (
     shrinkage_matrix,
     derive_seed,
 )
-from sketchls.core import RANK_TOL
+from sketchls.core import RANK_TOL, qr_factor
 from sketchls.errors import InvalidInputError, InvalidSketchSizeError, RankDeficientSketchError
 from sketchls.estimators import classical_stacked
 
@@ -187,17 +187,19 @@ class TestClassicalByQr:
     def test_solution_is_bitwise_the_triangular_solve(self, k, extra):
         d = 12
         SA, Sy = _sketch(d, 3 * d if extra == "3d" else d + extra, k)
-        U = np.linalg.qr(np.column_stack((SA, Sy)), mode="r")
+        SB = np.column_stack((SA, Sy))
+        U = qr_factor(SB)  # zero-padded to d+k' rows when m < d+k'
         expected = scipy.linalg.solve_triangular(U[:d, :d], U[:d, d] if k is None else U[:d, d:])
         assert np.array_equal(classical(SA, Sy).x_hat, expected)
-        # the harness's spelling, on the stacked array it already holds
-        SB = np.column_stack((SA, Sy))
+        # the harness's spelling, on the stacked array it already holds, with U's blocks
         rec, UA, Ub = classical_stacked(SB, d, k is None)
         assert np.array_equal(rec.x_hat, expected)
-        # with U's blocks: the QR's rows, zero-padded to d+k' rows when m < d+k'
-        padded = np.vstack((U, np.zeros((SB.shape[1] - len(U), SB.shape[1]))))
         assert UA.shape == (SB.shape[1], d) and Ub.ndim == Sy.ndim
-        assert np.array_equal(np.column_stack((UA, Ub)), padded)
+        assert np.array_equal(np.column_stack((UA, Ub)), U)
+        # the Householder QR's solve agrees to rounding (cond(SA) is at most about 50 here)
+        H = np.linalg.qr(SB, mode="r")
+        x_h = scipy.linalg.solve_triangular(H[:d, :d], H[:d, d] if k is None else H[:d, d:])
+        assert np.linalg.norm(expected - x_h) <= 1e-13 * np.linalg.norm(x_h)
 
 
 class TestResidualEstimates:

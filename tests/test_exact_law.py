@@ -336,26 +336,15 @@ class TestGaussianCells:
         assert np.mean(explicit["classical"]) == pytest.approx(exact, rel=0.05)
 
 
-@pytest.fixture
-def qr_rows(monkeypatch):
-    """The row count of every np.linalg.qr call."""
-    rows, qr = [], np.linalg.qr
-
-    def counting(M, *args, **kwargs):
-        rows.append(len(M))
-        return qr(M, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counting)
-    return rows
-
-
 def _gram_instance(d, k, seed=39):
     return gen_gaussian_data(SyntheticSpec(n=4 * (d + 10), d=d, rho=0.1, seed=seed, k=k))
 
 
 def _qr_reference(p, m, seed, family="gaussian"):
-    """`classical_stacked` on the QR of the realization's SB: the draw G R~ / sqrt(m), as the
-    law spells it, or any other family's S [A | b]."""
+    """`classical_factored` on the Householder QR of the realization's SB, zero-padded to
+    p = d+k' rows: the draw G R~ / sqrt(m), as the law spells it, or any other family's
+    S [A | b].  It calls np.linalg.qr itself, so it shares no factor kernel with the
+    harness."""
     if family == "gaussian":
         G = np.random.default_rng(seed).standard_normal((m, p.AB.shape[1]))
         SB = G @ p.R_tilde / math.sqrt(m)
@@ -363,7 +352,9 @@ def _qr_reference(p, m, seed, family="gaussian"):
         op = make_operator(SketchSpec(family, m, seed), p.n,
                            weights=sampling_weights(family, p.A))
         SB = apply(op, p.AB)
-    return est.classical_stacked(SB, p.d, p.y.ndim == 1)
+    U = np.linalg.qr(SB, mode="r")
+    U = np.vstack((U, np.zeros((SB.shape[1] - len(U), SB.shape[1]))))
+    return est.classical_factored(U, p.d, p.y.ndim == 1)
 
 
 def _stack(UA, Ub):
@@ -419,8 +410,9 @@ class TestGramFactor:
         d = 100 the Gram factor moved the fitted error by a median of 3.5e-13 relative and
         at most 9.7e-9 (seed 79, cond(G) = 3.4e5).  Against a 60-digit reference the QR's fit
         was within 1.9e-13 at seed 79 and 7.2e-13 at seed 283, the next worst.  The guard on
-        L's diagonal ratio sends 102 of the 200 draws, seed 79 among them, to the QR, and the
-        fit moves by at most 9.0e-11 (seed 41, cond(G) = 1.2e3) on the 98 it keeps."""
+        L's diagonal ratio sends 102 of the 200 draws, seed 79 among them, to `qr_factor`
+        (59 to its Householder QR, 43 to CholeskyQR2 on SB, within 3.8e-13 of the QR's fit),
+        and the fit moves by at most 9.0e-11 (seed 41, cond(G) = 1.2e3) on the 98 it keeps."""
         p, sol = gen_gaussian_data(SyntheticSpec(n=4096, d=100, rho=0.1, seed=7))
         moved = []
         for seed in range(200):

@@ -19,6 +19,7 @@ from sketchls import (
     make_operator,
     sampling_weights,
 )
+from sketchls.core import certified_inverse, qr_factor
 from sketchls.errors import DimensionMismatchError, InvalidInputError, InvalidWeightsError
 
 
@@ -419,9 +420,42 @@ class TestSamplingWeights:
     def test_leverage_scores_sum_to_d(self):
         A = np.random.default_rng(6).standard_normal((64, 12))
         assert leverage_scores(A).sum() == pytest.approx(12.0, abs=1e-9)
-        # Q is squared in place: bitwise the row sums of a separate Q * Q
+        # the squared rows of A R^-1, R from qr_factor: bitwise, for one row block
+        B = A @ certified_inverse(qr_factor(A))
+        assert leverage_scores(A).tobytes() == np.sum(B * B, axis=1).tobytes()
+        # and the squared rows of the Householder Q within rounding (cond(A) is about 3)
         Q, _ = np.linalg.qr(A)
-        assert leverage_scores(A).tobytes() == np.sum(Q * Q, axis=1).tobytes()
+        np.testing.assert_allclose(leverage_scores(A), np.sum(Q * Q, axis=1), rtol=1e-13)
+
+    @pytest.mark.parametrize("log_kappa", [0, 2, 6])
+    def test_leverage_scores_over_row_blocks_match_the_householder_q(self, qr_rows, log_kappa):
+        # n = 3000 spans three row blocks; at kappa = 1e6 R^-1 is not certified and Q is formed
+        rng = np.random.default_rng(9)
+        U, _ = np.linalg.qr(rng.standard_normal((3000, 20)))
+        V, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        A = (U * np.geomspace(1.0, 10.0 ** -log_kappa, 20)) @ V.T
+        Q, _ = np.linalg.qr(A)
+        qr_rows.clear()
+        scores = leverage_scores(A)
+        if log_kappa < 6:
+            assert qr_rows == []
+            np.testing.assert_allclose(scores, np.sum(Q * Q, axis=1), rtol=1e-12)
+        else:
+            assert qr_rows == [3000, 3000]  # qr_factor's R, then Q
+            assert scores.tobytes() == np.sum(Q * Q, axis=1).tobytes()
+
+    def test_rank_deficient_source_rejected(self):
+        # a QR's scores sum to 3, those of its rank-2 column space to 2; a row differs by 0.72
+        A = np.random.default_rng(10).standard_normal((8, 3))
+        A[:, 2] = A[:, 0]
+        with pytest.raises(InvalidWeightsError, match=r"^A is rank deficient: s_min/s_max = "):
+            sampling_weights("leverage", A)
+
+    def test_wide_source_keeps_the_householder_scores(self, qr_rows):
+        # fewer rows than columns: no rank rule and one QR, which forms Q; every score is 1
+        A = np.random.default_rng(11).standard_normal((2, 5))
+        np.testing.assert_allclose(leverage_scores(A), 1.0, rtol=1e-15)
+        assert qr_rows == [2]
 
     def test_rownorm_requires_aux(self):
         with pytest.raises(InvalidWeightsError):
@@ -451,7 +485,7 @@ class TestSamplingWeights:
     def test_aux_row_count_checked(self):
         with pytest.raises(DimensionMismatchError):
             make_operator(SketchSpec("leverage", 4, 0), 16,
-                          weights=sampling_weights("leverage", np.ones((8, 2))))
+                          weights=sampling_weights("leverage", _aux(8, 2)))
 
 
 # rownorm weights are finite and sum to one at every finite scale, where the plain
