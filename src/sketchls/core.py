@@ -4,9 +4,8 @@ Everything downstream (sketch operators, estimators, bounds, the
 experiment harness) consumes the types defined here.  An instance has
 one target, a vector or a matrix, and its ``ndim`` alone says which;
 solutions and residuals take the target's shape.  Every triangular
-factor, of [A | y] and of a sketch the Gram step declines, comes from
-`qr_factor`: CholeskyQR2 through `certified_inverse` and `gram_factor`,
-or one Householder QR where a piece of it declines.  All arithmetic is
+factor, of [A | y] and of a sketch, comes from `qr_factor`'s ladder (a
+Gaussian sketch tries its own Gram step first).  All arithmetic is
 64-bit floating point and all containers are immutable after
 construction, so they can be shared freely across worker threads.
 """
@@ -73,17 +72,22 @@ class ExactSolution:
         return cls(x_ls=x_ls, y_perp=y_perp, r2=r2, pred_energy=pred_energy)
 
 
-def qr_factor(M) -> np.ndarray:
+def qr_factor(M, first=(None, None)) -> np.ndarray:
     """The triangular factor U of M = Q U, forming no Q: square in M's columns, zero below
     M's rows, and unique up to the signs of its rows.
 
-    CholeskyQR2 first, from level-3 BLAS alone: R1 = chol(M^T M)^T, X = M R1^-1 by
-    `certified_inverse`, and U = `gram_factor`(X^T X, R1), with a positive diagonal.  One
-    Householder QR (a diagonal of mixed signs) runs instead where a piece declines: M has
-    fewer rows than columns, M^T M is not finite or its diagonal is subnormal, the Cholesky
-    fails, R1 has no certified inverse, or `gram_factor`'s diagonal guard declines.
+    The one ladder.  A Gram step on R1 takes X = M R1^-1 and U = `gram_factor`(X^T X, R1),
+    from level-3 BLAS alone, with a positive diagonal: first on `first` = (R1, R1^-1), then
+    as CholeskyQR2 on R1 = chol(M^T M)^T and its `certified_inverse`.  One Householder QR (a
+    diagonal of mixed signs) runs last, where M has fewer rows than columns or both steps
+    decline: no R1^-1 given or certified, M^T M not finite or with a subnormal diagonal, a
+    failed Cholesky, or `gram_factor`'s diagonal guard.
     """
-    U = _cholesky_qr2(M) if len(M) >= M.shape[1] else None
+    U = None
+    if len(M) >= M.shape[1]:
+        U = _gram_step(M, *first)
+        if U is None:
+            U = _gram_step(M, *_cholesky_first(M))
     if U is None:
         U = np.linalg.qr(M, mode="r")  # min(rows, columns) rows
     if U.shape[0] < U.shape[1]:
@@ -91,29 +95,35 @@ def qr_factor(M) -> np.ndarray:
     return U
 
 
-def _cholesky_qr2(M) -> np.ndarray | None:
-    """`qr_factor`'s U by CholeskyQR2, for M with at least as many rows as columns; None
-    where a piece declines."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = M.T @ M
-    if not (np.isfinite(gram).all() and gram.diagonal().min() >= np.finfo(np.float64).tiny):
-        return None
-    try:
-        R1 = np.linalg.cholesky(gram).T
-    except np.linalg.LinAlgError:
-        return None
-    R1_inv = certified_inverse(R1)
+def _gram_step(M, R1, R1_inv) -> np.ndarray | None:
+    """`gram_factor`(X^T X, R1) for X = M R1^-1; None where R1^-1 is None or the guard declines."""
     if R1_inv is None:
         return None
     X = M @ R1_inv
     return gram_factor(X.T @ X, R1)
 
 
+def _cholesky_first(M) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """CholeskyQR2's first factor: R1 = chol(M^T M)^T and its `certified_inverse`, or
+    (None, None) where M^T M is not finite or its diagonal is subnormal, or the Cholesky fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = M.T @ M
+    if np.isfinite(gram).all() and gram.diagonal().min() >= np.finfo(np.float64).tiny:
+        try:
+            R1 = np.linalg.cholesky(gram).T
+        except np.linalg.LinAlgError:
+            return None, None
+        return R1, certified_inverse(R1)
+    return None, None
+
+
 def _condition_bound(R) -> tuple[np.ndarray, float]:
     """(R^-1, ||R||_F ||R^-1||_F) for a triangular R, by one LAPACK inversion.
 
     The bound is at least R's 2-norm condition number.  It is inf where R has a zero on its
-    diagonal, and inf or NaN where the norms overflow, so it fails every certificate there.
+    diagonal, and inf or NaN where R^-1 overflows, so it fails every certificate there.  A
+    product that is not finite is taken again from 2^-e R and 2^e R^-1, 2^e the binade of
+    max|R|: the scale cancels exactly, so the bound does not depend on R's scale.
     """
     R_inv, info = lapack.dtrtri(R)
     if info != 0:
@@ -121,7 +131,11 @@ def _condition_bound(R) -> tuple[np.ndarray, float]:
     # R_inv keeps R's strict lower triangle, zeros in a triangular factor, so its norm is
     # ||R^-1||_F
     with np.errstate(over="ignore", invalid="ignore"):
-        return R_inv, float(np.linalg.norm(R) * np.linalg.norm(R_inv))
+        bound = float(np.linalg.norm(R) * np.linalg.norm(R_inv))
+        if not math.isfinite(bound):
+            e = np.frexp(np.abs(R).max())[1]
+            bound = float(np.linalg.norm(np.ldexp(R, -e)) * np.linalg.norm(np.ldexp(R_inv, e)))
+    return R_inv, bound
 
 
 def certify_rank(U, d: int, error: type[SketchLSError], name: str) -> np.ndarray:
@@ -148,7 +162,7 @@ def certify_rank(U, d: int, error: type[SketchLSError], name: str) -> np.ndarray
 def certified_inverse(R) -> np.ndarray | None:
     """R^-1 for a triangular R, read-only, where INVERSE_TOL ||R||_F ||R^-1||_F < 1; else None.
 
-    A singular R (a zero residual makes R~ singular) and an overflow both fail.
+    A singular R (a zero residual makes R~ singular) and an R^-1 that overflows both fail.
     """
     R_inv, bound = _condition_bound(R)
     if not INVERSE_TOL * bound < 1:
@@ -198,9 +212,8 @@ class ProblemInstance:
     column rank.  It copies [A | y] once, into a read-only, C-contiguous
     ``AB`` (k' target columns) with views ``A`` and ``y``, and factors it once
     (`qr_factor`, then `certify_rank`): ``R_tilde`` is its (d+k') x (d+k')
-    triangular factor, zero below row n when n < d+k', with a positive
-    diagonal where the Gram path ran and the Householder QR's signs elsewhere,
-    and ``R`` (A's R factor) a view of its leading block.  ``R_tilde_inv`` is
+    triangular factor, zero below row n when n < d+k', and ``R`` (A's R
+    factor) a view of its leading block.  ``R_tilde_inv`` is
     R~^-1, computed once, where `certified_inverse` certifies R~ well enough
     conditioned to be inverted explicitly, and None where it does not (a zero
     residual makes R~ singular).  All three arrays are read-only.  `solution` is

@@ -101,22 +101,12 @@ def _residual_energy(X, t, x_hat) -> float:
 
 
 def classical(SA, Sy) -> EstimateRecord:
-    """Solve the compressed problem min ||SA x - Sy||^2: `classical_stacked` on [SA | Sy]."""
+    """Solve the compressed problem min ||SA x - Sy||^2 by `classical_factored`."""
     SA = np.asarray(SA, dtype=np.float64)
     Sy = np.asarray(Sy, dtype=np.float64)
     if SA.ndim != 2 or Sy.ndim not in (1, 2) or Sy.shape[0] != SA.shape[0]:
         raise DimensionMismatchError(f"incompatible shapes SA={SA.shape}, Sy={Sy.shape}")
-    return classical_stacked(np.column_stack((SA, Sy)), SA.shape[1], Sy.ndim == 1)[0]
-
-
-def classical_stacked(SB, d: int, vector: bool) -> tuple[EstimateRecord, np.ndarray, np.ndarray]:
-    """`classical` on SB = [SA | Sy], held as one m x (d+k') array (k' = 1 when `vector`).
-
-    `core.qr_factor` factors SB = Q U, forming no Q, and `classical_factored` takes U.
-    """
-    if len(SB) < d:
-        raise RankDeficientSketchError(f"sketch size m={len(SB)} below column count d={d}")
-    return classical_factored(qr_factor(SB), d, vector)
+    return classical_factored(qr_factor(np.column_stack((SA, Sy))), SA.shape[1], Sy.ndim == 1)[0]
 
 
 def classical_factored(U, d: int, vector: bool) -> tuple[EstimateRecord, np.ndarray, np.ndarray]:

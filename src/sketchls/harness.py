@@ -11,20 +11,19 @@ A repetition (`repetition`) factors one realization (`sketch_factor`) and
 runs every estimator kind on it; a sweep adds the error metrics, and
 `sketch-solve` is one repetition of one kind.  Each cell keeps one
 read-only log of its repetitions (`CellResult.log`), and its statistics
-are functions of that log.  A Gaussian S is rotation
-invariant, so S[A | b] is drawn from its law G R~ / sqrt(m), with G an
-m x (d+k') standard normal matrix and R~ the triangular factor of [A | b]
+are functions of that log.  A Gaussian S is rotation invariant, so
+S[A | b] is drawn from its law G R~ / sqrt(m), with G an m x (d+k')
+standard normal matrix and R~ the triangular factor of [A | b]
 (`ProblemInstance.R_tilde`).  The draw depends on R~'s row signs, its law
 does not: G (D R~) = (G D) R~ for a diagonal D of signs, and G D has G's
 law.  Every other family applies its realized operator once, to
-`ProblemInstance.AB`.  Either way SB = S [A | b] = X R~,
-X = S Q~ with Q~ = [A | b] R~^-1, and its triangular factor is
-U = L^T R~, L the Cholesky factor of X^T X, so no m-row QR runs:
-O(m (d+k')^2) past the realization.  `classical_stacked` (`core.qr_factor`)
-stays for m < d+k' and for the draws `core.gram_factor` declines.  A rank
-or overflow error fails the cell, not the sweep.  Every norm
-after the factor comes from a triangular factor's blocks
-(`core.factor_blocks`): U's (d+k')-row blocks, ||SA v - S b w|| =
+`ProblemInstance.AB`.  Either way SB = S [A | b] = X R~, X = S Q~ with
+Q~ = [A | b] R~^-1, and its triangular factor is U = L^T R~, L the
+Cholesky factor of X^T X, so no m-row QR runs where that Gram step holds:
+O(m (d+k')^2) past the realization.  `core.qr_factor`'s ladder says what
+runs where it does not.  A rank or overflow error fails the cell, not the
+sweep.  Every norm after the factor comes from a triangular factor's
+blocks (`core.factor_blocks`): U's (d+k')-row blocks, ||SA v - S b w|| =
 ||U_A v - U_b w||, R~'s for the full-data residual (`residual_estimates`),
 and A's R factor for the prediction error.
 
@@ -45,10 +44,11 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import estimators as est_mod
 from .core import (ExactSolution, ProblemInstance, factor_blocks, gram_factor, prediction_error,
-                   snr, solve_exact)
+                   qr_factor, snr, solve_exact)
 from .datagen import SyntheticSpec, gen_gaussian_data
 from .dataio import DatasetFile, load
-from .errors import ConfigError, InvalidInputError, NotSpdError, SketchLSError
+from .errors import (ConfigError, InvalidInputError, NotSpdError, RankDeficientSketchError,
+                     SketchLSError)
 from .sketches import (
     FAMILIES,
     WEIGHTED_FAMILIES,
@@ -175,34 +175,30 @@ def resolve_instance(cfg: ExperimentConfig) -> tuple[ProblemInstance, ExactSolut
 def sketch_factor(instance: ProblemInstance, family: str, m: int, seed: int, weights):
     """One realization, factored: `classical_factored`'s (classical record, U_A, U_b).
 
-    The factor of SB = S [A | b] is U = L^T R~, with L the Cholesky factor of X^T X for
-    X = S Q~, Q~ = [A | b] R~^-1 (`core.gram_factor`), so no m-row QR runs.  A Gaussian
-    SB is drawn from its law G R~ / sqrt(m), G = default_rng(seed).standard_normal
-    m x p (p = d+k'), so X = G / sqrt(m) needs no inverse.  Any other family applies
-    `make_operator`'s S to `instance.AB`, and X = SB `instance.R_tilde_inv`, one GEMM.
-    `classical_stacked` factors SB by `qr_factor` instead where m < p, where R~ has no
-    certified inverse, or where `gram_factor` declines L.  Both take `SketchSpec`'s
-    checks.  SB is not kept: U's blocks replace SA and S b.
+    A Gaussian SB is drawn from its law G R~ / sqrt(m), G = default_rng(seed).standard_normal
+    m x p (p = d+k'), so X = G / sqrt(m): U = `gram_factor`(G^T G / m, R~), spelled here
+    because (G / sqrt(m))^T (G / sqrt(m)) differs in its last bits, and `core.qr_factor`(SB)
+    where m < p or that declines.  Any other family applies `make_operator`'s S to
+    `instance.AB`, and U is `core.qr_factor`(SB) with R~ and `instance.R_tilde_inv` as its
+    first factor.  m < d raises RankDeficientSketchError, after `SketchSpec`'s checks.  SB is
+    not kept: U's blocks replace SA and S b.
     """
     spec = SketchSpec(family, m, seed)
-    d, vector, p = instance.d, instance.y.ndim == 1, instance.AB.shape[1]
-    U = None
+    d, p = instance.d, instance.AB.shape[1]
+    if m < d:
+        raise RankDeficientSketchError(f"sketch size m={m} below column count d={d}")
     if family == "gaussian":
         check_addressable((m, p), "a gaussian sketch")
         G = np.random.default_rng(seed).standard_normal((m, p))
-        if m >= p:
-            U = gram_factor(G.T @ G / m, instance.R_tilde)
+        U = gram_factor(G.T @ G / m, instance.R_tilde) if m >= p else None
         if U is None:
             SB = G @ instance.R_tilde
             SB /= math.sqrt(m)
+            U = qr_factor(SB)
     else:
         SB = apply(make_operator(spec, instance.n, weights=weights), instance.AB)
-        if m >= p and instance.R_tilde_inv is not None:
-            X = SB @ instance.R_tilde_inv
-            U = gram_factor(X.T @ X, instance.R_tilde)
-    if U is None:
-        return est_mod.classical_stacked(SB, d, vector)
-    return est_mod.classical_factored(U, d, vector)
+        U = qr_factor(SB, (instance.R_tilde, instance.R_tilde_inv))
+    return est_mod.classical_factored(U, d, instance.y.ndim == 1)
 
 
 def residual_estimates(sources, instance: ProblemInstance, r2, x_hat, UA, Ub, m: int) -> dict:

@@ -17,7 +17,8 @@ from sketchls import (
     snr,
     solve_exact,
 )
-from sketchls.core import INVERSE_TOL, RANK_TOL, certify_rank, qr_factor
+from sketchls.core import (INVERSE_TOL, RANK_TOL, certified_inverse, certify_rank, gram_factor,
+                           qr_factor)
 from sketchls.errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -295,11 +296,12 @@ class TestSharedRankRule:
                            match=r"^A is rank deficient: s_min/s_max = 0\.000e\+00$"):
             ProblemInstance(np.zeros((6, 2)), y=np.ones(6))
 
-    def test_overflowing_norms_fall_to_the_svd_quietly(self, svd_calls):
-        # ||R||_F^2 overflows at this scale; the certificate fails and the SVD decides
+    def test_overflowing_norms_are_certified_quietly(self, svd_calls):
+        # ||R||_F^2 overflows at this scale; the certificate takes it from R scaled by a power
+        # of two, holds, and runs no SVD (a RuntimeWarning fails the test)
         rng = np.random.default_rng(41)
         p = ProblemInstance(rng.standard_normal((60, 3)) * 1e155, y=rng.standard_normal(60))
-        assert len(svd_calls) == 1
+        assert svd_calls == []
         assert np.all(np.isfinite(solve_exact(p).x_ls))
 
     @pytest.mark.parametrize("k", [None, 3])
@@ -373,6 +375,45 @@ def test_qr_factor_is_the_householder_factor_up_to_row_signs(qr_rows, case):
                                      tol * np.linalg.norm(H, axis=1))
         Q = scipy.linalg.solve_triangular(U, M.T, trans="T").T
         assert np.linalg.norm(Q.T @ Q - np.eye(p), 2) < tol
+
+
+class TestFirstFactor:
+    """`qr_factor(M, first)` with first = (R1, R1^-1): the Gram step on R1 where it holds,
+    else bitwise `qr_factor(M)`."""
+
+    @staticmethod
+    def _case():
+        # M = S [A | b] for a Gaussian S, with R~ and its inverse: what a sketch passes
+        rng = np.random.default_rng(46)
+        p = ProblemInstance(rng.standard_normal((200, 6)), rng.standard_normal(200))
+        return rng.standard_normal((30, 200)) @ p.AB, p.R_tilde, p.R_tilde_inv
+
+    def test_is_the_gram_step_bitwise(self, qr_rows):
+        M, R1, R1_inv = self._case()
+        X = M @ R1_inv
+        assert np.array_equal(qr_factor(M, (R1, R1_inv)), gram_factor(X.T @ X, R1))
+        assert qr_rows == []
+
+    def test_without_an_inverse_it_is_qr_factor(self, qr_rows):
+        M, R1, _ = self._case()
+        assert np.array_equal(qr_factor(M, (R1, None)), qr_factor(M))
+        assert qr_rows == []  # CholeskyQR2, twice
+
+    def test_a_declined_step_gives_qr_factor(self, qr_rows):
+        # R1^-1 scales X's column 3 by 1e3, so L's diagonal ratio falls under GRAM_DIAG_MIN
+        M, _, _ = self._case()
+        R1 = np.eye(M.shape[1])
+        R1[3, 3] = 1e-3
+        R1_inv = certified_inverse(R1)
+        X = M @ R1_inv
+        assert gram_factor(X.T @ X, R1) is None
+        assert np.array_equal(qr_factor(M, (R1, R1_inv)), qr_factor(M))
+        assert qr_rows == []
+
+    def test_fewer_rows_than_columns_skip_it(self, qr_rows):
+        M, R1, R1_inv = self._case()
+        assert np.array_equal(qr_factor(M[:5], (R1, R1_inv)), qr_factor(M[:5]))
+        assert qr_rows == [5, 5]
 
 
 class TestCertifyRank:
@@ -454,6 +495,16 @@ class TestCertifiedInverse:
         rng = np.random.default_rng(45)
         assert ProblemInstance(rng.standard_normal((5, 4)), rng.standard_normal((5, 3))
                                ).R_tilde_inv is None
+
+    @pytest.mark.parametrize("exponent", [515, -530])
+    def test_a_scaled_factor_keeps_its_certificate(self, svd_calls, exponent):
+        # ||R||_F^2 or ||R^-1||_F^2 leaves float64's range at these scales: the bound is taken
+        # again from R scaled by a power of two, so R^-1 scales exactly and no SVD runs
+        R = qr_factor(np.random.default_rng(47).standard_normal((40, 6)))
+        scaled = np.ldexp(R, exponent)
+        assert np.array_equal(certified_inverse(scaled), np.ldexp(certified_inverse(R), -exponent))
+        assert certify_rank(scaled, 5, RankDeficientError, "X") is scaled
+        assert svd_calls == []
 
     def test_overflowing_norms_leave_no_inverse_quietly(self):
         rng = np.random.default_rng(41)

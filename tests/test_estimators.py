@@ -28,7 +28,7 @@ from sketchls import (
 )
 from sketchls.core import RANK_TOL, qr_factor
 from sketchls.errors import InvalidInputError, InvalidSketchSizeError, RankDeficientSketchError
-from sketchls.estimators import classical_stacked
+from sketchls.estimators import classical_factored
 
 
 def _sketched(spec, p, sol):
@@ -192,7 +192,7 @@ class TestClassicalByQr:
         expected = scipy.linalg.solve_triangular(U[:d, :d], U[:d, d] if k is None else U[:d, d:])
         assert np.array_equal(classical(SA, Sy).x_hat, expected)
         # the harness's spelling, on the stacked array it already holds, with U's blocks
-        rec, UA, Ub = classical_stacked(SB, d, k is None)
+        rec, UA, Ub = classical_factored(qr_factor(SB), d, k is None)
         assert np.array_equal(rec.x_hat, expected)
         assert UA.shape == (SB.shape[1], d) and Ub.ndim == Sy.ndim
         assert np.array_equal(np.column_stack((UA, Ub)), U)

@@ -35,7 +35,7 @@ from sketchls import (
 )
 from sketchls import estimators as est
 from sketchls import core, harness
-from sketchls.core import factor_blocks, lstsq_solve
+from sketchls.core import factor_blocks, lstsq_solve, qr_factor
 from sketchls.errors import RankDeficientSketchError
 from sketchls.harness import resolve_instance
 
@@ -465,6 +465,25 @@ class TestGramFactor:
             assert prediction_error(p.R, rec.x_hat, sol.x_ls) == pytest.approx(
                 prediction_error(p.R, ref.x_hat, sol.x_ls), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("exponent", [515, -530])
+    def test_a_scaled_instance_keeps_every_gram_step(self, qr_rows, svd_calls, exponent):
+        """[A | b] scaled by a power of two whose squares leave float64's range: R~ still has
+        a certified inverse, so at m >= p no family runs an SVD or an m-row QR, and every
+        non-Gaussian x_hat is the unscaled one within 1e-13.  A Gaussian draw is a new one
+        from the same law: the Gram of [A | b] overflows or is subnormal, so R~ comes from
+        the Householder QR, with other row signs."""
+        p, _ = _gram_instance(10, 2)
+        q = ProblemInstance(np.ldexp(p.A, exponent), np.ldexp(p.y, exponent))
+        assert q.R_tilde_inv is not None
+        for family in FAMILIES:
+            weights = sampling_weights(family, q.A)
+            qr_rows.clear()
+            x_hat = harness.sketch_factor(q, family, 40, 3, weights)[0].x_hat
+            assert qr_rows == [] and svd_calls == []
+            if family != "gaussian":
+                x = harness.sketch_factor(p, family, 40, 3, sampling_weights(family, p.A))[0].x_hat
+                assert np.linalg.norm(x_hat - x) <= 1e-13 * np.linalg.norm(x)
+
     @staticmethod
     def _falls_back_to_the_qr(qr_rows, p, family, m, seed=3):
         """sketch_factor runs one m-row QR and gives the QR reference bitwise."""
@@ -605,7 +624,7 @@ def test_factor_and_metric_identities(problem):
     assert fit + sol.r2 == pytest.approx(_sq(A @ x_hat - b), rel=REL)
 
     # U's blocks stand in for (SA, Sb), zero-padded below row m when m < d+k'
-    rec, UA, Ub = est.classical_stacked(np.column_stack((SA, Sb)), d, k is None)
+    rec, UA, Ub = est.classical_factored(qr_factor(np.column_stack((SA, Sb))), d, k is None)
     assert np.array_equal(rec.x_hat, x_hat)
     if m <= d:  # outside every residual estimate's domain
         return

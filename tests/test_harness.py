@@ -17,6 +17,7 @@ from sketchls import (
     write_results_csv,
 )
 from sketchls.config import load_config, parse_config_text
+from sketchls.core import qr_factor
 from sketchls.errors import ConfigError, InvalidInputError, NotSpdError
 from sketchls import estimators as est_mod
 from sketchls import harness, sketches
@@ -392,7 +393,7 @@ class TestResidualCheck:
                     U = np.linalg.cholesky(X.T @ X).T @ p.R_tilde
                     rec, UA, Ub = est_mod.classical_factored(U, p.d, True)
                 else:
-                    rec, UA, Ub = est_mod.classical_stacked(SB, p.d, True)
+                    rec, UA, Ub = est_mod.classical_factored(qr_factor(SB), p.d, True)
                 r2_hat = harness.residual_estimates(("full", "sketched"), p, None, rec.x_hat,
                                                     UA, Ub, m)
                 full[r], sketched[r] = r2_hat["full"], r2_hat["sketched"]
