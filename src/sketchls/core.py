@@ -30,6 +30,9 @@ INVERSE_TOL = 1e-4
 # X's column k from the span of the columns before it, so a small ratio flags the near-dependence
 # through which a Cholesky of X^T X loses accuracy as cond(X)^2
 GRAM_DIAG_MIN = 0.05
+# CholeskyQR2 forms M^T M from M itself where max|M| lies within this many binades of 1: there
+# n max|M|^2 is finite and every product of two entries within 2^-250 of max|M| is normal
+GRAM_BINADES = 128
 
 
 @dataclass(frozen=True)
@@ -78,10 +81,11 @@ def qr_factor(M, first=(None, None)) -> np.ndarray:
 
     The one ladder.  A Gram step on R1 takes X = M R1^-1 and U = `gram_factor`(X^T X, R1),
     from level-3 BLAS alone, with a positive diagonal: first on `first` = (R1, R1^-1), then
-    as CholeskyQR2 on R1 = chol(M^T M)^T and its `certified_inverse`.  One Householder QR (a
-    diagonal of mixed signs) runs last, where M has fewer rows than columns or both steps
-    decline: no R1^-1 given or certified, M^T M not finite or with a subnormal diagonal, a
-    failed Cholesky, or `gram_factor`'s diagonal guard.
+    as CholeskyQR2 on R1 = chol(M^T M)^T, the Gram taken at a power-of-two scale far from 1,
+    and its `certified_inverse`.  One Householder QR (a diagonal of mixed signs) runs last,
+    where M has fewer rows than columns or both steps decline: no R1^-1 given or certified,
+    M^T M not finite or with a subnormal diagonal, a failed Cholesky, or `gram_factor`'s
+    diagonal guard.
     """
     U = None
     if len(M) >= M.shape[1]:
@@ -103,18 +107,31 @@ def _gram_step(M, R1, R1_inv) -> np.ndarray | None:
     return gram_factor(X.T @ X, R1)
 
 
+def max_abs(M) -> float:
+    """max|M|, 0.0 for an empty M and NaN where M holds one, with no |M| temporary."""
+    return max(M.max(initial=0.0), -M.min(initial=0.0))
+
+
 def _cholesky_first(M) -> tuple[np.ndarray | None, np.ndarray | None]:
     """CholeskyQR2's first factor: R1 = chol(M^T M)^T and its `certified_inverse`, or
-    (None, None) where M^T M is not finite or its diagonal is subnormal, or the Cholesky fails."""
+    (None, None) where M^T M is not finite or its diagonal is subnormal, or the Cholesky fails.
+
+    Where max|M| lies outside [2^-GRAM_BINADES, 2^GRAM_BINADES], the Gram is formed from
+    2^-e M, 2^e the binade of max|M|, and R1 scaled back by 2^e.  A power of two scales every
+    step exactly, so R1 is 2^k times the unscaled M's R1, bitwise, for M scaled by 2^k.
+    """
+    e = np.frexp(max_abs(M))[1]
+    e = e if abs(e) > GRAM_BINADES else 0
+    scaled = np.ldexp(M, -e) if e else M
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = M.T @ M
-    if np.isfinite(gram).all() and gram.diagonal().min() >= np.finfo(np.float64).tiny:
+        gram = scaled.T @ scaled
+        if not (np.isfinite(gram).all() and gram.diagonal().min() >= np.finfo(np.float64).tiny):
+            return None, None
         try:
-            R1 = np.linalg.cholesky(gram).T
+            R1 = np.ldexp(np.linalg.cholesky(gram).T, e)  # an R1 that overflows has no inverse
         except np.linalg.LinAlgError:
             return None, None
-        return R1, certified_inverse(R1)
-    return None, None
+    return R1, certified_inverse(R1)
 
 
 def _condition_bound(R) -> tuple[np.ndarray, float]:
@@ -133,7 +150,7 @@ def _condition_bound(R) -> tuple[np.ndarray, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         bound = float(np.linalg.norm(R) * np.linalg.norm(R_inv))
         if not math.isfinite(bound):
-            e = np.frexp(np.abs(R).max())[1]
+            e = np.frexp(max_abs(R))[1]
             bound = float(np.linalg.norm(np.ldexp(R, -e)) * np.linalg.norm(np.ldexp(R_inv, e)))
     return R_inv, bound
 

@@ -3,9 +3,13 @@
 `run_experiment` sweeps (sketch family x sketch size x estimator) with a
 paired design: within one repetition every estimator sees the same
 sketch realization, which sharply reduces the variance of estimator
-comparisons.  Per-repetition seeds are derived from the master seed and
-the cell key alone, so results are independent of the harness thread
-count and iteration order, and any cell can be replayed in isolation.
+comparisons.  Per-repetition seeds are derived from the master seed, the
+family, the repetition index and, except in a nested family, m
+(`rep_seeds`), so results are independent of the harness thread count
+and iteration order.  A nested (Rademacher) repetition draws once, at
+the largest m of the grid, and every smaller m reads its sketch off that
+one product, bitwise the m-row sketch of the same seed: so any cell can
+be replayed in isolation, and the m axis is paired as the estimators are.
 
 A repetition (`repetition`) factors one realization (`sketch_factor`) and
 runs every estimator kind on it; a sweep adds the error metrics, and
@@ -17,13 +21,14 @@ standard normal matrix and R~ the triangular factor of [A | b]
 (`ProblemInstance.R_tilde`).  The draw depends on R~'s row signs, its law
 does not: G (D R~) = (G D) R~ for a diagonal D of signs, and G D has G's
 law.  Every other family applies its realized operator once, to
-`ProblemInstance.AB`.  Either way SB = S [A | b] = X R~, X = S Q~ with
-Q~ = [A | b] R~^-1, and its triangular factor is U = L^T R~, L the
-Cholesky factor of X^T X, so no m-row QR runs where that Gram step holds:
-O(m (d+k')^2) past the realization.  `core.qr_factor`'s ladder says what
-runs where it does not.  A rank or overflow error fails the cell, not the
-sweep.  Every norm after the factor comes from a triangular factor's
-blocks (`core.factor_blocks`): U's (d+k')-row blocks, ||SA v - S b w|| =
+`ProblemInstance.AB`, a nested one once per repetition and sketch.
+Either way SB = S [A | b] = X R~, X = S Q~ with Q~ = [A | b] R~^-1, and
+its triangular factor is U = L^T R~, L the Cholesky factor of X^T X, so
+no m-row QR runs where that Gram step holds: O(m (d+k')^2) past the
+realization.  `core.qr_factor`'s ladder says what runs where it does
+not.  A rank or overflow error fails the cell, not the sweep.  Every
+norm after the factor comes from a triangular factor's blocks
+(`core.factor_blocks`): U's (d+k')-row blocks, ||SA v - S b w|| =
 ||U_A v - U_b w||, R~'s for the full-data residual (`residual_estimates`),
 and A's R factor for the prediction error.
 
@@ -51,6 +56,7 @@ from .errors import (ConfigError, InvalidInputError, NotSpdError, RankDeficientS
                      SketchLSError)
 from .sketches import (
     FAMILIES,
+    NESTED_FAMILIES,
     WEIGHTED_FAMILIES,
     SketchSpec,
     apply,
@@ -99,8 +105,18 @@ class ExperimentConfig:
         check_seed(self.master_seed, ConfigError)
 
     def rep_seeds(self, family: str, m: int) -> tuple[int, ...]:
-        """Repetition r's seed in the cell (family, m, any kind): a function of the key alone."""
-        return tuple(derive_seed(self.master_seed, family, m, r) for r in range(self.reps))
+        """Repetition r's seed in the cell (family, m, any kind): `rep_seeds` of the config."""
+        return rep_seeds(self.master_seed, family, m, self.reps)
+
+
+def rep_seeds(master: int, family: str, m: int, reps: int) -> tuple[int, ...]:
+    """The seeds of repetitions 0, ..., reps - 1 in the cell (family, m, any kind).
+
+    Repetition r draws from derive_seed(master, family, m, r), or, in a nested family, from
+    derive_seed(master, family, r) at every m: one draw serves the whole grid.
+    """
+    key = () if family in NESTED_FAMILIES else (m,)
+    return tuple(derive_seed(master, family, *key, r) for r in range(reps))
 
 
 # one row per repetition, in seed order; errors are normalized by the row count n
@@ -172,7 +188,7 @@ def resolve_instance(cfg: ExperimentConfig) -> tuple[ProblemInstance, ExactSolut
     raise ConfigError(f"unsupported source type {type(cfg.source).__name__}")
 
 
-def sketch_factor(instance: ProblemInstance, family: str, m: int, seed: int, weights):
+def sketch_factor(instance: ProblemInstance, family: str, m: int, seed: int, weights, SB=None):
     """One realization, factored: `classical_factored`'s (classical record, U_A, U_b).
 
     A Gaussian SB is drawn from its law G R~ / sqrt(m), G = default_rng(seed).standard_normal
@@ -180,8 +196,9 @@ def sketch_factor(instance: ProblemInstance, family: str, m: int, seed: int, wei
     because (G / sqrt(m))^T (G / sqrt(m)) differs in its last bits, and `core.qr_factor`(SB)
     where m < p or that declines.  Any other family applies `make_operator`'s S to
     `instance.AB`, and U is `core.qr_factor`(SB) with R~ and `instance.R_tilde_inv` as its
-    first factor.  m < d raises RankDeficientSketchError, after `SketchSpec`'s checks.  SB is
-    not kept: U's blocks replace SA and S b.
+    first factor; an `SB` passed in is that product, made already (a nested draw's rows).
+    m < d raises RankDeficientSketchError, after `SketchSpec`'s checks.  SB is not kept: U's
+    blocks replace SA and S b.
     """
     spec = SketchSpec(family, m, seed)
     d, p = instance.d, instance.AB.shape[1]
@@ -196,7 +213,8 @@ def sketch_factor(instance: ProblemInstance, family: str, m: int, seed: int, wei
             SB /= math.sqrt(m)
             U = qr_factor(SB)
     else:
-        SB = apply(make_operator(spec, instance.n, weights=weights), instance.AB)
+        if SB is None:
+            SB = apply(make_operator(spec, instance.n, weights=weights), instance.AB)
         U = qr_factor(SB, (instance.R_tilde, instance.R_tilde_inv))
     return est_mod.classical_factored(U, d, instance.y.ndim == 1)
 
@@ -218,27 +236,33 @@ def residual_estimates(sources, instance: ProblemInstance, r2, x_hat, UA, Ub, m:
     return r2_hat
 
 
-def repetition(instance, sol, family, m, seed, kinds, two_sketch, weights):
+def _reads_residual(kinds) -> bool:
+    """Whether a kind in `kinds` reads a residual estimate (then `two_sketch` draws a sketch)."""
+    return any(est_mod.ESTIMATORS[kind].residual in ("full", "sketched") for kind in kinds)
+
+
+def repetition(instance, sol, family, m, seed, kinds, two_sketch, weights, sketched=(None, None)):
     """One repetition on the realization `seed`: (U_A, {kind: EstimateRecord}).
 
     `weights` are the family's sampling weights, `sampling_weights(family, A)`.
     r2_hat is taken at the classical solution, or with `two_sketch` at the
     solution of an auxiliary sketch, seeded `derive_seed(seed, "aux")`, which
-    is drawn only when a kind reads a residual.
+    is drawn only when a kind reads a residual.  `sketched` holds the two
+    sketches' S [A | b] where they were made already, None where not.
     """
-    rec0, UA, Ub = sketch_factor(instance, family, m, seed, weights)
+    rec0, UA, Ub = sketch_factor(instance, family, m, seed, weights, sketched[0])
     sources = {est_mod.ESTIMATORS[kind].residual for kind in kinds}
     rec_res, UA_res, Ub_res = rec0, UA, Ub
-    if two_sketch and sources & {"full", "sketched"}:
+    if two_sketch and _reads_residual(kinds):
         rec_res, UA_res, Ub_res = sketch_factor(instance, family, m, derive_seed(seed, "aux"),
-                                                weights)
+                                                weights, sketched[1])
     r2_hat = residual_estimates(sources, instance, sol.r2, rec_res.x_hat, UA_res, Ub_res, m)
     return UA, {kind: est_mod.estimate(kind, rec0, UA, r2_hat, instance.d, m) for kind in kinds}
 
 
-def _run_rep(instance, sol, family, m, seed, kinds, two_sketch, weights):
+def _run_rep(instance, sol, family, m, seed, kinds, two_sketch, weights, sketched=(None, None)):
     """`repetition` and its error metrics: {kind: (pred/n, sa/n, factor)}."""
-    UA, records = repetition(instance, sol, family, m, seed, kinds, two_sketch, weights)
+    UA, records = repetition(instance, sol, family, m, seed, kinds, two_sketch, weights, sketched)
     return {kind: (prediction_error(instance.R, rec.x_hat, sol.x_ls) / instance.n,
                    prediction_error(UA, rec.x_hat, sol.x_ls) / instance.n, rec.shrink_factor)
             for kind, rec in records.items()}
@@ -251,13 +275,51 @@ def _bound_columns(d, m, r2, rho, n):
                  for v in (report.exact_classical, report.general_lower, report.upper_sa))
 
 
+def _nested_products(instance, family, seed, m_values, weights) -> dict:
+    """{m: S_m [A | b]} for the m in m_values: rows of one draw at the largest m that can be
+    drawn and applied.  An m that cannot (SketchLSError) is left out, so that its repetition
+    draws alone and fails alone."""
+    m_values = sorted(m_values)
+    while m_values:
+        try:
+            op = make_operator(SketchSpec(family, m_values[-1], seed), instance.n, weights=weights)
+            return apply(op, instance.AB, prefixes=m_values)
+        except SketchLSError:
+            m_values.pop()
+    return {}
+
+
+def _repetitions(instance, sol, family, cells, two_sketch, weights):
+    """One repetition index of one family: {m: `_run_rep`'s output, or its SketchLSError} for
+    each runnable cell (m, seed, kinds).
+
+    A nested family's cells share one seed and read their S [A | b] from one product, and
+    the auxiliary sketch's, where `two_sketch` draws one, from a second.
+    """
+    made = ({}, {})
+    if family in NESTED_FAMILIES:
+        seed = cells[0][1]
+        aux = [m for m, _, kinds in cells if two_sketch and _reads_residual(kinds)]
+        made = (_nested_products(instance, family, seed, [m for m, _, _ in cells], weights),
+                _nested_products(instance, family, derive_seed(seed, "aux"), aux, weights))
+    out = {}
+    for m, seed, kinds in cells:
+        try:
+            out[m] = _run_rep(instance, sol, family, m, seed, kinds, two_sketch, weights,
+                              tuple(products.get(m) for products in made))
+        except SketchLSError as exc:
+            out[m] = exc
+    return out
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run the full sweep; statistics are invariant to the thread count.
 
-    Failed repetitions mark their cell with the failure reason instead of
-    aborting the run.  Requested cells whose (d, m) fall outside an
-    estimator's domain are recorded as skipped, not failed.  Cells come in
-    config order: family, then m, then estimator.
+    One task runs repetition r of every m of a family.  Failed repetitions
+    mark their cell with the failure reason instead of aborting the run.
+    Requested cells whose (d, m) fall outside an estimator's domain are
+    recorded as skipped, not failed.  Cells come in config order: family,
+    then m, then estimator.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -265,6 +327,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     n, d = instance.n, instance.d
     r2, rho = sol.r2, snr(sol)
     is_matrix = instance.y.ndim == 2
+    reasons = {m: {k: est_mod.skip_reason(k, d, m, is_matrix) for k in cfg.estimators}
+               for m in cfg.m_values}
+    runnable = {m: [k for k, reason in reasons[m].items() if reason is None]
+                for m in cfg.m_values}
 
     cells: list[CellResult] = []
     # one thread runs serially: a one-worker pool costs peak memory and buys nothing
@@ -272,24 +338,21 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     try:
         for family in cfg.families:
             weights = sampling_weights(family, instance.A)  # never fails on an instance's A
+            grid = [(m, cfg.rep_seeds(family, m), runnable[m])
+                    for m in cfg.m_values if runnable[m]]
+
+            # closes over the loop variables: the map below finishes in this iteration
+            def one(r):
+                return _repetitions(instance, sol, family,
+                                    [(m, seeds[r], kinds) for m, seeds, kinds in grid],
+                                    cfg.two_sketch, weights)
+
+            by_rep = list((map if pool is None else pool.map)(one, range(cfg.reps) if grid else ()))
             for m in cfg.m_values:
                 bounds = _bound_columns(d, m, r2, rho, n)
-                seeds = cfg.rep_seeds(family, m)
-                reasons = {k: est_mod.skip_reason(k, d, m, is_matrix) for k in cfg.estimators}
-                runnable = [k for k, reason in reasons.items() if reason is None]
-
-                # closes over the loop variables: the map below finishes in this iteration
-                def one(r):
-                    try:
-                        return _run_rep(instance, sol, family, m, seeds[r], runnable,
-                                        cfg.two_sketch, weights)
-                    except SketchLSError as exc:
-                        return exc
-
-                reps = range(cfg.reps) if runnable else ()
-                rep_outputs = list((map if pool is None else pool.map)(one, reps))
+                rep_outputs = [o.get(m) for o in by_rep]
                 failure = next((o for o in rep_outputs if isinstance(o, SketchLSError)), None)
-                for kind, reason in reasons.items():
+                for kind, reason in reasons[m].items():
                     if reason is None and failure is not None:
                         reason = f"failed: {failure}"
                     rows = [] if reason else [o[kind] for o in rep_outputs]
@@ -302,8 +365,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
 
 
 def replay_cell(cfg: ExperimentConfig, family: str, m: int) -> ExperimentResult:
-    """Re-run a single cell of a sweep; seeds depend only on the cell key,
-    so the repetition logs reproduce the original run bitwise."""
+    """Re-run a single cell of a sweep; seeds depend only on the cell key (`rep_seeds`)
+    and a nested family's rows not on the grid, so the repetition logs reproduce the
+    original run bitwise."""
     return run_experiment(replace(cfg, families=(family,), m_values=(m,), out_path=None))
 
 
@@ -383,8 +447,8 @@ def verify_residual_unbiased(p: ProblemInstance, family: str, m: int, reps: int,
     weights = sampling_weights(family, p.A)
     full = np.empty(reps)
     sketched = np.empty(reps)
-    for r in range(reps):
-        rec, UA, Ub = sketch_factor(p, family, m, derive_seed(seed, family, m, r), weights)
+    for r, rep_seed in enumerate(rep_seeds(seed, family, m, reps)):
+        rec, UA, Ub = sketch_factor(p, family, m, rep_seed, weights)
         r2_hat = residual_estimates(("full", "sketched"), p, None, rec.x_hat, UA, Ub, m)
         full[r], sketched[r] = r2_hat["full"], r2_hat["sketched"]
     return float(full.mean()), float(sketched.mean())

@@ -7,10 +7,12 @@ score).  Sampling families draw rows i.i.d. with replacement, which
 keeps the Gram identity E[S^T S] = I exact.  Operators realize all of
 their randomness eagerly at construction from a 64-bit seed, so repeated
 applications are cheap and bitwise reproducible.  Gaussian applies as
-one matrix product, Rademacher from its packed signs one block of
-unpacked columns at a time, SRHT as a split Hadamard product (two GEMMs
-per block of columns), CountSketch as one sparse (CSC) product and
-sampling families as a row gather.
+one matrix product, Rademacher from its packed signs one fixed panel of
+rows and one block of unpacked columns at a time, SRHT as a split
+Hadamard product (two GEMMs per block of columns), CountSketch as one
+sparse (CSC) product and sampling families as a row gather.  A
+Rademacher draw nests: its first m rows are bitwise the sketch of m rows
+from the same seed, and `apply` reads every such prefix from one product.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 import scipy.sparse
 from scipy.linalg import hadamard
 
-from .core import certified_inverse, certify_rank, qr_factor
+from .core import certified_inverse, certify_rank, max_abs, qr_factor
 from .errors import DimensionMismatchError, InvalidInputError, InvalidWeightsError
 
 
@@ -48,6 +50,9 @@ _SRHT_BLOCK = 32  # columns per SRHT block; bounds its n_pad-row buffers and its
 # rows of an n-row input per block, in Rademacher's apply and in `leverage_scores`; bounds
 # their float blocks
 _ROW_BLOCK = 1024
+# Rademacher rows per panel: signs are drawn and multiplied in whole panels, so a row's bits
+# come from one _PANEL-row GEMM whatever m is (BLAS rows are not prefix-invariant)
+_PANEL = 64
 _FLOAT64_COUNT_MAX = np.iinfo(np.intp).max // 8  # numpy sizes arrays in signed intp bytes
 
 
@@ -162,7 +167,7 @@ def sampling_weights(family: str, A) -> np.ndarray | None:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise DimensionMismatchError(f"weight source must be a matrix, got shape {A.shape}")
-    peak = max(A.max(initial=0.0), -A.min(initial=0.0))
+    peak = max_abs(A)
     if not 0 < peak < math.inf:  # NaN fails the comparison
         raise InvalidWeightsError(f"max|A| is {peak}: A must be finite, nonzero")
     w = row_weights(A, peak)
@@ -209,30 +214,40 @@ class _Gaussian(SketchOperator):
 class _Rademacher(SketchOperator):
     """Eight signs per random byte, kept packed: no m x n float matrix.
 
-    `_apply` unpacks _ROW_BLOCK input columns of all m rows at a time into one
-    reused float block and adds its product with the matching rows of M into the output.
+    The signs are drawn in whole panels, ceil(m / _PANEL) _PANEL rows from one `integers`
+    call, so they are bitwise the first rows of any larger draw from the same seed.
+    `_products` multiplies the unscaled signs Z into M one panel at a time: _ROW_BLOCK input
+    columns of the panel's rows are unpacked into one reused float block, and its product
+    with the matching rows of M is added into the panel's rows.  The 1/sqrt(m) scale comes
+    last, so every m' <= m reads its sketch off the same product.
     """
 
     def _realize(self, rng, weights):
-        # the packed bytes, counted in 8-byte words, and the float block _apply unpacks into
-        check_addressable((self.m, -(-self.n // 64)), "a rademacher sketch")
-        check_addressable((self.m, min(self.n, _ROW_BLOCK)), "a rademacher sketch")
-        self.packed = _frozen(
-            rng.integers(0, 256, size=(self.m, -(-self.n // 8)), dtype=np.uint8))
+        # the packed bytes, counted in 8-byte words
+        rows = -(-self.m // _PANEL) * _PANEL
+        check_addressable((rows, -(-self.n // 64)), "a rademacher sketch")
+        self.packed = _frozen(rng.integers(0, 256, size=(rows, -(-self.n // 8)), dtype=np.uint8))
+
+    def _products(self, M, m_values) -> dict[int, np.ndarray]:
+        """{m: Z[:m] M / sqrt(m)} for each m in m_values, all from the panels that the largest
+        needs."""
+        rows = -(-max(m_values) // _PANEL) * _PANEL
+        check_addressable((rows, M.shape[1]), "a sketch's output")
+        ZM = np.zeros((rows, M.shape[1]))
+        block = np.empty((_PANEL, min(self.n, _ROW_BLOCK)))
+        for i in range(0, rows, _PANEL):
+            for j in range(0, self.n, _ROW_BLOCK):  # a multiple of 8: whole bytes
+                w = min(_ROW_BLOCK, self.n - j)
+                Z = block[:, :w]
+                bits = np.unpackbits(self.packed[i:i + _PANEL, j // 8:-(-(j + w) // 8)],
+                                     axis=1, count=w)
+                np.multiply(bits, 2.0, out=Z)
+                Z -= 1.0
+                ZM[i:i + _PANEL] += Z @ M[j:j + w]
+        return {m: ZM[:m] / math.sqrt(m) for m in m_values}
 
     def _apply(self, M):
-        # bits * 2s - s is exact, so each block is (2 bits - 1) / sqrt(m) bitwise
-        s = 1.0 / math.sqrt(self.m)
-        out = np.zeros((self.m, M.shape[1]))
-        block = np.empty((self.m, min(self.n, _ROW_BLOCK)))
-        for j in range(0, self.n, _ROW_BLOCK):  # a multiple of 8: whole bytes
-            w = min(_ROW_BLOCK, self.n - j)
-            S = block[:, :w]
-            np.multiply(np.unpackbits(self.packed[:, j // 8:-(-(j + w) // 8)], axis=1, count=w),
-                        2.0 * s, out=S)
-            S -= s
-            out += S @ M[j:j + w]
-        return out
+        return self._products(M, (self.m,))[self.m]
 
 
 def _hadamard_rows(rows, size: int) -> np.ndarray:
@@ -368,14 +383,18 @@ _KERNELS = {
     "leverage": _SampledRows,
 }
 FAMILIES = tuple(_KERNELS)
+# families whose `apply` takes prefixes: one draw serves every smaller sketch size
+NESTED_FAMILIES = ("rademacher",)
 
 
 def make_operator(spec: SketchSpec, n: int, weights=None) -> SketchOperator:
     """Realize a sketch operator for inputs of length n.
 
     Conventions: Gaussian and Rademacher entries are scaled by 1/sqrt(m).  Gaussian holds
-    its m x n matrix; Rademacher holds only its m x ceil(n/8) packed sign bytes and unpacks
-    1024 input columns at a time into one m x 1024 float block when applied.  Sampling
+    its m x n matrix; Rademacher holds only its packed sign bytes, ceil(m/64) 64 rows of
+    ceil(n/8), and when applied multiplies 64 rows of +-1 at a time into the input, unpacking
+    1024 input columns at a time into one 64 x 1024 float block, then scales the product's
+    first m rows.  Its first m' rows are the sketch of m' rows from the same seed.  Sampling
     families draw m rows i.i.d. with replacement from probabilities p and scale each
     selected row by 1/sqrt(m * p_i).  SRHT zero-pads inputs to the next power of two n_pad
     and applies sign flips, the normalized Hadamard transform, and row sampling with an
@@ -397,8 +416,13 @@ def make_operator(spec: SketchSpec, n: int, weights=None) -> SketchOperator:
     return _KERNELS[spec.family](spec, n, weights)
 
 
-def apply(op: SketchOperator, M) -> np.ndarray:
-    """Compute S @ M for an n-vector or n-by-c matrix M."""
+def apply(op: SketchOperator, M, prefixes=None):
+    """Compute S @ M for an n-vector or n-by-c matrix M.
+
+    With `prefixes`, sketch sizes m <= op.m of a nested family, return {m: S_m @ M}, S_m the
+    sketch of m rows from op's seed: bitwise `apply(make_operator(SketchSpec(op.family, m,
+    op.spec.seed), op.n), M)`, all from one product.
+    """
     M = np.asarray(M, dtype=np.float64)
     vector = M.ndim == 1
     if vector:
@@ -406,8 +430,13 @@ def apply(op: SketchOperator, M) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != op.n:
         raise DimensionMismatchError(f"expected {op.n} rows, got shape {M.shape}")
     check_addressable((op.m, M.shape[1]), "a sketch's output")
-    out = op._apply(M)
-    return out[:, 0] if vector else out
+    if prefixes is None:
+        out = op._apply(M)
+        return out[:, 0] if vector else out
+    if (op.family not in NESTED_FAMILIES or not prefixes
+            or not all(1 <= m <= op.m for m in prefixes)):
+        raise InvalidInputError(f"a {op.family} sketch of {op.m} rows has no prefixes {prefixes}")
+    return {m: out[:, 0] if vector else out for m, out in op._products(M, prefixes).items()}
 
 
 def as_matrix(op: SketchOperator) -> np.ndarray:

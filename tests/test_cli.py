@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchls import FAMILIES, ExperimentConfig, cli, derive_seed, errors, run_experiment
+from sketchls import FAMILIES, ExperimentConfig, cli, errors, run_experiment
 from sketchls.cli import main
 from sketchls.core import lstsq_solve, prediction_error, solve_exact
 from sketchls.datagen import SyntheticSpec, gen_gaussian_data
@@ -388,15 +388,14 @@ def test_sketch_solve_matches_the_reference_dispatch(capsys, dataset, family, m,
 def test_sketch_solve_reproduces_a_sweep_repetition(capsys, dataset, family):
     """sketch-solve at a repetition's seed gives that repetition's logs bitwise, every kind."""
     m, reps = 24, 3
-    res = run_experiment(ExperimentConfig(source=DatasetFile(path=dataset), families=(family,),
-                                          m_values=(m,), estimators=tuple(_VECTOR_KINDS),
-                                          reps=reps, master_seed=13))
+    cfg = ExperimentConfig(source=DatasetFile(path=dataset), families=(family,), m_values=(m,),
+                           estimators=tuple(_VECTOR_KINDS), reps=reps, master_seed=13)
+    res = run_experiment(cfg)
     for kind in _VECTOR_KINDS:
         cell = res.cell(family, m, kind)
-        for r in range(reps):
+        for r, seed in enumerate(cfg.rep_seeds(family, m)):
             code, out, err = _run(capsys, "sketch-solve", "--data", dataset, "--family", family,
-                                  "--m", str(m), "--seed", str(derive_seed(13, family, m, r)),
-                                  "--estimator", kind, "--json")
+                                  "--m", str(m), "--seed", str(seed), "--estimator", kind, "--json")
             assert code == 0, err
             payload = json.loads(out)
             assert payload["pred_err"] / res.n == cell.log["pred_err"][r], (kind, r)

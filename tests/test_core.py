@@ -214,6 +214,17 @@ class TestSingleFactorization:
         x_h = scipy.linalg.solve_triangular(H[:6, :6], H[:6, 6])
         assert np.linalg.norm(x - x_h) <= 1e-14 * np.linalg.norm(x_h)
 
+    @pytest.mark.parametrize("k", [515, -530])
+    def test_a_power_of_two_scale_scales_the_factor_exactly(self, qr_rows, k):
+        # the Gram of [A | y] would overflow at 2^515 and run through subnormals at 2^-530:
+        # CholeskyQR2 forms it at a power-of-two scale, so R~ scales exactly and no QR runs
+        p = _random_instance(512, 20, seed=48)
+        qr_rows.clear()
+        scaled = ProblemInstance(np.ldexp(p.A, k), np.ldexp(p.y, k))
+        assert np.array_equal(scaled.R_tilde, np.ldexp(p.R_tilde, k))
+        assert np.array_equal(scaled.R_tilde_inv, np.ldexp(p.R_tilde_inv, -k))
+        assert qr_rows == []
+
     @pytest.mark.parametrize("k", [None, 3])
     def test_solution_matches_lstsq(self, k):
         rng = np.random.default_rng(14)
@@ -318,16 +329,18 @@ _HOUSEHOLDER = np.linalg.qr  # bound at import, so the qr_rows fixture does not 
 
 @st.composite
 def _qr_cases(draw):
-    """(M, gram_possible, gram_expected): [A | t] for A = U diag(s) V^T with s from 1 to
-    1/kappa and t a vector, a matrix or nothing, with at most one defect: a repeated column,
-    fewer rows than columns, or a scale whose Gram overflows (1e155), is subnormal (1e-158)
-    or is zero (1e-170).  The Gram path may run only on M with no defect, and is expected on
-    such M that is also well conditioned and has at least 2 p rows."""
+    """(M, k, gram_possible, gram_expected): 2^k [A | t] for A = U diag(s) V^T with s from 1
+    to 1/kappa and t a vector, a matrix or nothing, with at most one defect: a repeated
+    column or fewer rows than columns.  The scale 2^k is 1, or one whose unscaled Gram would
+    overflow (2^515), be subnormal (2^-525) or be zero (2^-565); it is no defect.  The Gram
+    path may run only on M with no defect, and is expected on such M that is also well
+    conditioned and has at least 2 p rows."""
     d, t = draw(st.integers(1, 10)), draw(st.sampled_from([0, 1, 4]))
     p = d + t
-    defect = draw(st.sampled_from([None, "rank", "wide", 1e155, 1e-158, 1e-170]))
+    defect = draw(st.sampled_from([None, "rank", "wide"]))
     if (defect == "rank" and d < 2) or (defect == "wide" and p < 2):
         defect = None
+    k = draw(st.sampled_from([0, 515, -525, -565]))
     n = draw(st.integers(1, p - 1) if defect == "wide" else st.integers(p, 8 * p))
     log_kappa = draw(st.one_of(st.floats(0.0, 3.5), st.floats(3.5, 12.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -336,28 +349,27 @@ def _qr_cases(draw):
     A = ((U * np.geomspace(1.0, 10.0 ** -log_kappa, d)) @ V.T)[:n]
     if defect == "rank":
         A[:, -1] = A[:, 0]
-    M = np.column_stack((A, rng.standard_normal((n, t))))
-    if isinstance(defect, float):
-        M *= defect
-    return M, defect is None, defect is None and n >= 2 * p and log_kappa <= 1.0
+    M = np.ldexp(np.column_stack((A, rng.standard_normal((n, t)))), k)
+    return M, k, defect is None, defect is None and n >= 2 * p and log_kappa <= 1.0
 
 
 # qr_rows is cleared at the start of every example
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@example((np.array([[1e-154]]), False, False))  # a subnormal Gram, R1 itself well inside range
+@example((np.array([[1e-154]]), 0, True, False))  # an unscaled Gram would be subnormal
 @given(_qr_cases())
 def test_qr_factor_is_the_householder_factor_up_to_row_signs(qr_rows, case):
     """`qr_factor` is upper triangular and square in M's columns; wherever a piece declines,
     exactly one Householder QR runs and gives U bitwise.  Where its Gram path runs (no
-    np.linalg.qr call), U's rows are Householder's up to sign within 32 eps b relative
+    np.linalg.qr call), U is 2^k times the unscaled 2^-k M's U, bitwise, and its rows are
+    Householder's up to sign within 32 eps b relative
     (eps = 2^-52), b = ||H||_F ||H^-1||_F the certificate's measure (under 1e4 there): both
     factors are backward stable, and a row near the smallest singular value moves by about
     eps b.  Over 15,000 such draws the largest row error was 8.8 eps b (1.1e-11 at
     b = 7.4e3), and 2.9% of draws exceeded 1e-13.  Q = M U^-1 is orthonormal within the same
     32 eps b: CholeskyQR2 read at most 3 eps b over 3,386 draws, where one Cholesky pass
     (U = R1) read up to 4.8e3 eps b."""
-    M, gram_possible, gram_expected = case
+    M, k, gram_possible, gram_expected = case
     n, p = M.shape
     qr_rows.clear()
     U = qr_factor(M)
@@ -369,6 +381,9 @@ def test_qr_factor_is_the_householder_factor_up_to_row_signs(qr_rows, case):
         assert np.array_equal(U, H)
     else:
         assert gram_possible and np.all(np.diag(U) > 0)
+        assert np.array_equal(U, np.ldexp(qr_factor(np.ldexp(M, -k)), k))
+        assert qr_rows == []
+        U, H, M = (np.ldexp(X, -k) for X in (U, H, M))  # the norms below stay in range
         H *= np.sign(np.diag(H))[:, None]
         tol = 32 * np.finfo(np.float64).eps * np.linalg.norm(H) * np.linalg.norm(np.linalg.inv(H))
         np.testing.assert_array_less(np.linalg.norm(U - H, axis=1),

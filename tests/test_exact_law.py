@@ -144,11 +144,10 @@ def _check_logs_against_the_explicit_route(k, kinds, m, two_sketch):
     for family in families:
         weights = sampling_weights(family, p.A)
         refs = []
-        for r in range(cfg.reps):
+        for seed in cfg.rep_seeds(family, m):
             try:
-                refs.append(_reference_rep(p, sol, family, m, derive_seed(5, family, m, r),
-                                           derive_seed(5, family, m, r, "aux"), kinds,
-                                           two_sketch, weights))
+                refs.append(_reference_rep(p, sol, family, m, seed, derive_seed(seed, "aux"),
+                                           kinds, two_sketch, weights))
             except RankDeficientSketchError:
                 refs.append(None)
         for kind in kinds:

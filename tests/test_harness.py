@@ -384,9 +384,8 @@ class TestResidualCheck:
         means = {}
         for factor in ("gram", "qr"):
             full, sketched = np.empty(reps), np.empty(reps)
-            for r in range(reps):
-                op = make_operator(SketchSpec(family, m, derive_seed(seed, family, m, r)), p.n,
-                                   weights=weights)
+            for r, rep_seed in enumerate(harness.rep_seeds(seed, family, m, reps)):
+                op = make_operator(SketchSpec(family, m, rep_seed), p.n, weights=weights)
                 SB = apply(op, p.AB)
                 if factor == "gram":
                     X = SB @ p.R_tilde_inv
@@ -513,8 +512,70 @@ class TestSamplingWeightsOncePerSweep:
                 assert c.reps == cfg.reps and c.skipped is None
 
 
+class TestNestedRealizations:
+    """A Rademacher repetition draws once, at the largest runnable m, and every m reads its rows;
+    every other family draws once per (m, r) from derive_seed(master, family, m, r)."""
+
+    @staticmethod
+    def _cfg(**overrides):
+        # m = 12 runs only classical (shrinkage needs m > d+3), so the auxiliary sketch of
+        # two_sketch serves 30, 40 and 64 alone
+        base = dict(families=("gaussian", "rademacher", "countsketch"),
+                    m_values=(12, 30, 40, 64), reps=4, two_sketch=True,
+                    estimators=("classical", "shrinkage", "shrinkage-alt"))
+        return _small_cfg(**(base | overrides))
+
+    def test_csv_is_the_same_at_one_and_two_threads(self, tmp_path):
+        cfg = self._cfg()
+        for threads in (1, 2):
+            write_results_csv(run_experiment(cfg, threads).cells, tmp_path / f"{threads}.csv")
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+    def test_replay_cell_reproduces_every_rademacher_cell(self):
+        cfg = self._cfg()
+        res = run_experiment(cfg)
+        for m in cfg.m_values:
+            replayed = replay_cell(cfg, "rademacher", m)
+            for kind in cfg.estimators:
+                a, b = res.cell("rademacher", m, kind), replayed.cell("rademacher", m, kind)
+                assert (a.skipped, a.reps) == (b.skipped, b.reps)
+                assert a.log.tobytes() == b.log.tobytes()
+
+    def test_every_cell_is_its_repetitions_drawn_alone(self):
+        # each repetition drawn by itself, as a sweep without nesting draws it: the
+        # per-(m, r) seeds, unchanged, for every family but rademacher
+        cfg = self._cfg()
+        res = run_experiment(cfg)
+        instance, sol = resolve_instance(cfg)
+        for family in cfg.families:
+            weights = sampling_weights(family, instance.A)
+            for m in cfg.m_values:
+                seeds = cfg.rep_seeds(family, m)
+                key = () if family == "rademacher" else (m,)
+                assert seeds == tuple(derive_seed(cfg.master_seed, family, *key, r)
+                                      for r in range(cfg.reps))
+                kinds = [k for k in cfg.estimators if res.cell(family, m, k).skipped is None]
+                alone = [harness._run_rep(instance, sol, family, m, seed, kinds, True, weights)
+                         for seed in seeds]
+                for kind in kinds:
+                    expected = np.array([rep[kind] for rep in alone], dtype=harness.LOG_DTYPE)
+                    assert res.cell(family, m, kind).log.tobytes() == expected.tobytes()
+
+    def test_a_size_that_cannot_be_drawn_fails_only_its_cells(self):
+        cfg = self._cfg(m_values=(30, 40, 2**60))
+        res = run_experiment(cfg)
+        for c in res.cells:
+            if c.m == 2**60:
+                assert c.reps == 0 and "too large for numpy" in c.skipped
+            else:
+                assert c.skipped is None and c.reps == cfg.reps
+        assert res.cell("rademacher", 40, "shrinkage").log.tobytes() == replay_cell(
+            cfg, "rademacher", 40).cell("rademacher", 40, "shrinkage").log.tobytes()
+
+
 class TestOneApplyPerRealization:
-    """Every non-Gaussian realization is applied once, to the sweep's read-only [A | b]."""
+    """Every non-Gaussian realization is applied once, to the sweep's read-only [A | b]; a
+    nested family's one product per repetition and sketch serves every m."""
 
     @pytest.mark.parametrize("two_sketch", [False, True])
     def test_one_apply_per_non_gaussian_realization(self, monkeypatch, two_sketch):
@@ -527,22 +588,34 @@ class TestOneApplyPerRealization:
             operators.append(op)
             return op
 
-        def counting_apply(op, M):
-            applied.append((op, M))
-            return apply_(op, M)
+        def counting_apply(op, M, prefixes=None):
+            applied.append((op, M, prefixes))
+            return apply_(op, M, prefixes)
 
         monkeypatch.setattr(harness, "make_operator", counting_make)
         monkeypatch.setattr(harness, "apply", counting_apply)
         res = run_experiment(cfg)
         assert all(c.reps == cfg.reps for c in res.cells)
-        realizations = (len(FAMILIES) - 1) * len(cfg.m_values) * cfg.reps * (1 + two_sketch)
-        assert len(operators) == len(applied) == realizations
-        assert [op for op, _ in applied] == operators
+        sketches_per_rep = 1 + two_sketch
+        per_m = len(FAMILIES) - 1 - len(sketches.NESTED_FAMILIES)
+        realizations = (per_m * len(cfg.m_values) + len(sketches.NESTED_FAMILIES)) * cfg.reps
+        assert len(operators) == len(applied) == realizations * sketches_per_rep
+        assert [op for op, _, _ in applied] == operators
         assert "gaussian" not in {op.family for op in operators}
+        for op, _, prefixes in applied:
+            if op.family in sketches.NESTED_FAMILIES:
+                assert (op.m, prefixes) == (40, [30, 40])
+            else:
+                assert prefixes is None
+        nested = [op.spec.seed for op in operators if op.family == "rademacher"]
+        seeds = cfg.rep_seeds("rademacher", 30)
+        assert seeds == cfg.rep_seeds("rademacher", 40)
+        assert nested == [s for seed in seeds
+                          for s in (seed, derive_seed(seed, "aux"))[:sketches_per_rep]]
 
         p = resolve_instance(cfg)[0]
         B = applied[0][1]
-        assert all(M is B for _, M in applied)
+        assert all(M is B for _, M, _ in applied)
         assert B.shape == (p.n, p.d + 1) and B.flags.c_contiguous
         assert not B.flags.writeable
         np.testing.assert_array_equal(B, np.column_stack((p.A, p.y)))

@@ -119,9 +119,36 @@ class TestDenseRealization:
                 atol = 1e-13 * np.max(np.abs(M)) * math.sqrt(n)
                 np.testing.assert_allclose(out, S @ laid_out, rtol=1e-13, atol=atol)
 
+    # n = 1001 and 4097 are multiples of neither 8 nor 1024
+    @pytest.mark.parametrize("n", [1001, 4097])
+    def test_rademacher_prefixes_are_the_smaller_sketches_bitwise(self, n):
+        # every m reads the same 64-row panel products, so no row's bits depend on the grid
+        m_values = (1, 63, 64, 65, 150, 200, 300)
+        M = np.random.default_rng(n).standard_normal((n, 7))
+        op = make_operator(SketchSpec("rademacher", 300, 15), n)
+        assert op.packed.shape == (320, math.ceil(n / 8))
+        products = apply(op, M, prefixes=m_values)
+        assert list(products) == list(m_values)
+        for m in m_values:
+            alone = make_operator(SketchSpec("rademacher", m, 15), n)
+            assert np.array_equal(alone.packed, op.packed[:len(alone.packed)])
+            assert products[m].shape == (m, 7)
+            assert products[m].tobytes() == apply(alone, M).tobytes()
+        v = M[:, 2]
+        assert apply(op, v, prefixes=(65,))[65].tobytes() == apply(
+            make_operator(SketchSpec("rademacher", 65, 15), n), v).tobytes()
+
+    @pytest.mark.parametrize("family, prefixes", [
+        ("gaussian", (8,)), ("rademacher", (0, 8)), ("rademacher", (17,)), ("rademacher", ()),
+    ])
+    def test_prefixes_only_below_a_nested_operator(self, family, prefixes):
+        with pytest.raises(InvalidInputError, match="has no prefixes"):
+            apply(_op(family), np.ones((32, 2)), prefixes=prefixes)
+
     def test_rademacher_holds_no_m_by_n_float_matrix(self):
-        # the packed signs (m n / 8 bytes), one m x 1024 float block and two m x c
-        # outputs: about 3.5 MiB, where the m x n float matrix alone is 8 m n bytes
+        # the packed signs (320 n / 8 bytes), one 64 x 1024 float block, the 320 x c
+        # product and the m x c output: about 1.7 MiB, where the m x n float matrix alone is
+        # 8 m n bytes
         m, n, c = 300, 16384, 101
         M = np.random.default_rng(14).standard_normal((n, c))
         tracemalloc.start()
