@@ -121,17 +121,11 @@ def upper_bound_pred(d: int, m: int, r2: float, rho: float, eps: float) -> float
 def ratio_r(d: int, m: int, rho: float, eps: float = 0.0) -> float:
     """Ceiling on (shrinkage prediction error) / (classical prediction error).
 
-    (1+eps) ((m-d-1)/m) (1 - (1 - eps'(d,m)) / (1 + (m/d) rho)); always
-    below 1+eps and tends to 1 as m grows.
+    The paper's comparison: the prediction ceiling `upper_bound_pred`
+    over `exact_classical_error`, in which r2 cancels; always below 1+eps
+    and tends to 1 as m grows.
     """
-    if d <= 2:
-        raise UndefinedBoundError(f"requires d > 2 (d={d})")
-    if not rho >= 0:
-        raise InvalidInputError("rho must be nonnegative")
-    if not 0 <= eps < math.inf:
-        raise InvalidInputError("eps must be finite and nonnegative")
-    eps_p = epsilon_prime(d, m)
-    return (1.0 + eps) * (m - d - 1) / m * (1.0 - (1.0 - eps_p) / (1.0 + m / d * rho))
+    return upper_bound_pred(d, m, 1.0, rho, eps) / exact_classical_error(d, m, 1.0)
 
 
 @dataclass(frozen=True)
@@ -182,9 +176,6 @@ class BoundReport:
     ratio_R: float | None
     reasons: dict = field(default_factory=dict)
 
-    FIELDS = ("exact_classical", "unbiased_lower", "general_lower",
-              "upper_sa", "upper_pred", "eps_prime", "ratio_R")
-
 
 def evaluate_report(inputs: BoundInputs) -> BoundReport:
     """Evaluate every bound, recording reasons for undefined entries."""
@@ -199,7 +190,7 @@ def evaluate_report(inputs: BoundInputs) -> BoundReport:
             values[name] = fn()
         except UndefinedBoundError as exc:
             values[name] = None
-            reasons[name] = exc.reason
+            reasons[name] = str(exc)
 
     def general_lower():
         B = inputs.B

@@ -11,6 +11,7 @@ MemoryError, sizes this machine cannot hold, is invalid input (2).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -133,7 +134,7 @@ def _cmd_experiment(args) -> int:
 
 def _report_pairs(report: BoundReport) -> dict:
     pairs = {}
-    for name in BoundReport.FIELDS:
+    for name in (f.name for f in dataclasses.fields(report) if f.name != "reasons"):
         value = getattr(report, name)
         if value is None:
             pairs[name] = f"NA ({report.reasons[name]})"

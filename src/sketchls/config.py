@@ -24,7 +24,7 @@ from dataclasses import MISSING
 from pathlib import Path
 
 from .datagen import SyntheticSpec
-from .dataio import FORMATS, DatasetFile
+from .dataio import FORMATS, DatasetFile, _lines
 from .errors import ConfigError
 from .harness import ExperimentConfig
 from .sketches import derive_seed
@@ -110,12 +110,7 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"no such config file: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ConfigError(f"line {line}: byte {exc.object[exc.start]:#04x} is not UTF-8") from None
-    values = parse_config_text(text)
+    values = parse_config_text("".join(line for _, line in _lines(path)))
     seed = _fields(values, ExperimentConfig, "master_seed")  # first: the source may derive from it
     sources = {_KEYS[key][0] for key in values} - {ExperimentConfig}
     if len(sources) != 1:

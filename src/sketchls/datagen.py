@@ -46,10 +46,10 @@ class SyntheticSpec:
         check_seed(self.seed)
 
 
-def ar1_covariance(d: int, decay: float = 0.5) -> np.ndarray:
-    """Covariance with geometrically decaying off-diagonals: decay^|i-j|."""
+def ar1_covariance(d: int) -> np.ndarray:
+    """Covariance with geometrically decaying off-diagonals: 0.5^|i-j|."""
     idx = np.arange(d)
-    return decay ** np.abs(idx[:, None] - idx[None, :])
+    return 0.5 ** np.abs(idx[:, None] - idx[None, :])
 
 
 def _null_space_part(reflectors: np.ndarray, tau: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -43,10 +43,6 @@ class NotSpdError(SketchLSError):
 class UndefinedBoundError(SketchLSError):
     """A closed-form bound is not defined for the given parameters."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
 
 class DataFormatError(InvalidInputError):
     """Parse failure in a dataset or config file, with location info."""
@@ -56,7 +52,6 @@ class DataFormatError(InvalidInputError):
         if line is not None:
             loc = f" (line {line}" + (f", field {column}" if column is not None else "") + ")"
         super().__init__(reason + loc)
-        self.reason = reason
         self.line = line
         self.column = column
 

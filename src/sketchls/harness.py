@@ -276,17 +276,15 @@ def _bound_columns(d, m, r2, rho, n):
 
 
 def _nested_products(instance, family, seed, m_values, weights) -> dict:
-    """{m: S_m [A | b]} for the m in m_values: rows of one draw at the largest m that can be
-    drawn and applied.  An m that cannot (SketchLSError) is left out, so that its repetition
-    draws alone and fails alone."""
-    m_values = sorted(m_values)
-    while m_values:
-        try:
-            op = make_operator(SketchSpec(family, m_values[-1], seed), instance.n, weights=weights)
-            return apply(op, instance.AB, prefixes=m_values)
-        except SketchLSError:
-            m_values.pop()
-    return {}
+    """{m: S_m [A | b]} for the m in m_values: rows of one draw at the largest.  {} if it fails
+    (SketchLSError): each m then draws alone, the same rows bit for bit, and fails alone."""
+    if not m_values:
+        return {}
+    try:
+        op = make_operator(SketchSpec(family, max(m_values), seed), instance.n, weights=weights)
+        return apply(op, instance.AB, prefixes=m_values)
+    except SketchLSError:
+        return {}
 
 
 def _repetitions(instance, sol, family, cells, two_sketch, weights):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchls.bounds import (
     BoundInputs,
@@ -142,6 +144,14 @@ class TestRatio:
         eps_p = epsilon_prime(d, m)
         expected = (m - d - 1) / m * (1 - (1 - eps_p) / (1 + m / d * rho))
         assert ratio_r(d, m, rho, 0.0) == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(3, 500), excess=st.integers(4, 5000),
+           rho=st.floats(0, 1e6) | st.just(math.inf), eps=st.floats(0, 10))
+    def test_is_the_prediction_ceiling_over_the_classical_error(self, d, excess, rho, eps):
+        m = d + excess
+        assert ratio_r(d, m, rho, eps) == (upper_bound_pred(d, m, 1.0, rho, eps)
+                                           / exact_classical_error(d, m, 1.0))
 
 
 class TestReport:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchls import FAMILIES, ExperimentConfig, cli, errors, run_experiment
+from sketchls.bounds import BoundReport
 from sketchls.cli import main
 from sketchls.core import lstsq_solve, prediction_error, solve_exact
 from sketchls.datagen import SyntheticSpec, gen_gaussian_data
@@ -68,6 +70,14 @@ class TestBoundsCommand:
         payload = json.loads(out)
         assert payload["exact_classical"] == pytest.approx(100 / 199)
         assert payload["upper_pred"] == payload["upper_sa"]
+
+    def test_keys_are_the_report_fields_in_order(self, capsys):
+        args = ("bounds", "--d", "100", "--m", "300", "--r2", "1", "--rho", "0.1")
+        names = [f.name for f in dataclasses.fields(BoundReport) if f.name != "reasons"]
+        assert names == ["exact_classical", "unbiased_lower", "general_lower", "upper_sa",
+                         "upper_pred", "eps_prime", "ratio_R"]
+        assert list(_pairs(_run(capsys, *args)[1])) == names
+        assert list(json.loads(_run(capsys, *args, "--json")[1])) == sorted(names)
 
     def test_b_requires_sigma_min(self, capsys):
         code, _, err = _run(capsys, "bounds", "--d", "10", "--m", "40", "--r2", "1",

@@ -9,7 +9,7 @@ from sketchls import config
 from sketchls.config import load_config
 from sketchls.datagen import SyntheticSpec
 from sketchls.dataio import FORMATS, DatasetFile
-from sketchls.errors import InvalidInputError
+from sketchls.errors import DataFormatError, InvalidInputError
 from sketchls.estimators import KINDS
 from sketchls.harness import ExperimentConfig
 from sketchls.sketches import FAMILIES, derive_seed
@@ -56,6 +56,14 @@ def test_module_docstring_example_loads(tmp_path):
     example = "\n".join(line for line in config.__doc__.splitlines() if line.startswith("    "))
     cfg = _load(tmp_path, example)
     assert cfg.m_values == (150, 200, 300) and cfg.out_path == "results.csv"
+
+
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(_SYNTHETIC.encode()[:-1] + b" # \xff\n" + _REQUIRED.encode())
+    with pytest.raises(DataFormatError, match="byte 0xff is not UTF-8") as err:
+        load_config(path)
+    assert err.value.line == 3
 
 
 _VALUES = st.one_of(
